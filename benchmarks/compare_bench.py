@@ -6,17 +6,18 @@ appends one record per campaign run; this tool compares the newest
 record against the previous one and flags per-experiment wall-time
 regressions beyond a threshold (default 20 %), plus regressions in
 every recorded microbenchmark section — engine throughput, the
-queue-backend race (including the array backend's dispatch-storm
-rate and its speedup over bucket), the
 idle-skip and layered-fork A/B races, the subtree-vs-wave campaign
 scheduling race (throughput, speedup, and retained-memory ratio), and
-the run-artifact store's write overhead.  The sections share one table-driven checker
+the run-artifact store's write overhead.  The sections share one
+table-driven checker
 (:data:`CHECKS`): each section names the metrics to diff, whether
 higher or lower is better, and how to flag — relative drop beyond the
 threshold, or (for the store overhead, a number expected to hover
 near zero, where relative growth is meaningless) an absolute cap.
 Sections missing from either run are skipped with a note, so the tool
-keeps working across histories that predate a field.
+keeps working across histories that predate a field; sections only
+older records carry (such as the retired queue-backend race) are
+ignored.
 
 ``--store-diff STORE_A STORE_B`` additionally prints per-scenario
 latency deltas between two run-artifact store directories (a thin
@@ -49,7 +50,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 #: Baseline wall times below this are too noisy to flag (seconds).
 DEFAULT_MIN_SECONDS = 0.05
@@ -178,11 +179,9 @@ class MetricSpec:
 class CheckSpec:
     """One bench-record section: where it lives and what to diff."""
 
-    key: str                            #: record field (e.g. "engine_ab")
+    key: str                            #: record field (e.g. "engine_idle_ab")
     title: str                          #: used in skip notes / warnings
     metrics: "tuple[MetricSpec, ...]"
-    #: Optional comparability guard; returns a skip note or None.
-    comparable: "Callable[[dict, dict], Optional[str]] | None" = None
     missing_note: str = "not recorded in both runs"
 
     def run(self, previous: dict, latest: dict,
@@ -191,10 +190,6 @@ class CheckSpec:
         new_section = latest.get(self.key) or {}
         if not old_section or not new_section:
             return [f"  {self.title}: {self.missing_note}, skipping."], False
-        if self.comparable is not None:
-            note = self.comparable(old_section, new_section)
-            if note is not None:
-                return [f"  {self.title}: {note}, skipping."], False
         lines: "list[str]" = []
         regressed = False
         for metric in self.metrics:
@@ -205,59 +200,13 @@ class CheckSpec:
         return lines, regressed
 
 
-def _same_backend(old_section: dict, new_section: dict) -> "Optional[str]":
-    old_backend = old_section.get("backend")
-    new_backend = new_section.get("backend")
-    if old_backend != new_backend:
-        return (f"backends differ ({old_backend} vs {new_backend}) "
-                "— not comparable")
-    return None
-
-
-def _array_storm_recorded(old_section: dict,
-                          new_section: dict) -> "Optional[str]":
-    """Backend-aware guard for the array dispatch check.
-
-    The storm phase and the array backend arrived together; history
-    written before them has an ``engine_ab`` section without the storm
-    rates (or without an ``array`` contender), and a relative diff
-    against that would be meaningless rather than a regression.
-    """
-    for section, which in ((old_section, "previous"),
-                           (new_section, "latest")):
-        rates = section.get("storm_events_per_second")
-        if not isinstance(rates, dict) or "array" not in rates:
-            return (f"{which} run predates the array backend's "
-                    "storm fields")
-    return None
-
-
 #: Every microbenchmark section the tool knows how to diff.
 CHECKS: "tuple[CheckSpec, ...]" = (
     CheckSpec(
         key="engine", title="engine throughput",
-        comparable=_same_backend,
         metrics=(
             MetricSpec("engine", ("events_per_second",), unit="events/s",
                        flag_text="throughput regression"),
-        ),
-    ),
-    CheckSpec(
-        key="engine_ab", title="queue-backend A/B",
-        comparable=_array_storm_recorded,
-        missing_note="not recorded in both runs "
-                     "(older history predates engine_ab)",
-        metrics=(
-            MetricSpec("array storm",
-                       ("storm_events_per_second", "array"),
-                       unit="events/s",
-                       flag_text="dispatch throughput regression"),
-            MetricSpec("array dispatch speedup",
-                       ("array_dispatch_speedup_vs_bucket",), unit="x",
-                       flag_text="speedup regression"),
-            MetricSpec("backend A/B improvement",
-                       ("improvement_vs_legacy",), mode="info",
-                       percentish=True),
         ),
     ),
     CheckSpec(

@@ -15,16 +15,6 @@ Any regression to the O(n) ``pending_events`` scan, per-event
 here as a large events/sec drop.  The same measurement feeds the
 ``engine`` record of ``BENCH_experiments.json`` (CLI ``--bench-json``).
 
-The A/B leg races every pluggable queue backend
-(:mod:`repro.sim.queue`) against the frozen pre-backend heap loop,
-interleaved in one process so host noise cancels out; the winner and
-its improvement land in ``extra_info`` and in the ``engine_ab`` record
-of ``BENCH_experiments.json``.  The race includes the
-dispatch-dominated **storm** phase (dense same-cycle ``schedule_batch``
-volleys — the fig6 low-load regime), which gates the columnar ``array``
-backend at >=1.8x events/s over ``bucket``; a dedicated storm leg also
-races the two backends head-to-head with idle-skip off.
-
 The idle-skip leg races the analytic fast-forward engine
 (:func:`repro.sim.benchmark.measure_idle_ab`) against tick-by-tick
 execution on an idle-dominated scenario — sparse IRQ arrivals
@@ -53,14 +43,11 @@ peak-retained-memory ratio land in the ``engine_subtree_ab`` record of
 import pytest
 
 from repro.sim.benchmark import (
-    _run_volley_storm,
-    measure_backend_ab,
     measure_engine_throughput,
     measure_fork_ab,
     measure_idle_ab,
     measure_subtree_ab,
 )
-from repro.sim.queue import QUEUE_BACKENDS
 
 
 def test_engine_throughput(benchmark):
@@ -87,73 +74,6 @@ def test_engine_throughput(benchmark):
     assert result.events_per_second > 150_000
     assert result.chain_events_per_second > 150_000
     assert result.pool_events_per_second > 150_000
-
-
-def test_backend_ab_vs_legacy(benchmark):
-    """Interleaved backend race: every backend beats the legacy loop.
-
-    The floors are deliberately loose (the acceptance-grade ≥15% check
-    runs at a larger event count outside CI): here we pin that the
-    race measures every contender, that a backend — not the baseline —
-    wins, and that no backend *lost* to the loop it replaced.
-    """
-    result = benchmark.pedantic(
-        measure_backend_ab,
-        kwargs={"events": 100_000, "repeats": 3},
-        rounds=1, iterations=1,
-    )
-    assert set(result.results) == {"legacy", *QUEUE_BACKENDS}
-    assert result.baseline == "legacy"
-    assert result.winner in QUEUE_BACKENDS
-    benchmark.extra_info["winner"] = result.winner
-    benchmark.extra_info["improvement_vs_legacy"] = round(
-        result.improvement(), 4)
-    benchmark.extra_info["array_dispatch_speedup_vs_bucket"] = round(
-        result.dispatch_speedup("array"), 3)
-    for name, contender in result.results.items():
-        benchmark.extra_info[f"{name}_events_per_second"] = round(
-            contender.events_per_second)
-        benchmark.extra_info[f"{name}_storm_events_per_second"] = round(
-            contender.storm_events_per_second)
-        assert contender.events_executed >= 90_000
-    # Best-of-3 interleaved: a backend slower than legacy here is a
-    # genuine hot-path regression, not noise.
-    assert result.improvement() > 0.0
-    for name in QUEUE_BACKENDS:
-        assert result.improvement(name) > -0.10
-    # The tentpole gate: on the dispatch-dominated storm phase the
-    # columnar backend must clear 1.8x over the bucket backend.
-    assert result.dispatch_speedup("array", over="bucket") >= 1.8
-
-
-def test_dispatch_storm_fig6_low_load(benchmark):
-    """Dispatch-dominated fig6 low-load leg: array vs bucket head-to-head.
-
-    Dense same-cycle timer storms (32-wide volleys every 8 cycles) with
-    idle-skip explicitly off, so nothing but the dispatch loop itself
-    is measured.  Interleaved best-of-3 per backend; the columnar
-    block path typically measures ~2.5-4x over bucket — 1.8x is the
-    acceptance gate.
-    """
-    def race() -> dict:
-        rates: dict[str, float] = {}
-        for _ in range(3):
-            for name in ("bucket", "array"):
-                backend_cls = QUEUE_BACKENDS[name]
-                executed, elapsed = _run_volley_storm(
-                    100_000, width=32, period=8,
-                    engine_factory=lambda: backend_cls(idle_skip=False))
-                assert executed >= 100_000
-                rate = executed / elapsed if elapsed > 0 else 0.0
-                rates[name] = max(rates.get(name, 0.0), rate)
-        return rates
-
-    rates = benchmark.pedantic(race, rounds=1, iterations=1)
-    speedup = rates["array"] / rates["bucket"]
-    benchmark.extra_info["bucket_events_per_second"] = round(rates["bucket"])
-    benchmark.extra_info["array_events_per_second"] = round(rates["array"])
-    benchmark.extra_info["array_speedup_vs_bucket"] = round(speedup, 3)
-    assert speedup >= 1.8
 
 
 def test_idle_skip_ab(benchmark):

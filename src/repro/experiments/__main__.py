@@ -70,11 +70,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scale import resolve_scale
 from repro.sim.engine import ENV_IDLE_SKIP
-from repro.sim.queue import (
-    DEFAULT_QUEUE_BACKEND,
-    ENV_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-)
 from repro.sim.snapshot import SnapshotError
 from repro.sim.worldstore import ENV_STORE_BUDGET, parse_store_budget
 from repro.experiments.sweep import render_cycle_sweep, render_dmin_sweep
@@ -151,7 +146,6 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
     import repro
     from repro.experiments.cache import source_fingerprint
     from repro.sim.engine import resolve_idle_skip
-    from repro.sim.queue import resolve_backend_name
 
     directory = Path(export_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -166,7 +160,6 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
         # Engine configuration + transitive source digest: exported
         # CSVs carry the same fingerprint fields as store artifacts
         # and cache entries, so the three stay joinable.
-        "queue_backend": resolve_backend_name(None),
         "idle_skip": resolve_idle_skip(None),
         "source_digest": source_fingerprint("repro.experiments.runner"),
         "experiment_wall_seconds": {
@@ -317,15 +310,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "scale and seed")
     parser.add_argument("--progress", action="store_true",
                         help="print per-task completion progress to stderr")
-    parser.add_argument("--queue-backend", metavar="NAME", default=None,
-                        choices=sorted(QUEUE_BACKENDS),
-                        help="event-queue backend for every simulation in "
-                             "this run (choices: "
-                             f"{', '.join(sorted(QUEUE_BACKENDS))}; default: "
-                             "$REPRO_QUEUE_BACKEND or "
-                             f"{DEFAULT_QUEUE_BACKEND!r}); results are "
-                             "byte-identical across backends, only speed "
-                             "differs")
     parser.add_argument("--no-idle-skip", action="store_true",
                         help="disable the idle-skip engine (analytic "
                              "fast-forward across quiescent TDMA gaps) and "
@@ -350,10 +334,8 @@ def main(argv: "list[str] | None" = None) -> int:
                              "are byte-identical either way")
     args = parser.parse_args(arguments)
 
-    if args.queue_backend is not None:
-        # Via the environment so campaign worker processes inherit it.
-        os.environ[ENV_QUEUE_BACKEND] = args.queue_backend
     if args.no_idle_skip:
+        # Via the environment so campaign worker processes inherit it.
         os.environ[ENV_IDLE_SKIP] = "0"
     if args.store_budget is not None:
         try:
@@ -435,7 +417,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.bench_json is not None:
         from repro.analysis.benchmark import measure_analysis_speedup
         from repro.sim.benchmark import (
-            measure_backend_ab,
             measure_engine_throughput,
             measure_fork_ab,
             measure_idle_ab,
@@ -444,7 +425,6 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.store.benchmark import measure_store_ab
 
         engine = measure_engine_throughput()
-        engine_ab = measure_backend_ab()
         engine_idle_ab = measure_idle_ab()
         engine_fork_ab = measure_fork_ab()
         engine_subtree_ab = measure_subtree_ab()
@@ -454,7 +434,6 @@ def main(argv: "list[str] | None" = None) -> int:
             args.bench_json,
             scale_name=scale.name, jobs=jobs,
             experiment_seconds=experiment_seconds, engine=engine,
-            engine_ab=engine_ab,
             engine_idle_ab=engine_idle_ab,
             engine_fork_ab=engine_fork_ab,
             engine_subtree_ab=engine_subtree_ab,
@@ -463,16 +442,12 @@ def main(argv: "list[str] | None" = None) -> int:
             telemetry=telemetry,
             store_ab=store_ab,
         )
-        ab = record["engine_ab"]
         idle = record["engine_idle_ab"]
         fork = record["engine_fork_ab"]
         subtree = record["engine_subtree_ab"]
         store_rec = record["store_ab"]
         print(f"[bench] engine {record['engine']['events_per_second']:,.0f} "
-              f"events/s (backend={record['engine']['backend']}); "
-              f"A/B winner {ab['winner']} "
-              f"{ab['improvement_vs_legacy']:+.1%} vs legacy; "
-              f"idle-skip {idle['speedup']:.1f}x "
+              f"events/s; idle-skip {idle['speedup']:.1f}x "
               f"({idle['skipped_events']:,} events elided); "
               f"layered forks {fork['speedup']:.1f}x "
               f"({fork['memory_ratio']:.1f}x less memory over "

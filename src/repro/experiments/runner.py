@@ -875,7 +875,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
                      scale_name: str, jobs: int,
                      experiment_seconds: "Mapping[str, float]",
                      engine: "Any | None" = None,
-                     engine_ab: "Any | None" = None,
                      engine_idle_ab: "Any | None" = None,
                      engine_fork_ab: "Any | None" = None,
                      engine_subtree_ab: "Any | None" = None,
@@ -889,13 +888,7 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
     run: a ``host`` block (python version, cpu count, platform — so
     cross-machine history stays interpretable), per-experiment
     wall-clock seconds plus (when measured) the
-    engine microbenchmark's events/sec (``engine``, annotated with the
-    queue backend it ran on), the interleaved queue-backend race
-    (``engine_ab``: a
-    :class:`~repro.sim.benchmark.BackendABResult` — winner,
-    improvement over the frozen legacy loop, per-contender events/s
-    overall and on the dispatch-dominated storm phase, plus the array
-    backend's storm speedup over bucket),
+    engine microbenchmark's events/sec (``engine``),
     the idle-skip race on an idle-dominated scenario
     (``engine_idle_ab``: an
     :class:`~repro.sim.benchmark.IdleABResult` — skip vs tick events/s,
@@ -949,10 +942,7 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
         "total_wall_seconds": round(sum(experiment_seconds.values()), 3),
     }
     if engine is not None:
-        from repro.sim.queue import resolve_backend_name
-
         record["engine"] = {
-            "backend": resolve_backend_name(None),
             "events_per_second": round(engine.events_per_second, 1),
             "chain_events_per_second": round(
                 engine.chain_events_per_second, 1),
@@ -961,24 +951,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
             "cancelled_events": engine.cancelled_events,
             "elapsed_seconds": round(engine.elapsed_seconds, 4),
         }
-    if engine_ab is not None:
-        ab_record: "dict[str, Any]" = {
-            "baseline": engine_ab.baseline,
-            "winner": engine_ab.winner,
-            "improvement_vs_legacy": round(engine_ab.improvement(), 4),
-            "events_per_second": {
-                name: round(result.events_per_second, 1)
-                for name, result in sorted(engine_ab.results.items())
-            },
-            "storm_events_per_second": {
-                name: round(result.storm_events_per_second, 1)
-                for name, result in sorted(engine_ab.results.items())
-            },
-        }
-        if "array" in engine_ab.results and "bucket" in engine_ab.results:
-            ab_record["array_dispatch_speedup_vs_bucket"] = round(
-                engine_ab.dispatch_speedup("array", over="bucket"), 3)
-        record["engine_ab"] = ab_record
     if engine_idle_ab is not None:
         record["engine_idle_ab"] = {
             "speedup": round(engine_idle_ab.speedup, 2),

@@ -2,19 +2,14 @@
 
 A deterministic, self-contained workload that measures how many event
 callbacks per second :class:`~repro.sim.engine.SimulationEngine` can
-dispatch.  Three phases exercise the queue regimes real experiment
-runs hit:
+dispatch.  Two phases exercise the queue regimes real experiment runs
+hit:
 
 * **chain** — a self-rescheduling tick chain with a near-empty heap,
   the regime of a single replayed activation trace;
 * **pool** — a fixed population of outstanding events (default 64)
   with constant schedule/fire churn, the regime of many concurrent
-  timers/interpose windows where per-comparison heap costs dominate;
-* **storm** — dense same-cycle timer volleys inserted via
-  ``schedule_batch`` (idle-skip irrelevant: every cycle is busy), the
-  dispatch-dominated fig6 low-load regime where per-event allocation
-  in the dispatch loop is the entire cost.  This is the leg the
-  columnar ``array`` backend is gated on (>=1.8x over ``bucket``).
+  timers/interpose windows where per-comparison heap costs dominate.
 
 Both phases also schedule-and-immediately-cancel decoy events so the
 lazy-deletion path (pop-and-skip in the run loop) is part of what is
@@ -23,17 +18,12 @@ measured.  Used by ``benchmarks/test_bench_engine.py`` and by the
 records the result in ``BENCH_experiments.json`` so engine-throughput
 regressions are caught across PRs.
 
-:func:`measure_backend_ab` additionally races every pluggable queue
-backend (:mod:`repro.sim.queue`) against a frozen copy of the pre-PR-5
-heap loop (:class:`_LegacyHeapEngine`), interleaving the contenders
-round-robin in one process so host noise hits them all alike; its
-result names the winning backend and is what ``--bench-json`` records
-under ``engine_ab``.
-
 :func:`measure_idle_ab` races the idle-skip engine (analytic
 fast-forward across quiescent TDMA gaps, see
 ``Hypervisor._boundary_dispatch``) against the tick-by-tick chain on an
-idle-dominated full-system scenario; recorded under ``engine_idle_ab``.
+idle-dominated full-system scenario, interleaving the legs round-robin
+in one process so host noise hits both alike; recorded under
+``engine_idle_ab``.
 
 :func:`measure_fork_ab` races the layered copy-on-write world store
 (:mod:`repro.sim.worldstore`) against full-copy forking on a deep
@@ -58,89 +48,9 @@ import pickle
 import time
 import tracemalloc
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.sim.engine import COMPACTION_FLOOR, ENV_IDLE_SKIP, SimulationEngine
-from repro.sim.events import EventHandle
-from repro.sim.queue import QUEUE_BACKENDS
-
-
-class _LegacyHeapEngine:
-    """Frozen copy of the pre-queue-backend engine hot path.
-
-    The A/B baseline: 3-tuple ``(time, seq, handle)`` heap entries, a
-    compaction check on every schedule, and per-event clock/counter
-    writes in the run loop — exactly the loop the ``heap``/``bucket``
-    backends replaced.  Kept verbatim (not imported from history) so
-    the benchmark is self-contained and the baseline can never drift.
-    """
-
-    __slots__ = ("_heap", "_now", "_seq", "_events_executed", "_running",
-                 "_stop_requested", "_pending", "_cancelled_count",
-                 "_compactions")
-
-    def __init__(self):
-        self._heap: list = []
-        self._now = 0
-        self._seq = 0
-        self._events_executed = 0
-        self._running = False
-        self._stop_requested = False
-        self._pending = 0
-        self._cancelled_count = 0
-        self._compactions = 0
-
-    @property
-    def events_executed(self) -> int:
-        return self._events_executed
-
-    def schedule(self, delay: int, callback: Callable[[], None],
-                 label: Optional[str] = None, *,
-                 _push=heappush, _handle=EventHandle) -> EventHandle:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        time_ = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = _handle(time_, seq, callback, label, self)
-        self._pending += 1
-        _push(self._heap, (time_, seq, handle))
-        dead = len(self._heap) - self._pending
-        if dead > COMPACTION_FLOOR and dead > self._pending:
-            self._compact()
-        return handle
-
-    def _event_cancelled(self) -> None:
-        # The historical engine inlined this in EventHandle.cancel.
-        self._pending -= 1
-        self._cancelled_count += 1
-
-    def _compact(self) -> None:
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2]._cancelled]
-        heapify(heap)
-        self._compactions += 1
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        executed = 0
-        self._running = True
-        self._stop_requested = False
-        heap = self._heap
-        try:
-            while heap and not self._stop_requested:
-                time_, _seq, handle = heappop(heap)
-                if handle._cancelled:
-                    continue
-                self._now = time_
-                handle._fired = True
-                self._pending -= 1
-                self._events_executed += 1
-                handle.callback()
-                executed += 1
-        finally:
-            self._running = False
-        return executed
+from repro.sim.engine import ENV_IDLE_SKIP, SimulationEngine
 
 
 @dataclass(frozen=True)
@@ -152,7 +62,6 @@ class EngineBenchmarkResult:
     elapsed_seconds: float
     chain_events_per_second: float = 0.0
     pool_events_per_second: float = 0.0
-    storm_events_per_second: float = 0.0
 
     @property
     def events_per_second(self) -> float:
@@ -161,11 +70,9 @@ class EngineBenchmarkResult:
         return self.events_executed / self.elapsed_seconds
 
 
-def _run_chain(events: int, cancel_every: int,
-               engine_factory: Callable[[], object] = SimulationEngine
-               ) -> tuple[int, int, float]:
+def _run_chain(events: int, cancel_every: int) -> tuple[int, int, float]:
     """Tick chain: one live event at a time, plus cancelled decoys."""
-    engine = engine_factory()
+    engine = SimulationEngine()
     remaining = [events]
     cancelled = [0]
 
@@ -193,11 +100,10 @@ def _run_chain(events: int, cancel_every: int,
     return engine.events_executed, cancelled[0], elapsed
 
 
-def _run_pool(events: int, pool_size: int, cancel_every: int,
-              engine_factory: Callable[[], object] = SimulationEngine
-              ) -> tuple[int, int, float]:
+def _run_pool(events: int, pool_size: int,
+              cancel_every: int) -> tuple[int, int, float]:
     """Outstanding-event pool: ``pool_size`` live events churn forever."""
-    engine = engine_factory()
+    engine = SimulationEngine()
     remaining = [events]
     cancelled = [0]
     # Deterministic, varied delays so the heap keeps reordering.
@@ -223,50 +129,6 @@ def _run_pool(events: int, pool_size: int, cancel_every: int,
     engine.run()
     elapsed = time.perf_counter() - started
     return engine.events_executed, cancelled[0], elapsed
-
-
-def _run_volley_storm(events: int, width: int, period: int,
-                      engine_factory: Callable[[], object] = SimulationEngine
-                      ) -> tuple[int, float]:
-    """Dense same-cycle timer storms: the dispatch-dominated fig6 regime.
-
-    A driver fires every ``period`` cycles and lobs a ``width``-wide
-    same-cycle volley through ``schedule_batch``; engines without the
-    volley API (the legacy baseline) fall back to one ``schedule`` call
-    per event, which is exactly what their users would have to write.
-    """
-    engine = engine_factory()
-    cycles = max(1, events // width)
-    remaining = [cycles]
-
-    def noop() -> None:
-        pass
-
-    volley = [noop] * width
-    batch = getattr(engine, "schedule_batch", None)
-    if batch is not None:
-        def driver() -> None:
-            batch(0, volley, "storm")
-            left = remaining[0] - 1
-            remaining[0] = left
-            if left:
-                engine.schedule(period, driver, "driver")
-    else:
-        schedule = engine.schedule
-        def driver() -> None:
-            for callback in volley:
-                schedule(0, callback)
-            left = remaining[0] - 1
-            remaining[0] = left
-            if left:
-                schedule(period, driver)
-
-    engine.schedule(1, driver)
-    gc.collect()
-    started = time.perf_counter()
-    engine.run()
-    elapsed = time.perf_counter() - started
-    return engine.events_executed, elapsed
 
 
 def measure_engine_throughput(events: int = 200_000,
@@ -304,92 +166,6 @@ def measure_engine_throughput(events: int = 200_000,
             best = result
     assert best is not None
     return best
-
-
-@dataclass(frozen=True)
-class BackendABResult:
-    """Outcome of the interleaved queue-backend A/B race.
-
-    ``results`` holds the best-of-repeats measurement per contender:
-    the ``legacy`` baseline plus one entry per registered queue
-    backend.  ``winner`` is the fastest *backend* (the baseline cannot
-    win — it exists to be beaten, and :meth:`improvement` reports by
-    how much).
-    """
-
-    results: dict[str, EngineBenchmarkResult]
-    baseline: str
-    winner: str
-
-    def improvement(self, name: Optional[str] = None) -> float:
-        """Fractional events/s gain of ``name`` (default: the winner)
-        over the baseline — e.g. ``0.25`` for 25% faster."""
-        base = self.results[self.baseline].events_per_second
-        if base <= 0:
-            return 0.0
-        contender = self.results[name or self.winner].events_per_second
-        return contender / base - 1.0
-
-    def dispatch_speedup(self, name: Optional[str] = None,
-                         over: str = "bucket") -> float:
-        """Storm-phase events/s ratio of ``name`` (default: the winner)
-        over the ``over`` backend — e.g. ``1.8`` for 1.8x faster on
-        the dispatch-dominated microbenchmark."""
-        base = self.results[over].storm_events_per_second
-        if base <= 0:
-            return 0.0
-        contender = self.results[name or self.winner].storm_events_per_second
-        return contender / base
-
-
-def measure_backend_ab(events: int = 200_000,
-                       cancel_every: int = 4,
-                       repeats: int = 3,
-                       pool_size: int = 64,
-                       storm_width: int = 32,
-                       storm_period: int = 8) -> BackendABResult:
-    """Race every queue backend against the frozen legacy loop.
-
-    All contenders run the same chain+pool+storm workload, interleaved
-    round-robin within each repeat so host interference lands on
-    everyone alike — the only comparison that reliably resolves
-    10–30% deltas on a shared machine (back-to-back separate processes
-    vary by more than that).  Best-of-``repeats`` per contender, same
-    rationale as :func:`measure_engine_throughput`.  The storm phase
-    is the dispatch-dominated fig6 leg the columnar backend is gated
-    on; its rate is reported separately
-    (``storm_events_per_second`` / :meth:`BackendABResult.dispatch_speedup`)
-    so the balanced phases do not dilute the ratio.
-    """
-    if events <= 0:
-        raise ValueError(f"events must be positive, got {events}")
-    per_phase = max(1, events // 3)
-    factories: dict[str, Callable[[], object]] = {"legacy": _LegacyHeapEngine}
-    for name, backend_cls in QUEUE_BACKENDS.items():
-        factories[name] = backend_cls
-    best: dict[str, EngineBenchmarkResult] = {}
-    for _ in range(max(1, repeats)):
-        for name, factory in factories.items():
-            chain_n, chain_c, chain_t = _run_chain(
-                per_phase, cancel_every, engine_factory=factory)
-            pool_n, pool_c, pool_t = _run_pool(
-                per_phase, pool_size, cancel_every, engine_factory=factory)
-            storm_n, storm_t = _run_volley_storm(
-                per_phase, storm_width, storm_period, engine_factory=factory)
-            result = EngineBenchmarkResult(
-                events_executed=chain_n + pool_n + storm_n,
-                cancelled_events=chain_c + pool_c,
-                elapsed_seconds=chain_t + pool_t + storm_t,
-                chain_events_per_second=chain_n / chain_t if chain_t > 0 else 0.0,
-                pool_events_per_second=pool_n / pool_t if pool_t > 0 else 0.0,
-                storm_events_per_second=storm_n / storm_t if storm_t > 0 else 0.0,
-            )
-            current = best.get(name)
-            if current is None or result.events_per_second > current.events_per_second:
-                best[name] = result
-    winner = max(QUEUE_BACKENDS,
-                 key=lambda name: best[name].events_per_second)
-    return BackendABResult(results=best, baseline="legacy", winner=winner)
 
 
 @dataclass(frozen=True)
@@ -463,8 +239,10 @@ def measure_idle_ab(arrivals: int = 60,
     """Race the idle-skip engine against tick-by-tick execution.
 
     Both legs run the same idle-dominated scenario, interleaved
-    round-robin within each repeat (same rationale as
-    :func:`measure_backend_ab`); best-of-``repeats`` per leg.  The legs
+    round-robin within each repeat so host interference lands on both
+    alike — back-to-back separate processes vary by more than the
+    deltas being resolved; best-of-``repeats`` per leg, same rationale
+    as :func:`measure_engine_throughput`.  The legs
     must execute the same number of simulated events — idle-skip
     counts elided events as executed — so a mismatch means the
     byte-identity contract broke and is raised loudly rather than
@@ -646,7 +424,7 @@ def measure_fork_ab(branching: "tuple[int, ...]" = (4, 5, 5),
     Both legs grow the same deep scenario tree from one shared
     fig7-style prefix — default ``(4, 5, 5)``: 124 forks, 100 leaves —
     interleaved round-robin within each repeat so host noise lands on
-    both alike (same rationale as :func:`measure_backend_ab`);
+    both alike (same rationale as :func:`measure_idle_ab`);
     best-of-``repeats`` per leg.  Every leaf digest must be
     byte-identical across the legs; a mismatch means the layered store
     broke the byte-identity contract and is raised loudly rather than

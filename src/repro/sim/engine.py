@@ -9,33 +9,22 @@ The engine is deliberately free of any domain knowledge; the
 hypervisor, timers and interrupt controller are built on top of it.
 
 The dispatch loop is the hottest code in the whole reproduction —
-every simulated IRQ costs a dozen engine events — so the *storage* of
-pending events is pluggable (see :mod:`repro.sim.queue`): this module
-defines the backend-independent contract (scheduling API, counters,
-stop sentinels, snapshot/restore), and concrete queue backends supply
-the hot ``schedule``/``run`` paths:
-
-* ``heap`` — a binary heap of ``(time, seq, callback, handle)``
-  tuples, so sift comparisons are C-level tuple compares;
-* ``bucket`` — a calendar/timing-wheel hybrid bucketing simultaneous
-  events per timestamp, so same-cycle batches dispatch without any
-  heap sifts at all.
-
-Both backends emit the exact same ``(time, seq)`` FIFO order, pinned
-by the A/B property tests in ``tests/test_queue_backends.py`` —
-traces, latency CSVs and world-snapshot digests are byte-identical
-regardless of the backend.  ``SimulationEngine(...)`` transparently
-constructs the configured backend: an explicit ``backend=`` argument
-wins, then the ``REPRO_QUEUE_BACKEND`` environment variable, then the
-measured-faster default (see ``repro.sim.queue.DEFAULT_QUEUE_BACKEND``).
+every simulated IRQ costs a dozen engine events — so pending events
+live in a binary heap of ``(time, seq, callback, handle)`` tuples:
+every sift comparison is a C-level tuple compare, the callback rides
+in the entry so dispatch needs no attribute load, and lazily-cancelled
+entries are compacted away when they outnumber live ones.  The
+ordering contract — ``(time, seq)`` FIFO — is pinned against a sorted
+reference list in ``tests/test_engine_oracle.py``.
 """
 
 from __future__ import annotations
 
 import os
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.events import BatchHandle, EventHandle
+from repro.sim.events import EventHandle
 
 #: Minimum number of dead (lazily-cancelled) queue entries before a
 #: compaction is considered.  Below this floor the dead entries are
@@ -94,40 +83,21 @@ class SimulationEngine:
     (stable FIFO), which makes simulations reproducible regardless of
     queue internals: the unique, monotonically increasing ``seq``
     attached to each event breaks timestamp ties.
-
-    This base class holds everything backend-independent — counters,
-    sentinels, snapshot/restore — while the queue backends
-    (:mod:`repro.sim.queue`) implement event storage and the inlined
-    dispatch loops.  Instantiating ``SimulationEngine`` directly
-    returns the configured backend::
-
-        engine = SimulationEngine()                  # resolved default
-        engine = SimulationEngine(backend="heap")    # explicit choice
     """
 
-    #: Overridden by each backend; used for telemetry and ``repr``.
-    backend_name = "abstract"
-
-    __slots__ = ("_now", "_seq", "_events_executed", "_running",
+    __slots__ = ("_heap", "_now", "_seq", "_events_executed", "_running",
                  "_stop_requested", "_pending", "_cancelled_count",
                  "_compactions", "_sentinel_seq", "_dispatch_batches",
-                 "_idle_skip", "_skip_allowed", "_in_batch", "_run_bound",
+                 "_idle_skip", "_skip_allowed", "_run_bound",
                  "_skip_spans", "_skipped_events", "_skipped_cycles",
                  "_skip_span_log")
 
-    def __new__(cls, backend: Optional[str] = None,
-                idle_skip: Optional[bool] = None):
-        if cls is SimulationEngine:
-            # Lazy import: queue.py subclasses this module's base class.
-            from repro.sim.queue import resolve_backend_class
-
-            cls = resolve_backend_class(backend)
-        return object.__new__(cls)
-
-    def __init__(self, backend: Optional[str] = None,
-                 idle_skip: Optional[bool] = None):
-        # ``backend`` was consumed by __new__'s dispatch; accepted (and
-        # ignored) here so ``SimulationEngine(backend=...)`` initializes.
+    def __init__(self, idle_skip: Optional[bool] = None):
+        # Entries are (time, seq, callback, handle): the callback is
+        # duplicated into the tuple so the dispatch loop never loads it
+        # off the handle, and (time, seq) uniqueness guarantees the
+        # trailing elements are never compared during sifts.
+        self._heap: list[tuple] = []
         self._now: int = 0
         self._seq: int = 0
         self._events_executed: int = 0
@@ -148,15 +118,11 @@ class SimulationEngine:
         # inside an unbounded run()/run_until() dispatch loop (never in
         # step() or a max_events-bounded run, where the caller observes
         # individual events); ``_run_bound`` is the run_until horizon.
-        # ``_in_batch`` is set by the bucket backend while it drains a
-        # multi-entry bucket, whose co-timestamped tail is invisible to
-        # ``_next_pending`` — a skip decision must not trust the horizon
-        # then.  The skip counters feed telemetry only; they are not
-        # part of snapshot digests (spans are a diagnostic, like
+        # The skip counters feed telemetry only; they are not part of
+        # snapshot digests (spans are a diagnostic, like
         # ``compactions``).
         self._idle_skip: bool = resolve_idle_skip(idle_skip)
         self._skip_allowed = False
-        self._in_batch = False
         self._run_bound: Optional[int] = None
         self._skip_spans: int = 0
         self._skipped_events: int = 0
@@ -195,12 +161,8 @@ class SimulationEngine:
 
     @property
     def heap_depth(self) -> int:
-        """Stored entries, including lazily-cancelled dead ones.
-
-        The name predates the pluggable backends: for the bucket
-        backend this is the total entry count across all buckets.
-        """
-        raise NotImplementedError
+        """Stored heap entries, including lazily-cancelled dead ones."""
+        return len(self._heap)
 
     @property
     def compactions(self) -> int:
@@ -254,7 +216,7 @@ class SimulationEngine:
     #
     # * ``skip_window()`` tells the in-flight callback whether it may
     #   advance the clock itself (only from an unbounded run()/
-    #   run_until() loop, never mid-batch) and up to what bound;
+    #   run_until() loop) and up to what bound;
     # * ``peek_next_time()`` is the skip horizon: no analytic span may
     #   reach the next pending queue event;
     # * ``fast_forward()`` applies the aggregate effect of the elided
@@ -290,10 +252,10 @@ class SimulationEngine:
         """``(allowed, bound)`` for a skip decision at the current dispatch.
 
         ``allowed`` is True only while an unbounded ``run()`` or a
-        ``run_until()`` loop is dispatching a fully drained timestamp;
-        ``bound`` is the ``run_until`` horizon (None for ``run()``).
+        ``run_until()`` loop is dispatching; ``bound`` is the
+        ``run_until`` horizon (None for ``run()``).
         """
-        return (self._skip_allowed and not self._in_batch, self._run_bound)
+        return (self._skip_allowed, self._run_bound)
 
     def fast_forward(self, now: int, elided_events: int) -> None:
         """Apply the aggregate accounting of an analytically skipped span.
@@ -321,56 +283,189 @@ class SimulationEngine:
         self._seq += elided_events
         self._events_executed += elided_events
 
-    # ------------------------------------------------------------------
-    # Backend contract (hot paths implemented per backend)
-    # ------------------------------------------------------------------
+    # -- scheduling (hot) ----------------------------------------------
 
     def schedule(self, delay: int, callback: Callable[[], Any],
-                 label: Optional[str] = None) -> EventHandle:
+                 label: Optional[str] = None, *,
+                 _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
-        raise NotImplementedError
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        time = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        # Allocate the handle without a Python-level __init__ call.
+        handle = _new(_cls)
+        handle.time = time
+        handle.seq = seq
+        handle.callback = callback
+        handle.label = label
+        handle._cancelled = False
+        handle._fired = False
+        handle._engine = self
+        self._pending += 1
+        _push(self._heap, (time, seq, callback, handle))
+        return handle
 
     def schedule_at(self, time: int, callback: Callable[[], Any],
-                    label: Optional[str] = None) -> EventHandle:
+                    label: Optional[str] = None, *,
+                    _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
         """Schedule ``callback`` to run at absolute time ``time``."""
-        raise NotImplementedError
-
-    def schedule_batch(self, delay: int, callbacks,
-                       label: Optional[str] = None) -> BatchHandle:
-        """Schedule a same-cycle volley of callbacks as one unit.
-
-        All callbacks fire at ``now + delay`` with consecutive sequence
-        numbers in list order — byte-identical FIFO placement to
-        ``len(callbacks)`` individual :meth:`schedule` calls — and the
-        volley cancels as a unit through the single returned handle.
-
-        This generic implementation *is* those individual calls;
-        columnar backends override it with a block insert that fills
-        whole column ranges per volley (no per-event handle objects),
-        which is where dense same-cycle storms win big.  Order,
-        counters and observable semantics are identical either way,
-        pinned by the backend-equivalence tests.
-        """
-        if delay < 0:
+        if time < self._now:
             raise SimulationError(
-                f"cannot schedule an event in the past (delay={delay})")
-        handles = [self.schedule(delay, callback, label)
-                   for callback in callbacks]
-        return BatchHandle(self._now + delay, label, handles)
+                f"cannot schedule an event in the past (t={time}, now={self._now})"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        handle = _new(_cls)
+        handle.time = time
+        handle.seq = seq
+        handle.callback = callback
+        handle.label = label
+        handle._cancelled = False
+        handle._fired = False
+        handle._engine = self
+        self._pending += 1
+        _push(self._heap, (time, seq, callback, handle))
+        return handle
 
-    def run(self, max_events: Optional[int] = None) -> int:
+    def _insert_entry(self, time: int, seq: int, callback: Callable[[], Any],
+                      handle: EventHandle) -> None:
+        """Insert a fully-built entry into the heap.
+
+        Cold path shared by :meth:`schedule_stop_at` (negative seqs)
+        and :meth:`restore_event` (original seqs out of arrival order);
+        the heap orders out-of-order sequence numbers like any other.
+        """
+        heappush(self._heap, (time, seq, callback, handle))
+
+    # -- cancellation / compaction -------------------------------------
+
+    def _event_cancelled(self) -> None:
+        """Account a cancellation (called by :meth:`EventHandle.cancel`)."""
+        pending = self._pending - 1
+        self._pending = pending
+        self._cancelled_count += 1
+        # Compact when dead entries outnumber both the floor and the
+        # live count.  Triggering at cancel time keeps the accounting
+        # exact and keeps the check off the schedule hot path.
+        dead = len(self._heap) - pending
+        if dead > COMPACTION_FLOOR and dead > pending:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap without lazily-cancelled dead entries.
+
+        Mutates the heap list *in place* — the run loops hold a local
+        alias to it — and preserves every live entry exactly, so event
+        ordering (and therefore simulation output) is unchanged.
+        """
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3]._cancelled]
+        heapify(heap)
+        self._compactions += 1
+
+    # -- dispatch (hot) ------------------------------------------------
+
+    def run(self, max_events: Optional[int] = None, *, _pop=heappop) -> int:
         """Run until the event queue is empty (or ``max_events`` fired).
 
         Returns the number of events executed by this call.
         """
-        raise NotImplementedError
+        executed = 0
+        self._running = True
+        self._stop_requested = False
+        heap = self._heap
+        now = self._now
+        batches = 0
+        # Unbounded runs open the skip window: a dispatched callback
+        # may fast-forward the clock across a quiescent gap (never past
+        # the next pending event, so the stale loop-local ``now`` is
+        # corrected by the next pop's clock write).  Bounded runs keep
+        # it closed — the caller observes individual events.
+        self._skip_allowed = max_events is None
+        self._run_bound = None
+        try:
+            if max_events is None:
+                while heap:
+                    time, _seq, callback, handle = _pop(heap)
+                    if handle._cancelled:
+                        continue
+                    # Same-cycle batch dispatch: the clock is written
+                    # only when the timestamp actually advances.
+                    if time != now:
+                        self._now = now = time
+                        batches += 1
+                    handle._fired = True
+                    executed += 1
+                    callback()
+                    if self._stop_requested:
+                        break
+            else:
+                while heap and executed != max_events:
+                    time, _seq, callback, handle = _pop(heap)
+                    if handle._cancelled:
+                        continue
+                    if time != now:
+                        self._now = now = time
+                        batches += 1
+                    handle._fired = True
+                    executed += 1
+                    callback()
+                    if self._stop_requested:
+                        break
+        finally:
+            self._running = False
+            self._skip_allowed = False
+            # Counters are batched per run rather than bumped per
+            # event; nothing observes them mid-callback (the telemetry
+            # collectors sample after a run completes).
+            self._events_executed += executed
+            self._pending -= executed
+            self._dispatch_batches += batches
+        return executed
 
-    def run_until(self, time: int) -> int:
+    def run_until(self, time: int, *, _pop=heappop) -> int:
         """Run all events with timestamps <= ``time``; advance clock to ``time``.
 
         Returns the number of events executed by this call.
         """
-        raise NotImplementedError
+        if time < self._now:
+            raise SimulationError(f"cannot run backwards (t={time}, now={self._now})")
+        executed = 0
+        self._running = True
+        self._stop_requested = False
+        heap = self._heap
+        now = self._now
+        batches = 0
+        self._skip_allowed = True
+        self._run_bound = time
+        try:
+            while heap:
+                event_time, _seq, callback, handle = heap[0]
+                if handle._cancelled:
+                    _pop(heap)
+                    continue
+                if event_time > time:
+                    break
+                _pop(heap)
+                if event_time != now:
+                    self._now = now = event_time
+                    batches += 1
+                handle._fired = True
+                executed += 1
+                callback()
+                if self._stop_requested:
+                    break
+        finally:
+            self._running = False
+            self._skip_allowed = False
+            self._events_executed += executed
+            self._pending -= executed
+            self._dispatch_batches += batches
+        if not self._stop_requested:
+            self._now = max(self._now, time)
+        return executed
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -378,54 +473,45 @@ class SimulationEngine:
         Returns True if an event was executed, False if the queue was
         exhausted (only cancelled or no events remained).
         """
-        raise NotImplementedError
+        heap = self._heap
+        while heap:
+            time, _seq, callback, handle = heappop(heap)
+            if handle._cancelled:
+                continue
+            if time != self._now:
+                self._now = time
+                self._dispatch_batches += 1
+            handle._fired = True
+            self._pending -= 1
+            self._events_executed += 1
+            callback()
+            return True
+        return False
 
-    def live_entries(self) -> list[tuple[int, int, EventHandle]]:
-        """All pending (non-cancelled) ``(time, seq, handle)`` entries,
-        sorted by ``(time, seq)`` — i.e. in dispatch order — so the
-        listing is identical across queue backends."""
-        raise NotImplementedError
-
-    def _insert_entry(self, time: int, seq: int, callback: Callable[[], Any],
-                      handle: EventHandle) -> None:
-        """Insert a fully-built entry into backend storage.
-
-        Cold path shared by :meth:`schedule_stop_at` (negative seqs)
-        and :meth:`restore_event` (original seqs out of arrival order);
-        backends must tolerate out-of-order sequence numbers here.
-        """
-        raise NotImplementedError
-
-    def _event_cancelled(self) -> None:
-        """Account a cancellation (called by :meth:`EventHandle.cancel`).
-
-        Backends keep the ``pending`` counter exact here and may
-        trigger a compaction when dead entries dominate live ones.
-        """
-        raise NotImplementedError
-
-    def _compact(self) -> None:
-        """Rebuild storage without lazily-cancelled dead entries."""
-        raise NotImplementedError
+    # -- introspection -------------------------------------------------
 
     def _next_pending(self) -> Optional[EventHandle]:
         """Peek the earliest non-cancelled event, discarding dead entries."""
-        raise NotImplementedError
+        heap = self._heap
+        while heap:
+            handle = heap[0][3]
+            if handle._cancelled:
+                heappop(heap)
+                continue
+            return handle
+        return None
+
+    def live_entries(self) -> list[tuple[int, int, EventHandle]]:
+        """All pending (non-cancelled) ``(time, seq, handle)`` entries,
+        sorted by ``(time, seq)`` — i.e. in dispatch order."""
+        # (time, seq) pairs are unique, so plain tuple sort never
+        # reaches the (uncomparable-in-general) handle element.
+        return sorted((entry[0], entry[1], entry[3])
+                      for entry in self._heap if not entry[3]._cancelled)
 
     # ------------------------------------------------------------------
-    # Shared cold paths
+    # Cold paths
     # ------------------------------------------------------------------
-
-    def _make_handle(self, time: int, seq: int, callback: Callable[[], Any],
-                     label: Optional[str]) -> EventHandle:
-        """Build a handle for the cold out-of-band insert paths.
-
-        Backends whose cancellation bookkeeping lives outside the
-        handle (the array backend's cancelled column) override this so
-        sentinels and restored events get handles wired to that
-        bookkeeping too.
-        """
-        return EventHandle(time, seq, callback, label, self)
 
     def schedule_stop_at(self, time: int) -> EventHandle:
         """Schedule an out-of-band :meth:`stop` at absolute time ``time``.
@@ -449,7 +535,7 @@ class SimulationEngine:
             )
         seq = self._sentinel_seq
         self._sentinel_seq = seq - 1
-        handle = self._make_handle(time, seq, self.stop, "stop-sentinel")
+        handle = EventHandle(time, seq, self.stop, "stop-sentinel", self)
         self._pending += 1
         self._insert_entry(time, seq, self.stop, handle)
         return handle
@@ -487,13 +573,12 @@ class SimulationEngine:
         continuation must allocate sentinels exactly like the fresh
         engine of a straight-line run would.  The ``compactions`` and
         ``dispatch_batches`` diagnostics are likewise excluded: they
-        depend on the queue backend, and snapshot digests must be
-        backend-independent (both backends produce the same semantic
-        state, so a world captured under ``heap`` restores — and
-        digests — identically under ``bucket``).  The idle-skip span
-        counters are excluded for the same reason: how many gaps were
-        crossed analytically is a diagnostic of *how* the run executed,
-        and digests must be identical with skip on or off.
+        describe *how* the queue was stored and drained, not the
+        semantic state, and a restored world rebuilds its heap from
+        live entries only.  The idle-skip span counters are excluded
+        for the same reason: how many gaps were crossed analytically is
+        a diagnostic of *how* the run executed, and digests must be
+        identical with skip on or off.
         """
         return {
             "now": self._now,
@@ -534,11 +619,11 @@ class SimulationEngine:
                 f"restored event seq {seq} not predated by the seq counter "
                 f"({self._seq}); restore_state first"
             )
-        handle = self._make_handle(time, seq, callback, label)
+        handle = EventHandle(time, seq, callback, label, self)
         self._pending += 1
         self._insert_entry(time, seq, callback, handle)
         return handle
 
     def __repr__(self) -> str:
-        return (f"SimulationEngine(backend={self.backend_name!r}, "
-                f"now={self._now}, pending={self.pending_events})")
+        return (f"SimulationEngine(now={self._now}, "
+                f"pending={self.pending_events})")

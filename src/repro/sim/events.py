@@ -12,56 +12,6 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 
-class BatchHandle:
-    """A single cancellable handle covering a same-cycle event volley.
-
-    Returned by :meth:`repro.sim.engine.SimulationEngine.schedule_batch`.
-    The generic implementation wraps the per-event handles of the
-    fallback path (one ``schedule`` call per callback); columnar
-    backends return their own block-backed flavour with the same
-    public surface (``time``, ``label``, ``count``, ``cancel()``,
-    ``pending``/``fired``/``cancelled``).  A batch cancels as a unit —
-    individual volley events are not separately addressable, which is
-    exactly what lets a columnar backend dispatch the volley without
-    per-event handle objects.
-    """
-
-    __slots__ = ("time", "label", "count", "_handles")
-
-    def __init__(self, time: int, label: Optional[str],
-                 handles: "list[EventHandle]"):
-        self.time = time
-        self.label = label
-        self.count = len(handles)
-        self._handles = handles
-
-    def cancel(self) -> None:
-        """Cancel every volley event that has not fired yet."""
-        for handle in self._handles:
-            handle.cancel()
-
-    @property
-    def pending(self) -> bool:
-        """True while at least one volley event is still waiting."""
-        return any(handle.pending for handle in self._handles)
-
-    @property
-    def cancelled(self) -> bool:
-        """True if :meth:`cancel` reached at least one unfired event."""
-        return any(handle.cancelled for handle in self._handles)
-
-    @property
-    def fired(self) -> bool:
-        """True once every volley event has executed."""
-        return all(handle.fired for handle in self._handles)
-
-    def __repr__(self) -> str:
-        state = ("cancelled" if self.cancelled
-                 else ("fired" if self.fired else "pending"))
-        return (f"BatchHandle(t={self.time}, count={self.count}, "
-                f"{self.label or 'batch'}, {state})")
-
-
 class EventHandle:
     """A cancellable reference to a scheduled simulation event.
 
@@ -91,8 +41,8 @@ class EventHandle:
         self._cancelled = True
         engine = self._engine
         if engine is not None:
-            # The backend keeps its pending counter exact and may
-            # compact its storage when dead entries dominate.
+            # The engine keeps its pending counter exact and may
+            # compact its heap when dead entries dominate.
             engine._event_cancelled()
 
     @property
@@ -109,14 +59,6 @@ class EventHandle:
     def pending(self) -> bool:
         """True while the event is still waiting to fire."""
         return not self._cancelled and not self._fired
-
-    def _mark_fired(self) -> None:
-        self._fired = True
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Heap ordering: by time, then by insertion sequence so that
-        # events scheduled earlier at the same timestamp fire first.
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else ("fired" if self._fired else "pending")

@@ -192,9 +192,10 @@ def capture_world(world: Any,
                                    ("snapshot_state",
                                     "restore_from_snapshot"))
     if getattr(engine, "_running", False):
-        # Mid-dispatch the queue backends hold loop-local drain state
-        # (and counters are batched per run), so live_entries()/counters
-        # would be inconsistent; capture only between runs.
+        # Mid-dispatch the engine's counters are batched per run (the
+        # in-flight event is popped but not yet counted), so
+        # live_entries()/counters would be inconsistent; capture only
+        # between runs.
         raise SnapshotError(
             f"cannot capture {type(world).__qualname__} while its engine "
             f"is dispatching (t={engine.now}): capture only between runs"

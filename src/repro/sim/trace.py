@@ -181,8 +181,8 @@ class TraceRecorder:
         """Stable SHA-256 over the canonical JSON of all retained events.
 
         Two recorders that captured the same simulation have the same
-        digest; the queue-backend A/B tests use this to prove the
-        backends produce byte-identical executions.
+        digest; the byte-identity tests (idle-skip on vs off, forked
+        vs straight-line runs) compare executions through it.
         """
         payload = json.dumps(
             [(ev.time, ev.kind.value, ev.data) for ev in self._events],

@@ -4,8 +4,7 @@
 repeat — once plain, once writing one artifact per task into a
 throwaway store directory — with the leg order alternating between
 repeats, a ``gc.collect()`` before each timed leg, and one untimed
-warm-up pair first (the same fairness protocol as
-``measure_backend_ab``; the warm-up absorbs first-call costs like
+warm-up pair first (the warm-up absorbs first-call costs like
 source-digest memoization).  Best-of-repeats per leg; the reported
 ``overhead`` is ``(store - plain) / plain`` of the best times.  The
 acceptance bar (store capture costs <5% of campaign wall time at the

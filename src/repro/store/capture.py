@@ -17,7 +17,7 @@ but still listed in the campaign index so a query layer can tell
 
 Artifact metadata carries the same fingerprint fields the result
 cache keys on — experiment, task kind, kwargs-derived scenario/load/
-seed, campaign scale, queue backend, idle-skip flag, and the
+seed, campaign scale, idle-skip flag, and the
 transitive source digest of the task's implementing module — so
 stored runs are joinable with cache entries and exported CSV
 manifests.
@@ -147,12 +147,10 @@ def campaign_metadata(scale_name: str, seed: int,
                       jobs: "int | None" = None) -> "dict[str, Any]":
     """Campaign-wide metadata fields shared by every artifact."""
     from repro.sim.engine import resolve_idle_skip
-    from repro.sim.queue import resolve_backend_name
 
     meta: "dict[str, Any]" = {
         "scale": scale_name,
         "campaign_seed": seed,
-        "queue_backend": resolve_backend_name(None),
         "idle_skip": resolve_idle_skip(None),
     }
     if jobs is not None:

@@ -357,7 +357,6 @@ class RunStore:
                 "scenario": ref.metadata.get("scenario"),
                 "load": ref.metadata.get("load"),
                 "seed": ref.metadata.get("task_seed"),
-                "queue_backend": ref.metadata.get("queue_backend"),
                 "idle_skip": ref.metadata.get("idle_skip"),
             })
         return rows

@@ -85,12 +85,6 @@ def collect_engine(registry: MetricsRegistry, engine: Any,
         "Current simulation time in cycles",
         ("run",),
     ).labels(**labels).set(engine.now)
-    registry.gauge(
-        "sim_queue_backend_info",
-        "Queue backend selected for this engine (info gauge: value 1, "
-        "backend carried in the label)",
-        ("run", "backend"),
-    ).labels(run=run, backend=getattr(engine, "backend_name", "unknown")).set(1)
     registry.counter(
         "sim_idle_skip_spans_total",
         "Quiescent TDMA gaps crossed analytically by the idle-skip engine",

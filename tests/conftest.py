@@ -13,6 +13,12 @@ from repro.hypervisor.partition import Partition
 from repro.sim.clock import Clock
 from repro.sim.timers import IntervalSequenceTimer
 
+#: Names of the event-queue backends the engine suites once ran on.
+#: ``SimulationEngine`` is now a single heap implementation; the suites
+#: keep these ids as a parametrize axis so their test names stay
+#: stable, and every id runs that one engine.
+RETIRED_BACKENDS = ("array", "bucket", "heap")
+
 
 @pytest.fixture
 def clock() -> Clock:

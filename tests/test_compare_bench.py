@@ -1,13 +1,11 @@
 """The bench-history diff tool: table-driven section checks.
 
 ``benchmarks/compare_bench.py`` diffs the last two records of a
-``BENCH_experiments.json``.  These tests pin the behaviour of the
-``engine_ab`` check added with the array backend — a drop in the array
-backend's dispatch-storm rate (or its speedup over bucket) is flagged,
-while history written before those fields existed is skipped with a
-note instead of misreported — and the ``engine_subtree_ab`` check
-added with subtree scheduling (throughput, speedup, and
-retained-memory-ratio regressions).
+``BENCH_experiments.json``.  These tests pin the ``engine_subtree_ab``
+check added with subtree scheduling (throughput, speedup, and
+retained-memory-ratio regressions), the skip note for history that
+predates a section, and that sections only older records carry (the
+retired ``engine_ab`` queue-backend race) are ignored.
 """
 
 from __future__ import annotations
@@ -25,78 +23,27 @@ sys.modules.setdefault("compare_bench", compare_bench)
 _spec.loader.exec_module(compare_bench)
 
 
-def _engine_ab(array_storm: float, speedup: float) -> dict:
+def _retired_engine_ab() -> dict:
+    """An ``engine_ab`` section as records from before one engine carry."""
     return {
         "baseline": "legacy",
         "winner": "array",
         "improvement_vs_legacy": 0.25,
-        "events_per_second": {"legacy": 650_000.0, "heap": 730_000.0,
-                              "bucket": 800_000.0, "array": 815_000.0},
         "storm_events_per_second": {"legacy": 700_000.0,
-                                    "heap": 830_000.0,
-                                    "bucket": 1_200_000.0,
-                                    "array": array_storm},
-        "array_dispatch_speedup_vs_bucket": speedup,
+                                    "array": 3_300_000.0},
+        "array_dispatch_speedup_vs_bucket": 2.75,
     }
 
 
-def _run(engine_ab: "dict | None") -> dict:
-    record = {"scale": "smoke", "jobs": 1,
-              "experiment_wall_seconds": {"fig6a": 1.0}}
-    if engine_ab is not None:
-        record["engine_ab"] = engine_ab
-    return record
-
-
-def _engine_ab_check() -> "compare_bench.CheckSpec":
-    return next(check for check in compare_bench.CHECKS
-                if check.key == "engine_ab")
-
-
-def test_array_storm_drop_is_flagged():
-    check = _engine_ab_check()
-    lines, regressed = check.run(
-        _run(_engine_ab(3_300_000.0, 2.75)),
-        _run(_engine_ab(1_500_000.0, 1.25)),
-        threshold=0.20,
-    )
-    assert regressed
-    assert any("dispatch throughput regression" in line for line in lines)
-    assert any("speedup regression" in line for line in lines)
-
-
-def test_array_storm_steady_passes():
-    check = _engine_ab_check()
-    lines, regressed = check.run(
-        _run(_engine_ab(3_300_000.0, 2.75)),
-        _run(_engine_ab(3_250_000.0, 2.70)),
-        threshold=0.20,
-    )
-    assert not regressed
-    assert any("array storm" in line for line in lines)
-
-
-def test_history_predating_storm_fields_skips_with_note():
-    check = _engine_ab_check()
-    # An engine_ab section from before the storm phase existed.
-    old = _engine_ab(0.0, 0.0)
-    del old["storm_events_per_second"]
-    del old["array_dispatch_speedup_vs_bucket"]
-    old["events_per_second"] = {"legacy": 650_000.0, "heap": 730_000.0,
-                                "bucket": 800_000.0}
-    lines, regressed = check.run(
-        _run(old), _run(_engine_ab(3_300_000.0, 2.75)), threshold=0.20)
-    assert not regressed
-    assert lines == ["  queue-backend A/B: previous run predates the "
-                     "array backend's storm fields, skipping."]
-
-
 def test_history_missing_section_skips_with_note():
-    check = _engine_ab_check()
-    lines, regressed = check.run(
-        _run(None), _run(_engine_ab(3_300_000.0, 2.75)), threshold=0.20)
+    check = next(check for check in compare_bench.CHECKS
+                 if check.key == "engine_idle_ab")
+    record = {"speedup": 12.0,
+              "events_per_second": {"skip": 9e6, "tick": 7.5e5}}
+    lines, regressed = check.run({}, {"engine_idle_ab": record},
+                                 threshold=0.20)
     assert not regressed
-    assert "predates engine_ab" in lines[0]
+    assert "predates engine_idle_ab" in lines[0]
 
 
 def _subtree_ab(nodes_per_second: float, speedup: float,
@@ -165,17 +112,20 @@ def test_history_predating_subtree_ab_skips_with_note():
     assert "predates engine_subtree_ab" in lines[0]
 
 
-def test_full_diff_reports_array_fields(tmp_path, capsys):
-    history = {"runs": [
-        dict(_run(_engine_ab(3_300_000.0, 2.75)),
-             total_wall_seconds=1.0, timestamp="2026-08-08T00:00:00Z"),
-        dict(_run(_engine_ab(3_400_000.0, 2.80)),
-             total_wall_seconds=1.0, timestamp="2026-08-08T01:00:00Z"),
-    ]}
+def test_full_diff_ignores_retired_engine_ab_section(tmp_path, capsys):
+    runs = [dict(_subtree_run(_subtree_ab(140.0, 5.2, 10.8)),
+                 total_wall_seconds=1.0, timestamp=stamp)
+            for stamp in ("2026-08-08T00:00:00Z", "2026-08-08T01:00:00Z")]
+    runs[0]["engine_ab"] = _retired_engine_ab()
+    runs[0]["engine"] = {"backend": "bucket", "events_per_second": 1e6}
+    runs[1]["engine"] = {"events_per_second": 1e6}
     path = tmp_path / "BENCH_experiments.json"
-    path.write_text(json.dumps(history))
+    path.write_text(json.dumps({"runs": runs}))
     assert compare_bench.main(["--file", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "array storm" in out
-    assert "array dispatch speedup" in out
+    assert "engine_ab" not in out
+    assert "array" not in out
+    # Engine throughput compares across the old backend-tagged record.
+    assert "engine  1,000,000 -> 1,000,000 events/s" in out
+    assert "subtree schedule" in out
     assert "no regressions beyond threshold." in out

@@ -1,10 +1,9 @@
 """Property-based tests of the discrete-event engine's invariants.
 
-The engine's hot paths are aggressively tuned (tuple queue entries,
+The engine's hot paths are aggressively tuned (tuple heap entries,
 inlined dispatch loops, an O(1) pending counter maintained across lazy
-cancellation) and pluggable (heap and bucket queue backends, see
-:mod:`repro.sim.queue`), so these hypothesis tests pin down the
-semantics every backend must preserve:
+cancellation), so these hypothesis tests pin down the semantics the
+tuning must preserve:
 
 * events fire in (time, insertion order) — FIFO among simultaneous
   events — for *any* schedule;
@@ -14,18 +13,18 @@ semantics every backend must preserve:
   handles, even though cancelled entries linger in storage until
   drained or compacted.
 
-Each test runs against every registered backend.  The deeper
-cross-backend equivalence (identical traces, CSVs, snapshot digests)
-lives in ``tests/test_queue_backends.py``.
+The random-program equivalence against a sorted-list reference engine
+lives in ``tests/test_engine_oracle.py``.  The ``backend`` axis keeps
+the names of the retired queue backends (see ``conftest.RETIRED_BACKENDS``).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import RETIRED_BACKENDS
 from repro.sim.engine import SimulationEngine
-from repro.sim.queue import QUEUE_BACKENDS
 
-pytestmark = pytest.mark.parametrize("backend", sorted(QUEUE_BACKENDS))
+pytestmark = pytest.mark.parametrize("backend", RETIRED_BACKENDS)
 
 
 def _live_entry_count(engine: SimulationEngine) -> int:
@@ -38,7 +37,7 @@ def _live_entry_count(engine: SimulationEngine) -> int:
                        min_size=1, max_size=60))
 def test_fifo_ordering_for_any_schedule(backend, delays):
     """Execution order is (time, insertion seq) — stable FIFO."""
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     fired = []
     expected = []
     for index, delay in enumerate(delays):
@@ -58,7 +57,7 @@ def test_fifo_ordering_for_any_schedule(backend, delays):
 ))
 def test_cancelled_events_never_fire(backend, plan):
     """Lazy cancellation: cancelled handles are skipped, order kept."""
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     fired = []
     handles = []
     for index, (delay, _) in enumerate(plan):
@@ -97,9 +96,9 @@ def test_pending_counter_matches_brute_force(backend, ops):
     Regression test for the heap-scan elimination: the seed engine
     recomputed ``pending_events`` by scanning the heap on every access,
     and the counter replacing the scan must stay consistent while
-    cancelled entries are still sitting in backend storage.
+    cancelled entries are still sitting in the heap.
     """
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     live = []
     for op in ops:
         if op == "cancel":

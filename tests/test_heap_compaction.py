@@ -1,31 +1,30 @@
-"""Queue compaction under timer churn (engine lazy-cancellation GC).
+"""Heap compaction under timer churn (engine lazy-cancellation GC).
 
-Timer reprogramming cancels lazily: dead entries stay in backend
-storage until a compaction rebuilds it.  These tests pin the two
-guarantees the compactor makes — storage stays bounded under unbounded
+Timer reprogramming cancels lazily: dead entries stay in the heap
+until a compaction rebuilds it.  These tests pin the two guarantees
+the compactor makes — the heap stays bounded under unbounded
 program/cancel churn, and the exact accounting (``pending_events``,
 ``peek_next_time``) plus dispatch order are unaffected by when
-compactions happen — for every queue backend.
+compactions happen.
 
 Compaction triggers at *cancel* time (the only operation that creates
 a dead entry), when dead entries outnumber both ``COMPACTION_FLOOR``
-and the live count.  The heap backend counts dead entries exactly; the
-bucket backend uses cancellations-since-last-compaction as an upper
-bound, which can only make it compact earlier, never later.
+and the live count.  The ``backend`` axis keeps the names of the
+retired queue backends (see ``conftest.RETIRED_BACKENDS``).
 """
 
 import pytest
 
+from conftest import RETIRED_BACKENDS
 from repro.sim.engine import COMPACTION_FLOOR, SimulationEngine
 from repro.sim.intc import InterruptController
-from repro.sim.queue import QUEUE_BACKENDS
 from repro.sim.timers import OneShotTimer
 
-pytestmark = pytest.mark.parametrize("backend", sorted(QUEUE_BACKENDS))
+pytestmark = pytest.mark.parametrize("backend", RETIRED_BACKENDS)
 
 
 def test_reprogram_churn_keeps_queue_depth_bounded(backend):
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     intc = InterruptController(engine)
     timer = OneShotTimer(engine, intc, line=0)
     for i in range(10_000):
@@ -39,7 +38,7 @@ def test_reprogram_churn_keeps_queue_depth_bounded(backend):
 
 
 def test_program_cancel_churn_with_no_live_events(backend):
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     intc = InterruptController(engine)
     timer = OneShotTimer(engine, intc, line=0)
     for _ in range(5_000):
@@ -52,7 +51,7 @@ def test_program_cancel_churn_with_no_live_events(backend):
 
 
 def test_peek_and_pending_exact_across_compaction(backend):
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     fired = []
     handles = [engine.schedule(1_000 + i, lambda i=i: fired.append(i))
                for i in range(200)]
@@ -73,7 +72,7 @@ def test_peek_and_pending_exact_across_compaction(backend):
 
 
 def test_compaction_preserves_fifo_order_of_simultaneous_events(backend):
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     order = []
     keep = [engine.schedule(500, lambda i=i: order.append(i))
             for i in range(10)]

@@ -1,162 +1,29 @@
-"""Queue-backend equivalence: every backend is observably identical.
+"""Hand-written event-queue cases, on the engine and its oracle.
 
-The pluggable event-queue backends (:mod:`repro.sim.queue`) promise
-that swapping implementations changes *only* wall-clock speed — the
-``(time, seq)`` FIFO dispatch order, and therefore every downstream
-artifact, is byte-identical.  Every suite below parametrizes over the
-``QUEUE_BACKENDS`` registry, so a newly registered backend (such as
-the columnar ``array`` engine) is covered with zero test edits.  The
-promise is pinned at every layer:
-
-* engine level — a hypothesis-driven random program (nested schedules,
-  same-cycle reschedules, ``schedule_batch`` volleys, cancellations of
-  both single events and whole volleys, stops, a bounded ``run_until``
-  followed by a full drain) executed on every backend must produce the
-  same callback log, clock, counters, batch count, snapshot state and
-  surviving entries;
-* scenario level — a full paper scenario run per backend, with
-  idle-skip both on and off, must produce identical latency records,
-  summaries, CSV bytes and trace digests, and world snapshots captured
-  warm or mid-run must digest identically (including
-  capture-on-one-backend / restore-on-the-other forks);
-* resolution — explicit argument beats ``REPRO_QUEUE_BACKEND`` beats
-  the default, and unknown names fail loudly;
-* the cold out-of-band insert paths (stop sentinels, snapshot
-  ``restore_event``) keep FIFO order on every backend.
+FIFO among simultaneous events, stop sentinels ahead of same-time
+events (including one installed for the dispatching timestamp from
+inside a callback), and out-of-order ``restore_event`` inserts.  The
+``array``, ``bucket`` and ``heap`` ids keep the names of the retired
+queue backends (see ``conftest.RETIRED_BACKENDS``) and run
+:class:`repro.sim.engine.SimulationEngine`; ``reference`` runs the
+sorted-list oracle of ``tests/test_engine_oracle.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing
-from repro.experiments.common import (
-    PaperSystemConfig,
-    build_warm_world,
-    run_irq_scenario,
-    run_irq_scenario_from,
-)
-from repro.metrics.export import write_series_csv
-from repro.sim.engine import ENV_IDLE_SKIP, SimulationEngine, SimulationError
-from repro.sim.queue import (
-    DEFAULT_QUEUE_BACKEND,
-    ENV_QUEUE_BACKEND,
-    QUEUE_BACKENDS,
-    BucketQueueEngine,
-    HeapQueueEngine,
-    resolve_backend_name,
-)
-from repro.sim.snapshot import settle
-from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
+from conftest import RETIRED_BACKENDS
+from reference_engine import ReferenceEngine
+from repro.sim.engine import SimulationEngine
 
-BACKENDS = sorted(QUEUE_BACKENDS)
+ENGINES = {**{name: SimulationEngine for name in RETIRED_BACKENDS},
+           "reference": ReferenceEngine}
 
 
-# ------------------------------------------------------- engine-level A/B
-
-#: One root op: (delay, reschedules, follow_delay, cancel_pick,
-#: stop_pick, batch_width, batch_cancel_pick).  ``follow_delay`` may be
-#: 0 — a same-cycle reschedule, the case a backend's batch drain must
-#: order exactly like the heap.  ``batch_width`` > 0 lobs a
-#: ``schedule_batch`` volley from inside the callback (width >= 2 takes
-#: the columnar block path on the array backend), and
-#: ``batch_cancel_pick`` cancels a previously scheduled volley — from
-#: inside a draining bucket, possibly the volley's own.
-_OP = st.tuples(
-    st.integers(0, 60),
-    st.integers(0, 3),
-    st.integers(0, 20),
-    st.one_of(st.none(), st.integers(0, 255)),
-    st.integers(0, 9),
-    st.integers(0, 4),
-    st.one_of(st.none(), st.integers(0, 255)),
-)
-
-
-def _execute_program(backend: str, program, horizon: int) -> dict:
-    """Run a scripted workload; return everything observable."""
-    engine = SimulationEngine(backend=backend)
-    assert engine.backend_name == backend
-    log: list[tuple] = []
-    handles: list = []
-    batches: list = []
-
-    def volley_member(tag: int, index: int, stop_mid: bool):
-        def member() -> None:
-            log.append((tag, "v", index, engine.now))
-            if stop_mid and index == 1:
-                # Stop from inside a draining volley: the undispatched
-                # tail must survive suspension and resume on the next
-                # run, identically on the wrapper and block paths.
-                engine.stop()
-        return member
-
-    def spawn(tag: int, delay: int, repeats: int, follow_delay: int,
-              cancel_pick, stop: bool, batch_width: int,
-              batch_cancel_pick, stop_mid: bool) -> None:
-        def callback() -> None:
-            log.append((tag, repeats, engine.now))
-            if repeats:
-                spawn(tag, follow_delay, repeats - 1, follow_delay,
-                      cancel_pick, stop, batch_width, batch_cancel_pick,
-                      stop_mid)
-            if batch_width:
-                batches.append(engine.schedule_batch(
-                    follow_delay,
-                    [volley_member(tag, i, stop_mid)
-                     for i in range(batch_width)]))
-            if cancel_pick is not None and handles:
-                handles[cancel_pick % len(handles)].cancel()
-            if batch_cancel_pick is not None and batches:
-                batches[batch_cancel_pick % len(batches)].cancel()
-            if stop and not repeats:
-                engine.stop()
-
-        handles.append(engine.schedule(delay, callback))
-
-    for tag, (delay, repeats, follow_delay, cancel_pick, stop_pick,
-              batch_width, batch_cancel_pick) in enumerate(program):
-        spawn(tag, delay, repeats, follow_delay, cancel_pick,
-              stop_pick == 0, batch_width, batch_cancel_pick,
-              stop_pick == 1)
-
-    bounded = engine.run_until(horizon)
-    mid = (engine.now, engine.events_executed, engine.pending_events,
-           engine.peek_next_time())
-    drained = engine.run()
-    return {
-        "log": log,
-        "executed": (bounded, drained),
-        "mid": mid,
-        "now": engine.now,
-        "counters": (engine.events_executed, engine.events_scheduled,
-                     engine.events_cancelled, engine.pending_events,
-                     engine.dispatch_batches),
-        "batch_states": [(bh.count, bh.fired, bh.cancelled, bh.pending)
-                         for bh in batches],
-        "snapshot": engine.snapshot_state(),
-        "live": [(time, seq) for time, seq, _ in engine.live_entries()],
-    }
-
-
-@settings(max_examples=60, deadline=None)
-@given(program=st.lists(_OP, min_size=1, max_size=12),
-       horizon=st.integers(0, 120))
-def test_backends_execute_programs_identically(program, horizon):
-    """Core A/B property: same program, same observable behaviour."""
-    reference = _execute_program(BACKENDS[0], program, horizon)
-    for backend in BACKENDS[1:]:
-        assert _execute_program(backend, program, horizon) == reference
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_simultaneous_events_fire_in_schedule_order(backend):
-    engine = SimulationEngine(backend=backend)
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_simultaneous_events_fire_in_schedule_order(engine_name):
+    engine = ENGINES[engine_name]()
     order: list[int] = []
     for tag in range(8):
         engine.schedule(100, lambda tag=tag: order.append(tag))
@@ -167,10 +34,10 @@ def test_simultaneous_events_fire_in_schedule_order(backend):
     assert engine.now == 100
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stop_sentinel_fires_before_same_time_events(backend):
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_stop_sentinel_fires_before_same_time_events(engine_name):
     """Negative-seq sentinels beat ordinary events at their timestamp."""
-    engine = SimulationEngine(backend=backend)
+    engine = ENGINES[engine_name]()
     fired: list[str] = []
     engine.schedule(10, lambda: fired.append("ev10"))
     engine.schedule(5, lambda: fired.append("ev5"))
@@ -184,10 +51,32 @@ def test_stop_sentinel_fires_before_same_time_events(backend):
     assert engine.pending_events == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_restore_event_out_of_order_keeps_fifo(backend):
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_stop_sentinel_at_dispatching_timestamp_fires_next(engine_name):
+    """A sentinel installed for *now* from inside a callback fires before
+    the same-timestamp events still queued behind that callback."""
+    engine = ENGINES[engine_name]()
+    fired: list[int] = []
+
+    def first() -> None:
+        fired.append(0)
+        engine.schedule_stop_at(engine.now)
+
+    engine.schedule(10, first)
+    for tag in (1, 2):
+        engine.schedule(10, lambda tag=tag: fired.append(tag))
+    assert engine.run() == 2               # first + the sentinel
+    assert fired == [0]
+    assert engine.now == 10
+    assert engine.pending_events == 2
+    assert engine.run() == 2
+    assert fired == [0, 1, 2]
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_restore_event_out_of_order_keeps_fifo(engine_name):
     """The snapshot-restore insert path must re-sort by original seq."""
-    engine = SimulationEngine(backend=backend)
+    engine = ENGINES[engine_name]()
     engine.restore_state({"now": 50, "seq": 10, "events_executed": 0,
                           "events_cancelled": 0, "pending": 3})
     order: list[int] = []
@@ -199,166 +88,3 @@ def test_restore_event_out_of_order_keeps_fifo(backend):
     engine.run()
     assert order == [2, 5, 7]
     assert engine.now == 60
-
-
-# ------------------------------------------------------- backend resolution
-
-def test_resolution_explicit_beats_env_beats_default(monkeypatch):
-    monkeypatch.delenv(ENV_QUEUE_BACKEND, raising=False)
-    assert resolve_backend_name(None) == DEFAULT_QUEUE_BACKEND
-    other = next(name for name in BACKENDS if name != DEFAULT_QUEUE_BACKEND)
-    monkeypatch.setenv(ENV_QUEUE_BACKEND, other)
-    assert resolve_backend_name(None) == other
-    assert resolve_backend_name(DEFAULT_QUEUE_BACKEND) == \
-        DEFAULT_QUEUE_BACKEND
-    # An empty value means "unset", so shell-style FOO= does not break.
-    monkeypatch.setenv(ENV_QUEUE_BACKEND, "")
-    assert resolve_backend_name(None) == DEFAULT_QUEUE_BACKEND
-
-
-def test_unknown_backend_fails_loudly(monkeypatch):
-    with pytest.raises(SimulationError, match="unknown queue backend"):
-        resolve_backend_name("btree")
-    monkeypatch.setenv(ENV_QUEUE_BACKEND, "nonsense")
-    with pytest.raises(SimulationError, match="unknown queue backend"):
-        SimulationEngine()
-
-
-def test_unknown_backend_error_names_source_and_valid_backends(monkeypatch):
-    """The error says where the bad name came from and what is valid."""
-    valid = ", ".join(sorted(QUEUE_BACKENDS))
-    with pytest.raises(SimulationError,
-                       match=f"explicit backend argument.*{valid}"):
-        resolve_backend_name("btree")
-    monkeypatch.setenv(ENV_QUEUE_BACKEND, "nonsense")
-    with pytest.raises(SimulationError,
-                       match=f"environment variable {ENV_QUEUE_BACKEND}"
-                             f".*{valid}"):
-        resolve_backend_name(None)
-
-
-def test_constructor_dispatches_to_backend_class(monkeypatch):
-    monkeypatch.delenv(ENV_QUEUE_BACKEND, raising=False)
-    assert type(SimulationEngine(backend="heap")) is HeapQueueEngine
-    assert type(SimulationEngine(backend="bucket")) is BucketQueueEngine
-    assert type(SimulationEngine()) is QUEUE_BACKENDS[DEFAULT_QUEUE_BACKEND]
-    # Direct backend instantiation bypasses resolution entirely.
-    assert type(HeapQueueEngine()) is HeapQueueEngine
-
-
-# ------------------------------------------------------- scenario-level A/B
-
-def _scenario_setup(seed: int):
-    system = PaperSystemConfig(trace_enabled=True)
-    clock = system.clock()
-    dmin = clock.us_to_cycles(1_444.0)
-    intervals = clip_to_dmin(
-        exponential_interarrivals(40, dmin, seed=seed), dmin
-    )
-
-    # Monitors accumulate history, so every run needs a fresh policy.
-    def policy():
-        return MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin))
-
-    return system, policy, intervals
-
-
-def _with_backend(backend: str, fn, idle_skip: str | None = None):
-    """Run ``fn`` with the engine default forced to ``backend`` (and,
-    optionally, idle-skip forced on or off)."""
-    saved = {ENV_QUEUE_BACKEND: os.environ.get(ENV_QUEUE_BACKEND)}
-    os.environ[ENV_QUEUE_BACKEND] = backend
-    if idle_skip is not None:
-        saved[ENV_IDLE_SKIP] = os.environ.get(ENV_IDLE_SKIP)
-        os.environ[ENV_IDLE_SKIP] = idle_skip
-    try:
-        return fn()
-    finally:
-        for key, previous in saved.items():
-            if previous is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = previous
-
-
-def _scenario_artifacts(backend: str, seed: int, tmp_path,
-                        idle_skip: str | None = None) -> dict:
-    """Everything a scenario run produces, as comparable plain data."""
-    system, policy, intervals = _scenario_setup(seed)
-
-    def build_and_run():
-        result = run_irq_scenario(system, policy(), intervals)
-        assert result.hypervisor.engine.backend_name == backend
-        return result
-
-    result = _with_backend(backend, build_and_run, idle_skip)
-    csv_path = tmp_path / f"latencies-{backend}.csv"
-    write_series_csv(csv_path, result.latencies_us, column="latency_us")
-    warm = _with_backend(
-        backend, lambda: build_warm_world(system, policy(), intervals),
-        idle_skip)
-
-    def midrun_digest():
-        hv, timer = system.build(policy(), intervals)
-        hv.start()
-        timer.arm_next()
-        hv.run_until_irq_count(12)
-        return settle(hv, {timer.name: timer}).digest()
-
-    return {
-        "records": list(result.records),
-        "latencies_us": list(result.latencies_us),
-        "summary": dataclasses.asdict(result.summary),
-        "mode_counts": dict(result.mode_counts),
-        "context_switches": dict(result.context_switch_counts),
-        "trace_digest": result.hypervisor.trace.digest(),
-        "csv_bytes": csv_path.read_bytes(),
-        "warm_snapshot_digest": warm.digest(),
-        "midrun_snapshot_digest": _with_backend(backend, midrun_digest,
-                                                idle_skip),
-        "engine": (result.hypervisor.engine.now,
-                   result.hypervisor.engine.events_executed,
-                   result.hypervisor.engine.events_scheduled,
-                   result.hypervisor.engine.events_cancelled),
-    }
-
-
-@pytest.mark.parametrize("seed, idle_skip", [(1, "1"), (1, "0"), (23, None)])
-def test_scenario_artifacts_identical_across_backends(tmp_path, seed,
-                                                      idle_skip):
-    """Records, stats, CSV bytes, trace and snapshot digests all match —
-    with idle-skip forced on, forced off, and at its default."""
-    reference = _scenario_artifacts(BACKENDS[0], seed, tmp_path, idle_skip)
-    for backend in BACKENDS[1:]:
-        assert _scenario_artifacts(backend, seed, tmp_path, idle_skip) == \
-            reference
-
-
-def test_fork_across_backends_is_byte_identical():
-    """A world captured under one backend restores under the other.
-
-    Snapshot state is backend-independent, so a mid-run capture on
-    backend A forked onto backend B must finish exactly like the
-    straight-line run.
-    """
-    system, policy, intervals = _scenario_setup(seed=7)
-    straight = _with_backend(
-        BACKENDS[0], lambda: run_irq_scenario(system, policy(), intervals))
-
-    def capture():
-        hv, timer = system.build(policy(), intervals)
-        hv.start()
-        timer.arm_next()
-        hv.run_until_irq_count(15)
-        return settle(hv, {timer.name: timer})
-
-    snapshot = _with_backend(BACKENDS[0], capture)
-    for backend in BACKENDS[1:]:
-        forked = _with_backend(
-            backend, lambda: run_irq_scenario_from(snapshot, system))
-        assert forked.hypervisor.engine.backend_name == backend
-        assert list(forked.records) == list(straight.records)
-        assert list(forked.latencies_us) == list(straight.latencies_us)
-        assert forked.summary == straight.summary
-        assert forked.hypervisor.trace.digest() == \
-            straight.hypervisor.trace.digest()

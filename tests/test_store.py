@@ -286,15 +286,22 @@ class TestCampaignStoreWriter:
         assert index["stats"]["artifacts_written"] == 1
 
     def test_artifact_metadata_carries_campaign_fields(self, tmp_path):
+        # Stores written while the engine had selectable queue
+        # backends carry a ``queue_backend`` field; they must still
+        # load and list, with the retired field simply ignored.
         store = CampaignStoreWriter(
             tmp_path / "store",
             {"scale": "smoke", "queue_backend": "bucket",
              "idle_skip": True})
         name = store.write_task(fake_task(seed=4), fake_summary(), 0)
+        store.finalize()
         meta = RunArtifact.read_metadata(tmp_path / "store" / name)
-        assert meta["queue_backend"] == "bucket"
         assert meta["idle_skip"] is True
         assert meta["task_seed"] == 4
+        (row,) = RunStore(tmp_path / "store").describe()
+        assert row["artifact"] == name
+        assert row["idle_skip"] is True
+        assert "queue_backend" not in row
 
 
 def build_store(directory, specs):

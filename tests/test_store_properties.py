@@ -1,10 +1,10 @@
 """Property tests pinning the store round trip against live columns.
 
-The ISSUE's acceptance bar: latency columns persisted through a run
-artifact must come back **value-identical** to the in-memory
+The acceptance bar: latency columns persisted through a run artifact
+must come back **value-identical** to the in-memory
 :class:`~repro.hypervisor.hypervisor.LatencyColumns` — for any
-interarrival schedule, under both queue backends and with idle-skip
-on and off (the engine knobs that most reshape event execution).
+interarrival schedule, with idle-skip on and off (the engine knob that
+most reshapes event execution).
 Identity is checked at the byte level (``array.tobytes()``), not
 approximate equality: the stored µs column must be the exact floats
 ``latencies_us_array`` produced, so downstream percentile queries are
@@ -16,17 +16,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import build_system, run_system, us
+from conftest import RETIRED_BACKENDS, build_system, run_system, us
 from repro.hypervisor.hypervisor import LatencyColumns
 from repro.metrics.stats import summarize
 from repro.sim.engine import ENV_IDLE_SKIP
-from repro.sim.queue import ENV_QUEUE_BACKEND, QUEUE_BACKENDS
 from repro.store import RunArtifact, artifact_from_hypervisor
 
+#: The ``backend`` axis keeps the names of the retired queue backends
+#: (see ``conftest.RETIRED_BACKENDS``); every id runs the one engine.
 pytestmark = pytest.mark.parametrize(
     "backend,idle_skip",
     [(backend, idle_skip)
-     for backend in sorted(QUEUE_BACKENDS)
+     for backend in RETIRED_BACKENDS
      for idle_skip in ("1", "0")],
 )
 
@@ -37,8 +38,7 @@ _gaps = st.lists(st.floats(min_value=5.0, max_value=2_500.0,
                  min_size=1, max_size=12)
 
 
-def _run_live(monkeypatch, backend, idle_skip, gaps_us, monitored=None):
-    monkeypatch.setenv(ENV_QUEUE_BACKEND, backend)
+def _run_live(monkeypatch, idle_skip, gaps_us, monitored=None):
     monkeypatch.setenv(ENV_IDLE_SKIP, idle_skip)
     hv, timer = build_system(intervals=[us(gap) for gap in gaps_us],
                              policy=monitored, trace=True)
@@ -51,12 +51,12 @@ def _run_live(monkeypatch, backend, idle_skip, gaps_us, monitored=None):
 def test_store_roundtrip_value_identical(backend, idle_skip, tmp_path,
                                          monkeypatch, gaps_us):
     """Persisted columns == live columns, byte for byte."""
-    hv = _run_live(monkeypatch, backend, idle_skip, gaps_us)
+    hv = _run_live(monkeypatch, idle_skip, gaps_us)
     columns = hv.latency_columns
     live_records = columns.records()
     live_us = columns.latencies_us_array(hv.clock)
 
-    path = tmp_path / f"prop-{backend}-{idle_skip}.rpart"
+    path = tmp_path / f"prop-{idle_skip}.rpart"
     rows = artifact_from_hypervisor(hv, path, {"experiment": "prop"})
     artifact = RunArtifact.read(path)
 
@@ -70,9 +70,10 @@ def test_store_roundtrip_value_identical(backend, idle_skip, tmp_path,
 @settings(deadline=None, max_examples=15,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(gaps_us=_gaps)
-def test_column_data_roundtrip(backend, idle_skip, monkeypatch, gaps_us):
+def test_column_data_roundtrip(backend, idle_skip, monkeypatch,
+                               gaps_us):
     """LatencyColumns.column_data/from_column_data is lossless."""
-    hv = _run_live(monkeypatch, backend, idle_skip, gaps_us)
+    hv = _run_live(monkeypatch, idle_skip, gaps_us)
     columns = hv.latency_columns
     clone = LatencyColumns.from_column_data(columns.column_data())
     assert clone.records() == columns.records()

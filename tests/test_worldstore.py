@@ -15,12 +15,12 @@ run from either produce identical traces.  These tests pin:
 * the capture_world source-naming errors (world/device missing the
   protocol, capture attempted mid-dispatch);
 * the fork-tree property: random fork points × mutation bursts ×
-  queue backends × idle-skip produce digests and traces byte-identical
-  to full-copy forks;
+  idle-skip on/off produce digests and traces byte-identical to
+  full-copy forks;
 * the spill tier: a store squeezed under an artificially tiny
   resident-bytes budget produces digests byte-identical to the
-  unlimited-RAM store (hypothesis-driven, across both queue backends ×
-  idle-skip), cold fragments fault back transparently, corrupt or
+  unlimited-RAM store (hypothesis-driven, with idle-skip on and off),
+  cold fragments fault back transparently, corrupt or
   truncated spill records are misses repaired by re-derivation, and
   values whose Python identity JSON cannot round-trip stay pinned.
 """
@@ -47,7 +47,6 @@ from repro.experiments.common import (
     run_irq_scenario_from,
 )
 from repro.sim.engine import ENV_IDLE_SKIP, SimulationEngine
-from repro.sim.queue import ENV_QUEUE_BACKEND, QUEUE_BACKENDS
 from repro.sim.snapshot import (
     SnapshotError,
     WorldSnapshot,
@@ -70,8 +69,6 @@ from repro.sim.worldstore import (
     restore_world_layered,
 )
 from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
-
-BACKENDS = sorted(QUEUE_BACKENDS)
 
 
 def _flat_digest(state: dict) -> str:
@@ -374,20 +371,17 @@ def test_capture_mid_dispatch_names_world_and_time():
 
 # ------------------------------------------------- fork-tree property
 
-def _with_env(backend: str, idle_skip: bool, fn):
-    """Run ``fn`` with the engine defaults forced via the environment."""
-    saved = {name: os.environ.get(name)
-             for name in (ENV_QUEUE_BACKEND, ENV_IDLE_SKIP)}
-    os.environ[ENV_QUEUE_BACKEND] = backend
+def _with_idle_skip(idle_skip: bool, fn):
+    """Run ``fn`` with the engine's idle-skip default forced on or off."""
+    saved = os.environ.get(ENV_IDLE_SKIP)
     os.environ[ENV_IDLE_SKIP] = "1" if idle_skip else "0"
     try:
         return fn()
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop(ENV_IDLE_SKIP, None)
+        else:
+            os.environ[ENV_IDLE_SKIP] = saved
 
 
 @settings(max_examples=8, deadline=None)
@@ -395,18 +389,17 @@ def _with_env(backend: str, idle_skip: bool, fn):
        fork_at=st.integers(1, 12),
        multipliers=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]),
                             min_size=1, max_size=3, unique=True),
-       backend=st.sampled_from(BACKENDS),
        idle_skip=st.booleans())
 def test_fork_tree_is_byte_identical_to_full_copy_forks(
-        seed, fork_at, multipliers, backend, idle_skip):
+        seed, fork_at, multipliers, idle_skip):
     """Random fork trees: layered forks == full-copy forks, everywhere.
 
     One warm world is captured mid-run at a random quiescent point,
     then a burst of policy-variant children is forked from it two ways
     — the O(changes) data-level fork and the deep restore → mutate →
     flat-capture path.  Digests must agree per child, and the
-    continuations run from both must produce identical traces, under
-    every queue backend with idle-skip both on and off.
+    continuations run from both must produce identical traces, with
+    idle-skip both on and off.
     """
     def build_tree():
         system = PaperSystemConfig(trace_enabled=True)
@@ -445,8 +438,7 @@ def test_fork_tree_is_byte_identical_to_full_copy_forks(
             fingerprints.append(scenario_fingerprint(from_layered))
         return fingerprints
 
-    build_tree.__name__ = f"tree_{backend}_{idle_skip}"
-    _with_env(backend, idle_skip, build_tree)
+    _with_idle_skip(idle_skip, build_tree)
 
 
 # ------------------------------------------------- spill tier: budget
@@ -597,10 +589,9 @@ def test_unlimited_store_never_spills():
        fork_at=st.integers(1, 10),
        multipliers=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]),
                             min_size=1, max_size=3, unique=True),
-       backend=st.sampled_from(BACKENDS),
        idle_skip=st.booleans())
 def test_tiny_spill_budget_is_byte_identical_to_unlimited_store(
-        seed, fork_at, multipliers, backend, idle_skip):
+        seed, fork_at, multipliers, idle_skip):
     """Random fork trees under a tiny budget == the unlimited store.
 
     The same deterministic world is captured twice — once into a store
@@ -608,8 +599,8 @@ def test_tiny_spill_budget_is_byte_identical_to_unlimited_store(
     almost every fragment round-trips through the spill file) and once
     into an unlimited store — then the same burst of policy-variant
     children and grandchildren is forked in both.  Every snapshot's
-    digest and materialized state must agree byte for byte, under
-    every queue backend with idle-skip both on and off.
+    digest and materialized state must agree byte for byte, with
+    idle-skip both on and off.
     """
     def build(store: WorldStore) -> "list[tuple[str, dict]]":
         system = PaperSystemConfig()
@@ -645,5 +636,4 @@ def test_tiny_spill_budget_is_byte_identical_to_unlimited_store(
         finally:
             tiny.clear()
 
-    run_both.__name__ = f"spill_{backend}_{idle_skip}"
-    _with_env(backend, idle_skip, run_both)
+    _with_idle_skip(idle_skip, run_both)
