@@ -6,9 +6,8 @@ appends one record per campaign run; this tool compares the newest
 record against the previous one and flags per-experiment wall-time
 regressions beyond a threshold (default 20 %), plus regressions in
 every recorded microbenchmark section — engine throughput, the
-idle-skip and layered-fork A/B races, the subtree-vs-wave campaign
-scheduling race (throughput, speedup, and retained-memory ratio), and
-the run-artifact store's write overhead.  The sections share one
+idle-skip and layered-fork A/B races, and the run-artifact store's
+write overhead.  The sections share one
 table-driven checker
 (:data:`CHECKS`): each section names the metrics to diff, whether
 higher or lower is better, and how to flag — relative drop beyond the
@@ -16,8 +15,8 @@ threshold, or (for the store overhead, a number expected to hover
 near zero, where relative growth is meaningless) an absolute cap.
 Sections missing from either run are skipped with a note, so the tool
 keeps working across histories that predate a field; sections only
-older records carry (such as the retired queue-backend race) are
-ignored.
+older records carry (such as the retired queue-backend and
+wave-vs-subtree scheduling races) are ignored.
 
 ``--store-diff STORE_A STORE_B`` additionally prints per-scenario
 latency deltas between two run-artifact store directories (a thin
@@ -229,19 +228,6 @@ CHECKS: "tuple[CheckSpec, ...]" = (
                        unit="forks/s", flag_text="throughput regression"),
             MetricSpec("layered-fork speedup", ("speedup",), unit="x",
                        flag_text="speedup regression"),
-        ),
-    ),
-    CheckSpec(
-        key="engine_subtree_ab", title="subtree A/B",
-        missing_note="not recorded in both runs "
-                     "(older history predates engine_subtree_ab)",
-        metrics=(
-            MetricSpec("subtree schedule", ("nodes_per_second", "subtree"),
-                       unit="nodes/s", flag_text="throughput regression"),
-            MetricSpec("subtree speedup", ("speedup",), unit="x",
-                       flag_text="speedup regression"),
-            MetricSpec("subtree memory ratio", ("memory_ratio",), unit="x",
-                       flag_text="retained-memory regression"),
         ),
     ),
     CheckSpec(

@@ -30,14 +30,6 @@ of one warm world.  Leaf digests must be byte-identical between the
 legs (the harness raises otherwise); the speedup and retained-memory
 ratio land in the ``engine_fork_ab`` record of
 ``BENCH_experiments.json``.
-
-The subtree leg races subtree scheduling — one worker walking a whole
-branch chain against a budget-bounded, disk-spilling world store —
-against the wave-deep path that re-pickles the parent snapshot for
-every child (:func:`repro.sim.benchmark.measure_subtree_ab`).  Leaf
-digests must be byte-identical between the legs; the speedup and
-peak-retained-memory ratio land in the ``engine_subtree_ab`` record of
-``BENCH_experiments.json``.
 """
 
 import pytest
@@ -46,7 +38,6 @@ from repro.sim.benchmark import (
     measure_engine_throughput,
     measure_fork_ab,
     measure_idle_ab,
-    measure_subtree_ab,
 )
 
 
@@ -134,39 +125,6 @@ def test_fork_ab(benchmark):
     # Retained memory must be O(changes), not O(world) per branch; the
     # true ratio is ~10x — 3x is the noise-proof floor.
     assert result.memory_ratio >= 3.0
-
-
-def test_subtree_ab(benchmark):
-    """Subtree-vs-wave A/B: subtree scheduling must be >= 2x wave-deep.
-
-    A small (4, 4) tree keeps the leg CI-sized; the acceptance-grade
-    ~1k-branch measurement runs in the CLI bench step.  The harness
-    raises when any leaf digest differs between the legs, so a green
-    run also re-pins byte-identity — the spill tier included, since
-    the subtree leg runs against a budget-bounded store.
-    """
-    result = benchmark.pedantic(
-        measure_subtree_ab,
-        kwargs={"branching": (4, 4), "arrivals": 64, "repeats": 2},
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["speedup"] = round(result.speedup, 2)
-    benchmark.extra_info["memory_ratio"] = round(result.memory_ratio, 2)
-    benchmark.extra_info["branches"] = result.branches
-    benchmark.extra_info["spilled_fragments"] = result.spilled_fragments
-    for name, leg in result.results.items():
-        benchmark.extra_info[f"{name}_nodes_per_second"] = round(
-            leg.nodes_per_second)
-        benchmark.extra_info[f"{name}_peak_retained_bytes"] = (
-            leg.peak_retained_bytes)
-    assert set(result.results) == {"wave", "subtree"}
-    assert result.branches == 16
-    assert result.nodes == 4 + 16
-    assert result.leaf_digest
-    # The true speedup on the deep tree is ~5x; 1.5x is the noise-proof
-    # floor for this small CI-sized tree.
-    assert result.speedup >= 1.5
-    assert result.memory_ratio >= 2.0
 
 
 @pytest.mark.slow

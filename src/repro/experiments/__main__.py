@@ -63,7 +63,6 @@ from repro.experiments.fig6 import render_fig6
 from repro.experiments.fig7 import render_fig7
 from repro.experiments.overhead import render_overhead
 from repro.experiments.runner import (
-    SCHEDULES,
     CampaignTelemetry,
     run_campaign,
     write_bench_json,
@@ -273,11 +272,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="worker processes for the campaign "
                              "(default: os.cpu_count(); 1 = serial, "
                              "in-process)")
-    parser.add_argument("--no-shared-prefix", action="store_true",
-                        help="do not fork fig7/sweep continuations from a "
-                             "shared snapshot; re-simulate every task's "
-                             "prefix straight-line (results are "
-                             "byte-identical either way)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="directory of the incremental result cache "
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
@@ -317,14 +311,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "results are byte-identical either way, only "
                              "speed differs (default: $REPRO_IDLE_SKIP or "
                              "enabled)")
-    parser.add_argument("--schedule", metavar="NAME", default="subtree",
-                        choices=sorted(SCHEDULES),
-                        help="campaign scheduling strategy: 'subtree' "
-                             "(default) assigns each dependency chain to one "
-                             "worker so parent snapshots cross the pool "
-                             "boundary once; 'wave' dispatches topological "
-                             "waves, re-shipping the parent to every child; "
-                             "results are byte-identical either way")
     parser.add_argument("--store-budget", metavar="BYTES", default=None,
                         help="resident-bytes budget for the layered world "
                              "store (accepts k/m/g suffixes, e.g. 256k); "
@@ -333,6 +319,8 @@ def main(argv: "list[str] | None" = None) -> int:
                              "$REPRO_STORE_BUDGET or unlimited); results "
                              "are byte-identical either way")
     args = parser.parse_args(arguments)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.no_idle_skip:
         # Via the environment so campaign worker processes inherit it.
@@ -380,9 +368,7 @@ def main(argv: "list[str] | None" = None) -> int:
         started = time.perf_counter()
         merged = run_campaign((name,), scale, seed=args.seed, jobs=jobs,
                               cache=cache, telemetry=telemetry,
-                              progress=progress,
-                              shared_prefix=not args.no_shared_prefix,
-                              store=store, schedule=args.schedule)
+                              progress=progress, store=store)
         output = _render_one(name, merged[name], args.export)
         elapsed = time.perf_counter() - started
         experiment_seconds[name] = elapsed
@@ -420,14 +406,12 @@ def main(argv: "list[str] | None" = None) -> int:
             measure_engine_throughput,
             measure_fork_ab,
             measure_idle_ab,
-            measure_subtree_ab,
         )
         from repro.store.benchmark import measure_store_ab
 
         engine = measure_engine_throughput()
         engine_idle_ab = measure_idle_ab()
         engine_fork_ab = measure_fork_ab()
-        engine_subtree_ab = measure_subtree_ab()
         analysis = measure_analysis_speedup()
         store_ab = measure_store_ab()
         record = write_bench_json(
@@ -436,7 +420,6 @@ def main(argv: "list[str] | None" = None) -> int:
             experiment_seconds=experiment_seconds, engine=engine,
             engine_idle_ab=engine_idle_ab,
             engine_fork_ab=engine_fork_ab,
-            engine_subtree_ab=engine_subtree_ab,
             analysis=analysis,
             cache=cache.stats if cache is not None else None,
             telemetry=telemetry,
@@ -444,7 +427,6 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         idle = record["engine_idle_ab"]
         fork = record["engine_fork_ab"]
-        subtree = record["engine_subtree_ab"]
         store_rec = record["store_ab"]
         print(f"[bench] engine {record['engine']['events_per_second']:,.0f} "
               f"events/s; idle-skip {idle['speedup']:.1f}x "
@@ -452,10 +434,6 @@ def main(argv: "list[str] | None" = None) -> int:
               f"layered forks {fork['speedup']:.1f}x "
               f"({fork['memory_ratio']:.1f}x less memory over "
               f"{fork['branches']} branches); "
-              f"subtree schedule {subtree['speedup']:.1f}x "
-              f"({subtree['memory_ratio']:.1f}x less peak memory over "
-              f"{subtree['branches']} branches, "
-              f"{subtree['spilled_fragments']} fragments spilled); "
               f"analysis memoization "
               f"{record['analysis']['speedup']:.1f}x; "
               f"store capture {store_rec['write_ratio']:+.1%} write ratio "

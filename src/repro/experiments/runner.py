@@ -26,20 +26,14 @@ order, ``run_campaign(..., jobs=N)`` is **byte-identical** to
 
 Tasks that fork a shared snapshot (fig7 cases, d_min points) declare
 the snapshot task in ``needs`` and receive its result through the
-``feed`` kwarg.  Two schedules resolve those dependencies:
-
-* ``wave`` executes the list in topological waves (:func:`_task_waves`)
-  — every forked task re-pickles its parent snapshot across the pool
-  boundary, once per child;
-* ``subtree`` (the default) groups each connected ``needs`` chain into
-  one per-worker assignment (:func:`plan_subtrees`): the worker
-  receives the subtree root once and walks the descendants against the
-  shared layered world store, so intermediate worlds are never
-  re-pickled.  Parent result digests are still folded into cache
-  fingerprints inside the worker, so incremental re-runs stay exact.
-
-Either way dependencies never reach a worker unresolved, and the
-byte-identity contract extends across the whole task list.
+``feed`` kwarg.  The runner groups each connected ``needs`` chain into
+one per-worker assignment (:func:`plan_subtrees`): the worker receives
+the subtree root once and walks the descendants against the shared
+layered world store, so intermediate worlds are never re-pickled.
+Parent result digests are still folded into cache fingerprints inside
+the worker, so incremental re-runs stay exact.  Dependencies never
+reach a worker unresolved, and the byte-identity contract extends
+across the whole task list.
 
 Workload generation inside the workers is cheap and deterministic
 (:mod:`repro.workloads` memoizes interarrival arrays and traces), so
@@ -113,9 +107,8 @@ class CampaignTask:
     Most tasks are independent; a *forked* task additionally names the
     campaign-wide indices of the tasks it ``needs`` finished first (its
     snapshot parents) and the kwarg (``feed``) through which the first
-    parent's result is injected before dispatch.  The runner executes
-    the task list in dependency waves; within a wave the ordered-merge
-    byte-identity contract is unchanged.
+    parent's result is injected before dispatch.  A task and everything
+    that depends on it run in one worker, in task-list order.
     """
 
     experiment: str                     #: campaign id ("fig6a", "sweep", ...)
@@ -155,13 +148,6 @@ def execute_task(task: CampaignTask) -> Any:
     return TASK_FUNCTIONS[task.kind](**task.kwargs)
 
 
-def execute_task_timed(task: CampaignTask) -> "tuple[Any, float]":
-    """Run one task and report its compute time (for cache entries)."""
-    started = time.perf_counter()
-    result = execute_task(task)
-    return result, time.perf_counter() - started
-
-
 @dataclass
 class TaskTelemetry:
     """Execution record of one campaign task (for ``--metrics-json``)."""
@@ -181,9 +167,8 @@ class CampaignTelemetry:
     """Aggregated runner telemetry for one ``run_campaign`` call.
 
     Filled in-place when passed to :func:`run_campaign`; purely
-    observational — the instrumented execution path preserves the
-    byte-identity guarantee (ordered ``imap`` over the same task list,
-    merges still consume results in task order).
+    observational — the executor runs the same tasks in the same order
+    with or without it, and merges still consume results in task order.
     """
 
     jobs: int = 1
@@ -227,24 +212,7 @@ class CampaignTelemetry:
         }
 
 
-def _execute_task_profiled(item: "tuple[CampaignTask, float]",
-                           ) -> "tuple[Any, float, float, int]":
-    """Pool target for instrumented runs: result + timing + worker pid.
-
-    ``time.monotonic`` is a system-wide clock on the supported
-    platforms, so offsets against the parent's campaign epoch are
-    meaningful inside fork/spawn workers.
-    """
-    task, epoch = item
-    pickup_offset = time.monotonic() - epoch
-    started = time.perf_counter()
-    result = execute_task(task)
-    elapsed = time.perf_counter() - started
-    return result, pickup_offset, elapsed, os.getpid()
-
-
 def plan_experiment(name: str, scale: ExperimentScale, seed: int,
-                    shared_prefix: bool = True,
                     ) -> "tuple[list[CampaignTask], Callable[[list], Any]]":
     """Decompose one experiment into tasks plus a merge function.
 
@@ -252,10 +220,9 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
     results *in task order* — the same order the serial loops produce —
     so merged results do not depend on worker scheduling.
 
-    With ``shared_prefix`` (the default) the fig7 and sweep campaigns
-    gain a first-wave snapshot task (the shared learning phase / warm
-    world) that the per-case and per-point tasks fork from via
-    ``needs``/``feed``; results stay byte-identical either way.
+    The fig7 and sweep campaigns carry a snapshot task (the shared
+    learning phase / warm world) that the per-case and per-point tasks
+    fork from via ``needs``/``feed``; the merges skip its result slot.
     """
     if name.startswith("fig6") and name[-1] in ("a", "b", "c"):
         scenario = name[-1]
@@ -273,21 +240,15 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
             activation_count=scale.fig7_activations, seed=seed,
         ))
         labels = tuple(FIG7_CASES)
-        if shared_prefix:
-            tasks = [CampaignTask(name, "fig7-prefix", {"config": config})]
-            tasks += [
-                CampaignTask(name, "fig7-case",
-                             {"label": label, "config": config},
-                             needs=(0,), feed="prefix")
-                for label in labels
-            ]
-            # results[0] is the prefix snapshot, not a case.
-            return tasks, lambda results: dict(zip(labels, results[1:]))
-        tasks = [
-            CampaignTask(name, "fig7-case", {"label": label, "config": config})
+        tasks = [CampaignTask(name, "fig7-prefix", {"config": config})]
+        tasks += [
+            CampaignTask(name, "fig7-case",
+                         {"label": label, "config": config},
+                         needs=(0,), feed="prefix")
             for label in labels
         ]
-        return tasks, lambda results: dict(zip(labels, results))
+        # results[0] is the prefix snapshot, not a case.
+        return tasks, lambda results: dict(zip(labels, results[1:]))
     if name == "tab62":
         tasks = [
             CampaignTask(name, "overhead-load",
@@ -331,28 +292,18 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
             for value in cycle_scales
         ]
         split = len(cycle_scales)
-        if shared_prefix:
-            warmup = CampaignTask(name, "sweep-dmin-warmup",
-                                  {"irq_count": scale.sweep_irqs,
-                                   "seed": seed})
-            dmin_tasks = [
-                CampaignTask(name, "sweep-dmin-point",
-                             {"multiplier": value,
-                              "irq_count": scale.sweep_irqs, "seed": seed},
-                             needs=(split,), feed="warmup")
-                for value in multipliers
-            ]
-            tasks = cycle_tasks + [warmup] + dmin_tasks
-            # results[split] is the warm-up snapshot, not a point.
-            return tasks, lambda results: (results[:split],
-                                           results[split + 1:])
-        tasks = cycle_tasks + [
+        warmup = CampaignTask(name, "sweep-dmin-warmup",
+                              {"irq_count": scale.sweep_irqs, "seed": seed})
+        dmin_tasks = [
             CampaignTask(name, "sweep-dmin-point",
-                         {"multiplier": value, "irq_count": scale.sweep_irqs,
-                          "seed": seed})
+                         {"multiplier": value,
+                          "irq_count": scale.sweep_irqs, "seed": seed},
+                         needs=(split,), feed="warmup")
             for value in multipliers
         ]
-        return tasks, lambda results: (results[:split], results[split:])
+        tasks = cycle_tasks + [warmup] + dmin_tasks
+        # results[split] is the warm-up snapshot, not a point.
+        return tasks, lambda results: (results[:split], results[split + 1:])
     if name == "design":
         tasks = [CampaignTask(name, "design",
                               {"irq_count": scale.design_irqs})]
@@ -361,7 +312,6 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
 
 
 def plan_campaign(names: Sequence[str], scale: ExperimentScale, seed: int,
-                  shared_prefix: bool = True,
                   ) -> "tuple[list[CampaignTask], dict[str, Callable]]":
     """Flatten the selected experiments into one task list.
 
@@ -371,8 +321,7 @@ def plan_campaign(names: Sequence[str], scale: ExperimentScale, seed: int,
     tasks: "list[CampaignTask]" = []
     merges: "dict[str, Callable]" = {}
     for name in names:
-        experiment_tasks, merge = plan_experiment(name, scale, seed,
-                                                  shared_prefix)
+        experiment_tasks, merge = plan_experiment(name, scale, seed)
         base = len(tasks)
         for task in experiment_tasks:
             if task.needs:
@@ -392,62 +341,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _task_waves(tasks: "list[CampaignTask]") -> "list[list[int]]":
-    """Group task indices into topological waves.
-
-    Wave k holds every task whose prerequisites all completed in waves
-    < k; tasks without ``needs`` land in wave 0.  Within a wave the
-    original task-list order is preserved, which keeps results — and
-    the merges that consume them — independent of worker scheduling.
-    """
-    remaining = set(range(len(tasks)))
-    done: "set[int]" = set()
-    waves: "list[list[int]]" = []
-    while remaining:
-        wave = [index for index in sorted(remaining)
-                if all(need in done for need in tasks[index].needs)]
-        if not wave:
-            raise ValueError(
-                "campaign task dependencies are cyclic or point outside "
-                "the task list"
-            )
-        waves.append(wave)
-        done.update(wave)
-        remaining.difference_update(wave)
-    return waves
-
-
-def _materialize(task: CampaignTask, results: "list") -> CampaignTask:
-    """Inject a task's parent result into its kwargs before dispatch.
-
-    The returned task is what actually executes (and, for parallel
-    waves, what crosses the process boundary) — snapshots are plain
-    picklable data, so a forked continuation restores the parent world
-    inside the worker.  Cache fingerprints keep using the *original*
-    task plus the parent digests, never the injected kwargs.
-    """
-    if not task.needs or task.feed is None:
-        return task
-    kwargs = dict(task.kwargs)
-    kwargs[task.feed] = results[task.needs[0]]
-    return CampaignTask(task.experiment, task.kind, kwargs)
-
-
-def _run_tasks(tasks: "list[CampaignTask]", jobs: int) -> "list":
-    """Execute tasks in dependency waves, in-process or over a pool."""
-    results: "list[Any]" = [None] * len(tasks)
-    for wave in _task_waves(tasks):
-        wave_tasks = [_materialize(tasks[index], results) for index in wave]
-        if jobs <= 1 or len(wave_tasks) <= 1:
-            wave_results = [execute_task(task) for task in wave_tasks]
-        else:
-            with _pool_context().Pool(min(jobs, len(wave_tasks))) as pool:
-                wave_results = pool.map(execute_task, wave_tasks, chunksize=1)
-        for index, result in zip(wave, wave_results):
-            results[index] = result
-    return results
-
-
 def _record_task(telemetry: "CampaignTelemetry | None",
                  progress: "Callable[[int, int, CampaignTask], None] | None",
                  task: CampaignTask, index: int, done: int, total: int, *,
@@ -461,130 +354,6 @@ def _record_task(telemetry: "CampaignTelemetry | None",
         ))
     if progress is not None:
         progress(done, total, task)
-
-
-def _run_tasks_instrumented(
-    tasks: "list[CampaignTask]", jobs: int,
-    telemetry: "CampaignTelemetry | None",
-    progress: "Callable[[int, int, CampaignTask], None] | None",
-    epoch: "float | None" = None,
-) -> "list":
-    """Like :func:`_run_tasks`, recording per-task telemetry.
-
-    Uses ``pool.imap`` (ordered) so results arrive — and merges later
-    consume them — in exactly the task-list order of the plain path;
-    only timing observation differs.  Queue waits are measured against
-    this call's start; started offsets against ``epoch`` (the shared
-    campaign epoch), so worker timelines stay monotone when several
-    campaigns feed one telemetry object.
-    """
-    call_started = time.monotonic()
-    base = 0.0 if epoch is None else call_started - epoch
-    results: "list[Any]" = [None] * len(tasks)
-    total = len(tasks)
-    done = 0
-    for wave in _task_waves(tasks):
-        items = [(_materialize(tasks[index], results), call_started)
-                 for index in wave]
-
-        def consume(profiled_iter: "Any") -> None:
-            nonlocal done
-            for position, (result, offset, elapsed, pid) in enumerate(
-                    profiled_iter):
-                index = wave[position]
-                results[index] = result
-                done += 1
-                _record_task(telemetry, progress, tasks[index], index,
-                             done, total, cached=False, wall=elapsed,
-                             wait=offset, offset=base + offset, pid=pid)
-
-        if jobs <= 1 or len(items) <= 1:
-            consume(map(_execute_task_profiled, items))
-        else:
-            with _pool_context().Pool(min(jobs, len(items))) as pool:
-                consume(pool.imap(_execute_task_profiled, items, chunksize=1))
-    return results
-
-
-def _run_tasks_cached(
-    tasks: "list[CampaignTask]", jobs: int, cache: ResultCache,
-    telemetry: "CampaignTelemetry | None" = None,
-    progress: "Callable[[int, int, CampaignTask], None] | None" = None,
-    epoch: "float | None" = None,
-) -> "list":
-    """Replay cached task results; compute and store only the misses.
-
-    Fingerprints and stored pickles fully determine each result (see
-    :mod:`repro.experiments.cache`), so a partial or fully warm run is
-    byte-identical to a cold one; when every task hits, no worker pool
-    is spawned at all.
-    """
-    call_started = time.monotonic()
-    base = 0.0 if epoch is None else call_started - epoch
-    total = len(tasks)
-    done = 0
-    results: "list[Any]" = [None] * len(tasks)
-    for wave in _task_waves(tasks):
-        # Keys are computed per wave so a forked task's fingerprint can
-        # fold in the digests of its parents' (just-resolved) results.
-        keys: "dict[int, str]" = {}
-        miss_indices: "list[int]" = []
-        for index in wave:
-            task = tasks[index]
-            parents = tuple(result_digest(results[need])
-                            for need in task.needs)
-            keys[index] = task_fingerprint(task, parent_digests=parents)
-            entry = cache.load(keys[index])
-            if entry is not None:
-                results[index] = entry.result
-                done += 1
-                _record_task(telemetry, progress, tasks[index], index, done,
-                             total, cached=True, wall=0.0, wait=0.0,
-                             offset=base + time.monotonic() - call_started,
-                             pid=os.getpid())
-            else:
-                miss_indices.append(index)
-        if not miss_indices:
-            continue
-        miss_tasks = [_materialize(tasks[index], results)
-                      for index in miss_indices]
-        instrumented = telemetry is not None or progress is not None
-        if instrumented:
-            items = [(task, call_started) for task in miss_tasks]
-
-            def consume(profiled_iter: "Any") -> "list[tuple[Any, float]]":
-                nonlocal done
-                timed = []
-                for position, (result, offset, elapsed, pid) in enumerate(
-                        profiled_iter):
-                    index = miss_indices[position]
-                    timed.append((result, elapsed))
-                    done += 1
-                    _record_task(telemetry, progress, tasks[index], index,
-                                 done, total, cached=False, wall=elapsed,
-                                 wait=offset, offset=base + offset, pid=pid)
-                return timed
-
-            if jobs <= 1 or len(miss_tasks) <= 1:
-                timed = consume(map(_execute_task_profiled, items))
-            else:
-                with _pool_context().Pool(min(jobs, len(miss_tasks))) as pool:
-                    timed = consume(
-                        pool.imap(_execute_task_profiled, items, chunksize=1)
-                    )
-        elif jobs <= 1 or len(miss_tasks) <= 1:
-            timed = [execute_task_timed(task) for task in miss_tasks]
-        else:
-            with _pool_context().Pool(min(jobs, len(miss_tasks))) as pool:
-                timed = pool.map(execute_task_timed, miss_tasks, chunksize=1)
-        for index, (result, elapsed) in zip(miss_indices, timed):
-            cache.store(keys[index], tasks[index], result, elapsed)
-            results[index] = result
-    return results
-
-
-#: Valid ``run_campaign(schedule=...)`` values.
-SCHEDULES = ("subtree", "wave")
 
 
 def plan_subtrees(tasks: "list[CampaignTask]",
@@ -642,8 +411,8 @@ def _execute_subtree(item: "tuple") -> "tuple[list, list, Any]":
     itself (`ResultCache` writes are atomic and concurrent-safe), with
     parent digests folded into each fingerprint from the *local*
     results — snapshot-bearing results digest over canonical plain
-    data, so the fingerprints match the wave path's exactly.  Keys the
-    parent already probed (and missed) arrive precomputed in
+    data, so the fingerprints match the parent process's exactly.
+    Keys the parent already probed (and missed) arrive precomputed in
     ``known_keys`` so the miss is not double-counted.
     """
     (indices, subtree_tasks, injected, injected_digests, known_keys,
@@ -707,11 +476,11 @@ def _run_tasks_subtree(
 
     With a cache, the parent first replays every hit it can resolve in
     dependency order (a fully warm run therefore spawns no pool at
-    all, exactly like the wave path); the remaining misses are grouped
-    into subtrees whose already-resolved parents are injected into the
-    work item.  Each subtree then runs start-to-finish inside one
-    worker, and results scatter back to their campaign indices — so
-    merges consume them in the same fixed order as every other path.
+    all); the remaining misses are grouped into subtrees whose
+    already-resolved parents are injected into the work item.  Each
+    subtree then runs start-to-finish inside one worker, and results
+    scatter back to their campaign indices — so merges consume them in
+    the fixed task order whatever the jobs count.
     """
     call_started = time.monotonic()
     base = 0.0 if epoch is None else call_started - epoch
@@ -787,9 +556,7 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
                  telemetry: "CampaignTelemetry | None" = None,
                  progress: "Callable[[int, int, CampaignTask], None] | None"
                  = None,
-                 shared_prefix: bool = True,
                  store: "Any | None" = None,
-                 schedule: str = "subtree",
                  ) -> "dict[str, Any]":
     """Run the selected experiment campaigns, optionally in parallel.
 
@@ -807,22 +574,14 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
 
     ``telemetry`` (a :class:`CampaignTelemetry`, filled in-place) and
     ``progress`` (called as ``progress(done, total, task)`` after each
-    task completes, in the parent process) select an instrumented
-    execution path that observes per-task timing without changing the
-    ordered-results contract.
+    task completes, in the parent process) observe per-task timing
+    without changing the ordered-results contract.
 
-    ``shared_prefix`` plans the fig7 and sweep campaigns with a
-    first-wave snapshot task their per-case/per-point tasks fork from
-    (see :mod:`repro.sim.snapshot`); disabling it re-runs every task's
-    prefix straight-line.  Both settings merge to byte-identical
-    results.
-
-    ``schedule`` picks how dependencies are resolved: ``"subtree"``
-    (the default) assigns each connected ``needs`` chain to one worker
-    so parent snapshots cross the pool boundary once and descendants
-    fork from live results against the shared world store;
-    ``"wave"`` is the topological-wave path that re-ships the parent
-    to every child.  Results are byte-identical across schedules.
+    The fig7 and sweep campaigns fork their per-case/per-point tasks
+    from a shared snapshot task (see :mod:`repro.sim.snapshot`); each
+    connected ``needs`` chain runs inside one worker, so the parent
+    snapshot crosses the pool boundary once and descendants fork from
+    live results against the shared world store.
 
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a
@@ -836,28 +595,15 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     if jobs is None:
         jobs = os.cpu_count() or 1
     started = time.monotonic()
-    tasks, merges = plan_campaign(names, scale, seed, shared_prefix)
+    tasks, merges = plan_campaign(names, scale, seed)
     epoch: "float | None" = None
     if telemetry is not None:
         telemetry.jobs = jobs
         if telemetry.epoch is None:
             telemetry.epoch = started
         epoch = telemetry.epoch
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r} "
-                         f"(valid values: {', '.join(SCHEDULES)})")
-    if schedule == "subtree":
-        results = _run_tasks_subtree(tasks, jobs, telemetry, progress,
-                                     epoch, cache)
-    elif cache is None:
-        if telemetry is not None or progress is not None:
-            results = _run_tasks_instrumented(tasks, jobs, telemetry,
-                                              progress, epoch)
-        else:
-            results = _run_tasks(tasks, jobs)
-    else:
-        results = _run_tasks_cached(tasks, jobs, cache, telemetry, progress,
-                                    epoch)
+    results = _run_tasks_subtree(tasks, jobs, telemetry, progress, epoch,
+                                 cache)
     if store is not None:
         for index, (task, result) in enumerate(zip(tasks, results)):
             store.write_task(task, result, index)
@@ -877,7 +623,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
                      engine: "Any | None" = None,
                      engine_idle_ab: "Any | None" = None,
                      engine_fork_ab: "Any | None" = None,
-                     engine_subtree_ab: "Any | None" = None,
                      analysis: "Any | None" = None,
                      cache: "Any | None" = None,
                      telemetry: "CampaignTelemetry | None" = None,
@@ -897,11 +642,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
     (``engine_fork_ab``: a
     :class:`~repro.sim.benchmark.ForkABResult` — layered vs full-copy
     forks/s, speedup, retained bytes per leg and their ratio),
-    the scheduling race on a ~1k-branch tree (``engine_subtree_ab``: a
-    :class:`~repro.sim.benchmark.SubtreeABResult` — wave-deep
-    re-pickling vs subtree walking against a spill-budgeted store,
-    end-to-end speedup, per-leg peak retained bytes and the
-    unlimited-vs-budgeted memory ratio),
     the run-artifact store's write-overhead race (``store_ab``: a
     :class:`~repro.store.benchmark.StoreABResult` — campaign wall time
     with vs without per-task artifact capture, plus the capture
@@ -976,28 +716,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
             "retained_bytes": {
                 name: result.retained_bytes
                 for name, result in sorted(engine_fork_ab.results.items())
-            },
-        }
-    if engine_subtree_ab is not None:
-        record["engine_subtree_ab"] = {
-            "speedup": round(engine_subtree_ab.speedup, 2),
-            "memory_ratio": round(engine_subtree_ab.memory_ratio, 2),
-            "branches": engine_subtree_ab.branches,
-            "nodes": engine_subtree_ab.nodes,
-            "leaf_digest": engine_subtree_ab.leaf_digest,
-            "budget_bytes": engine_subtree_ab.budget_bytes,
-            "unlimited_peak_bytes": engine_subtree_ab.unlimited_peak_bytes,
-            "spilled_fragments": engine_subtree_ab.spilled_fragments,
-            "spill_bytes_written": engine_subtree_ab.spill_bytes_written,
-            "nodes_per_second": {
-                name: round(result.nodes_per_second, 1)
-                for name, result in sorted(
-                    engine_subtree_ab.results.items())
-            },
-            "peak_retained_bytes": {
-                name: result.peak_retained_bytes
-                for name, result in sorted(
-                    engine_subtree_ab.results.items())
             },
         }
     if store_ab is not None:

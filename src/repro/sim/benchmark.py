@@ -30,21 +30,12 @@ in one process so host noise hits both alike; recorded under
 fig7-style scenario tree — every node a policy variant of its parent —
 checking leaf digests are byte-identical across the legs; recorded
 under ``engine_fork_ab``.
-
-:func:`measure_subtree_ab` races the two campaign schedules on a
-~1k-branch tree: the wave-deep leg re-pickles the parent snapshot
-across a simulated pool boundary for every child, the subtree leg
-walks the whole tree against one shared world store bounded by a
-fragment spill budget.  Leaf digests must match byte for byte; peak
-retained memory is compared against an unlimited-store walk of the
-same tree; recorded under ``engine_subtree_ab``.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import pickle
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -339,15 +330,15 @@ class ForkABResult:
         return self.results["full"].retained_bytes / layered
 
 
-def _fork_tree_base(arrivals: int, budget_bytes: "int | None" = None):
+def _fork_tree_base(arrivals: int):
     """Simulate a fig7-style learning prefix and settle a fork point.
 
-    Returns ``(base_snapshot, store, irq_name)``: a quiescent world
+    Returns ``(base_snapshot, irq_name)``: a quiescent world
     mid-learning-phase whose policy still accepts ``set_load_fraction``
     re-targeting — the exact shape of a fig7 prefix fork, without the
-    cost of generating the automotive trace.  The store's budget is
-    set explicitly (``None`` = unlimited) so benchmark legs never
-    inherit an ambient ``REPRO_STORE_BUDGET``.
+    cost of generating the automotive trace.  The store is explicitly
+    unlimited so benchmark legs never inherit an ambient
+    ``REPRO_STORE_BUDGET``.
     """
     from repro.core.policy import SelfLearningInterposing
     from repro.experiments.common import PaperSystemConfig
@@ -364,9 +355,9 @@ def _fork_tree_base(arrivals: int, budget_bytes: "int | None" = None):
     hv.start()
     timer.arm_next()
     hv.run_until_irq_count(max(8, arrivals // 2))
-    store = WorldStore(budget_bytes=budget_bytes)
-    snapshot = settle(hv, {timer.name: timer}, store=store)
-    return snapshot, store, system.irq_name
+    snapshot = settle(hv, {timer.name: timer},
+                      store=WorldStore(budget_bytes=None))
+    return snapshot, system.irq_name
 
 
 def _build_fork_tree(base, fork_child, branching) -> list:
@@ -453,7 +444,7 @@ def measure_fork_ab(branching: "tuple[int, ...]" = (4, 5, 5),
         # deterministic (digests must agree across rounds), but reusing
         # one store would let later layered rounds ride the interning
         # memos of earlier ones — each round must pay full cost.
-        base, _store, irq_name = _fork_tree_base(arrivals)
+        base, irq_name = _fork_tree_base(arrivals)
         for name, fork in legs.items():
             def fork_child(parent, fraction, fork=fork):
                 return fork(parent, fraction, irq_name)
@@ -477,7 +468,7 @@ def measure_fork_ab(branching: "tuple[int, ...]" = (4, 5, 5),
 
     retained: dict[str, int] = {}
     for name, fork in legs.items():
-        base, _store, irq_name = _fork_tree_base(arrivals)
+        base, irq_name = _fork_tree_base(arrivals)
         def fork_child(parent, fraction, fork=fork):
             return fork(parent, fraction, irq_name)
         gc.collect()
@@ -508,197 +499,3 @@ def _leaf_count(branching) -> int:
     for width in branching:
         count *= width
     return count
-
-
-@dataclass(frozen=True)
-class SubtreeLegResult:
-    """One schedule's measurement in the wave-vs-subtree A/B race."""
-
-    nodes: int
-    elapsed_seconds: float
-    peak_retained_bytes: int
-
-    @property
-    def nodes_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.nodes / self.elapsed_seconds
-
-
-@dataclass(frozen=True)
-class SubtreeABResult:
-    """Outcome of the wave-deep vs subtree scheduling A/B race.
-
-    Both legs grow the *identical* ~1k-branch scenario tree.  The
-    ``wave`` leg models wave-deep campaign dispatch: every child's
-    parent snapshot crosses a pool boundary (``pickle`` round-trip,
-    which flattens a layered snapshot to its full state) before the
-    child restores, mutates and re-captures.  The ``subtree`` leg
-    models a subtree worker: one shared world store under a fragment
-    spill budget, every node an O(changes) data-level fork, nothing
-    re-pickled.  Leaf digests must match byte for byte (checked,
-    raised on mismatch).  ``memory_ratio`` compares the legs' peaks —
-    wave-deep retains a full flat state per node, the budgeted subtree
-    walk keeps at most the resident budget of fragments in RAM;
-    ``unlimited_peak_bytes`` additionally anchors the same subtree
-    walk *without* a budget, isolating the spill tier's own saving.
-    """
-
-    results: "dict[str, SubtreeLegResult]"
-    branches: int                  # leaf count of the tree
-    nodes: int                     # total forks performed
-    leaf_digest: str               # digest of the first leaf (both legs)
-    budget_bytes: int              # resident budget of the subtree leg
-    unlimited_peak_bytes: int      # same walk, no budget
-    spilled_fragments: int         # fragments written to the spill file
-    spill_bytes_written: int
-
-    @property
-    def speedup(self) -> float:
-        """Wall-clock factor of subtree scheduling over wave-deep."""
-        subtree = self.results["subtree"].elapsed_seconds
-        if subtree <= 0:
-            return 0.0
-        return self.results["wave"].elapsed_seconds / subtree
-
-    @property
-    def memory_ratio(self) -> float:
-        """Wave-deep peak bytes per budgeted-subtree peak byte."""
-        budgeted = self.results["subtree"].peak_retained_bytes
-        if budgeted <= 0:
-            return 0.0
-        return self.results["wave"].peak_retained_bytes / budgeted
-
-
-def _wave_child(parent, fraction: float, irq_name: str):
-    """Wave-deep child: parent crosses a pool boundary, then full fork.
-
-    ``pool.map`` pickles each work item separately, so wave scheduling
-    re-ships the parent snapshot once *per child*; the round-trip is
-    what flattens a layered parent into a full-state snapshot (see
-    ``LayeredSnapshot.__reduce__``) and is modelled here 1:1.
-    """
-    from repro.sim.snapshot import capture_world, restore_world
-
-    shipped = pickle.loads(
-        pickle.dumps(parent, protocol=pickle.HIGHEST_PROTOCOL))
-    hv, devices = restore_world(shipped)
-    hv.irq_source(irq_name).policy.set_load_fraction(fraction)
-    snapshot = capture_world(hv, devices)
-    snapshot.digest()
-    return snapshot
-
-
-def measure_subtree_ab(branching: "tuple[int, ...]" = (10, 10, 10),
-                       arrivals: int = 64,
-                       repeats: int = 1,
-                       budget_bytes: "int | None" = None,
-                       ) -> SubtreeABResult:
-    """Race wave-deep dispatch against subtree scheduling with spill.
-
-    Default tree ``(10, 10, 10)``: 1110 forks, 1000 leaves — the
-    "~1k-branch" shape deep interference sweeps take.  Legs are
-    interleaved within each repeat so host noise lands on both alike;
-    best-of-``repeats`` per leg.  Every leaf digest must be
-    byte-identical across the legs — the subtree leg computes its
-    digests *through* the spill tier (cold fragments fault back from
-    disk during assembly), so a digest match also proves spilling
-    preserves the byte-identity contract under memory pressure.
-
-    ``budget_bytes`` defaults to twice the resident bytes of one base
-    world: hot shared fragments stay in RAM while each node's cold
-    policy-variant fragments spill.  Peak memory is measured in
-    separate ``tracemalloc`` passes (wave, budgeted subtree, and an
-    unlimited-store subtree walk that anchors
-    ``unlimited_peak_bytes``).
-    """
-    if not branching or any(width <= 0 for width in branching):
-        raise ValueError(f"branching must be positive widths, got {branching}")
-    if arrivals < 16:
-        raise ValueError(f"arrivals must be >= 16, got {arrivals}")
-
-    if budget_bytes is None:
-        _probe, probe_store, _name = _fork_tree_base(arrivals)
-        budget_bytes = max(64 * 1024, 2 * probe_store.resident_bytes)
-        del _probe
-        probe_store.clear()
-
-    branches = _leaf_count(branching)
-    legs: "dict[str, tuple[Callable, int | None]]" = {
-        "wave": (_wave_child, None),
-        "subtree": (_fork_layered, budget_bytes),
-    }
-    best_elapsed: "dict[str, float]" = {}
-    leaf_digests: "dict[str, list[str]]" = {}
-    nodes = 0
-    spilled_fragments = 0
-    spill_bytes_written = 0
-    for _ in range(max(1, repeats)):
-        # A fresh base world and store per leg per round: the prefix is
-        # deterministic (digests must agree across rounds and legs),
-        # but sharing a store would let later rounds ride earlier
-        # interning memos — each leg must pay its full cost.
-        for name, (fork, budget) in legs.items():
-            base, store, irq_name = _fork_tree_base(arrivals, budget)
-
-            def fork_child(parent, fraction, fork=fork, irq=irq_name):
-                return fork(parent, fraction, irq)
-
-            gc.collect()
-            started = time.perf_counter()
-            snapshots = _build_fork_tree(base, fork_child, branching)
-            elapsed = time.perf_counter() - started
-            nodes = len(snapshots)
-            digests = [snap.digest() for snap in snapshots[-branches:]]
-            previous = leaf_digests.setdefault(name, digests)
-            if previous != digests:
-                raise RuntimeError(
-                    f"subtree A/B {name} leg diverged between repeats")
-            if name not in best_elapsed or elapsed < best_elapsed[name]:
-                best_elapsed[name] = elapsed
-            if name == "subtree":
-                spilled_fragments = store.stats.fragments_spilled
-                spill_bytes_written = store.stats.spill_bytes_written
-            del snapshots, base
-            store.clear()
-    if leaf_digests["wave"] != leaf_digests["subtree"]:
-        raise RuntimeError(
-            "subtree A/B legs diverged: wave leaf digests do not match "
-            "subtree leaf digests (byte-identity contract broken)"
-        )
-
-    peaks: "dict[str, int]" = {}
-    memory_legs = dict(legs)
-    memory_legs["unlimited"] = (_fork_layered, None)
-    for name, (fork, budget) in memory_legs.items():
-        base, store, irq_name = _fork_tree_base(arrivals, budget)
-
-        def fork_child(parent, fraction, fork=fork, irq=irq_name):
-            return fork(parent, fraction, irq)
-
-        gc.collect()
-        tracemalloc.start()
-        try:
-            snapshots = _build_fork_tree(base, fork_child, branching)
-            gc.collect()
-            _current, peaks[name] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        del snapshots, base
-        store.clear()
-
-    return SubtreeABResult(
-        results={
-            name: SubtreeLegResult(nodes=nodes,
-                                   elapsed_seconds=best_elapsed[name],
-                                   peak_retained_bytes=peaks[name])
-            for name in legs
-        },
-        branches=branches,
-        nodes=nodes,
-        leaf_digest=leaf_digests["subtree"][0],
-        budget_bytes=budget_bytes,
-        unlimited_peak_bytes=peaks["unlimited"],
-        spilled_fragments=spilled_fragments,
-        spill_bytes_written=spill_bytes_written,
-    )

@@ -72,17 +72,17 @@ class StoreABResult:
 def _run_leg(tasks, capture: bool,
              campaign_meta) -> "tuple[float, StoreWriteStats | None]":
     """One timed leg: execute the tasks, optionally capturing them."""
-    from repro.experiments.runner import _run_tasks
+    from repro.experiments.runner import _run_tasks_subtree
 
     gc.collect()
     if not capture:
         started = time.perf_counter()
-        _run_tasks(tasks, 1)
+        _run_tasks_subtree(tasks, 1)
         return time.perf_counter() - started, None
     with tempfile.TemporaryDirectory(prefix="repro-store-ab-") as tmp:
         started = time.perf_counter()
         writer = CampaignStoreWriter(tmp, campaign_meta)
-        results = _run_tasks(tasks, 1)
+        results = _run_tasks_subtree(tasks, 1)
         for index, (task, result) in enumerate(zip(tasks, results)):
             writer.write_task(task, result, index)
         stats = writer.finalize()

@@ -5,15 +5,25 @@ for every ``--jobs`` count, because per-task seeds are derived
 deterministically and merges consume task results in serial order.
 The identity test runs the full ``all`` campaign at smoke scale twice —
 serial and with a 4-worker pool — and diffs stdout and the exported
-CSVs byte for byte.
+CSVs byte for byte.  The forked fig7 and sweep campaigns are further
+pinned against the straight-line oracle in ``campaign_oracle.py``,
+cold and cache-warm, and under an injected task failure.
 """
 
+import functools
 import json
 
 import pytest
 
+from campaign_oracle import run_straight_line
 from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.cache import (
+    ResultCache,
+    result_digest,
+    task_fingerprint,
+)
 from repro.experiments.runner import (
+    TASK_FUNCTIONS,
     CampaignTask,
     execute_task,
     plan_campaign,
@@ -37,8 +47,6 @@ EXPECTED_TASK_COUNTS = {
     "design": 1,
 }
 
-EXPECTED_STRAIGHT_COUNTS = dict(EXPECTED_TASK_COUNTS, fig7=4, sweep=9)
-
 
 def _count_by_experiment(tasks):
     by_experiment = {}
@@ -52,14 +60,6 @@ def test_plan_covers_every_experiment():
     assert set(merges) == set(EXPERIMENTS)
     assert _count_by_experiment(tasks) == EXPECTED_TASK_COUNTS
     assert len(tasks) == sum(EXPECTED_TASK_COUNTS.values())
-
-
-def test_plan_without_shared_prefix_has_no_dependency_tasks():
-    tasks, merges = plan_campaign(EXPERIMENTS, SMOKE, seed=1,
-                                  shared_prefix=False)
-    assert set(merges) == set(EXPERIMENTS)
-    assert _count_by_experiment(tasks) == EXPECTED_STRAIGHT_COUNTS
-    assert all(not task.needs for task in tasks)
 
 
 def test_plan_unknown_experiment_rejected():
@@ -129,56 +129,82 @@ def test_plan_subtrees_rejects_forward_dependencies():
         plan_subtrees(tasks)
 
 
-def test_run_campaign_rejects_unknown_schedule():
-    with pytest.raises(ValueError, match="unknown schedule"):
-        run_campaign(("design",), SMOKE, seed=1, jobs=1, schedule="bfs")
+# -------------------------------------------------------------- oracle
+
+FORKED = ("fig7", "sweep")
+
+
+@pytest.fixture(scope="module")
+def straight_line():
+    return run_straight_line(FORKED, SMOKE, seed=1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_subtree_schedule_equals_wave_schedule(jobs):
-    """The tentpole property: schedules differ only in speed.
+def test_campaign_matches_straight_line_oracle(jobs, tmp_path,
+                                               straight_line):
+    """The executor differs from the oracle only in speed.
 
     fig7 and sweep both carry ``needs/feed`` chains (the learning
     prefix and the d_min warmup), so this exercises real forked
-    subtrees, serial and across a pool.
+    subtrees, serial and across a pool.  The warm re-run uses the
+    other jobs count: cache fingerprints do not depend on it.
     """
-    wave = run_campaign(("validation",), SMOKE, seed=1, jobs=jobs,
-                        schedule="wave")
-    subtree = run_campaign(("validation",), SMOKE, seed=1, jobs=jobs,
-                           schedule="subtree")
-    assert (wave["validation"].interposed_result.latencies_us
-            == subtree["validation"].interposed_result.latencies_us)
+    tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
+    cold_cache = ResultCache(tmp_path / "cache")
+    cold = run_campaign(FORKED, SMOKE, seed=1, jobs=jobs, cache=cold_cache)
+    assert cold_cache.stats.hits == 0
+    assert cold_cache.stats.misses == len(tasks)
 
-    wave = run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=jobs,
-                        schedule="wave")
-    subtree = run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=jobs,
-                           schedule="subtree")
-    assert set(wave["fig7"]) == set(subtree["fig7"])
-    for case in wave["fig7"]:
-        assert (wave["fig7"][case].series_us
-                == subtree["fig7"][case].series_us)
-        assert (wave["fig7"][case].learned_table
-                == subtree["fig7"][case].learned_table)
-    assert wave["sweep"] == subtree["sweep"]
+    warm_cache = ResultCache(tmp_path / "cache")
+    warm = run_campaign(FORKED, SMOKE, seed=1, jobs=3 - jobs,
+                        cache=warm_cache)
+    assert warm_cache.stats.misses == 0
+    assert warm_cache.stats.hits == len(tasks)
+    assert cold == straight_line
+    assert warm == straight_line
 
 
-def test_subtree_schedule_reuses_wave_cache(tmp_path):
-    """Cache fingerprints are schedule-independent: a cache written by
-    the wave path is fully warm for the subtree path (parent digests
-    fold in identically on both sides)."""
-    from repro.experiments.cache import ResultCache
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_task_is_a_loud_error_never_a_cache_entry(
+        jobs, tmp_path, monkeypatch, straight_line):
+    """A task that raises fails the campaign and leaves no entry behind.
+
+    The fault sits in one fig7 case, mid-subtree; pool workers fork
+    after the patch, so they inherit it.  ``functools.wraps`` keeps the
+    task's fingerprint unchanged, so the re-run after the fault is
+    removed looks up exactly the keys the faulted run would have used.
+    """
+    tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
+    failing = next(index for index, task in enumerate(tasks)
+                   if task.kind == "fig7-case"
+                   and task.kwargs["label"] == "c")
+    real_case = TASK_FUNCTIONS["fig7-case"]
+
+    @functools.wraps(real_case)
+    def faulty_case(label, *args, **kwargs):
+        if label == "c":
+            raise RuntimeError("injected fig7 fault")
+        return real_case(label, *args, **kwargs)
 
     cache_dir = tmp_path / "cache"
-    cold = ResultCache(cache_dir)
-    run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cold,
-                 schedule="wave")
-    assert cold.stats.misses > 0 and cold.stats.hits == 0
+    monkeypatch.setitem(TASK_FUNCTIONS, "fig7-case", faulty_case)
+    with pytest.raises(RuntimeError, match="injected fig7 fault"):
+        run_campaign(FORKED, SMOKE, seed=1, jobs=jobs,
+                     cache=ResultCache(cache_dir))
+    monkeypatch.undo()
 
-    warm = ResultCache(cache_dir)
-    run_campaign(("fig7",), SMOKE, seed=1, jobs=2, cache=warm,
-                 schedule="subtree")
-    assert warm.stats.misses == 0
-    assert warm.stats.hits == cold.stats.misses
+    (prefix_index,) = tasks[failing].needs
+    prefix = execute_task(tasks[prefix_index])
+    failed_key = task_fingerprint(
+        tasks[failing], parent_digests=(result_digest(prefix),))
+    assert ResultCache(cache_dir).load(failed_key) is None
+
+    rerun_cache = ResultCache(cache_dir)
+    rerun = run_campaign(FORKED, SMOKE, seed=1, jobs=jobs,
+                         cache=rerun_cache)
+    assert rerun_cache.stats.hits + rerun_cache.stats.misses == len(tasks)
+    assert rerun_cache.stats.misses >= 1
+    assert rerun == straight_line
 
 
 # ----------------------------------------------------------------- CLI
@@ -236,20 +262,21 @@ def test_cli_quick_smoke_target(capsys):
 def test_quick_campaign_warm_cache_speedup(tmp_path, capsys):
     """Acceptance: a warm re-run of the quick campaign is >= 5x faster
     than the cold run and byte-identical to it, with the wall times and
-    cache counters recorded in the bench JSON history."""
+    cache counters recorded in the export manifest."""
     cache_dir = str(tmp_path / "cache")
-    bench = tmp_path / "BENCH_experiments.json"
-    argv = ["all", "--quick", "--jobs", "2",
-            "--cache-dir", cache_dir, "--cache-stats",
-            "--bench-json", str(bench)]
+    manifests = []
+    stdouts = []
+    for run in ("cold", "warm"):
+        export = tmp_path / run
+        assert main(["all", "--quick", "--jobs", "2",
+                     "--cache-dir", cache_dir, "--cache-stats",
+                     "--export", str(export)]) == 0
+        stdouts.append(capsys.readouterr().out)
+        manifests.append(json.loads((export / "manifest.json").read_text()))
 
-    assert main(argv) == 0
-    cold_stdout = capsys.readouterr().out
-    assert main(argv) == 0
-    warm_stdout = capsys.readouterr().out
-
+    cold_stdout, warm_stdout = stdouts
     assert warm_stdout == cold_stdout
-    cold, warm = json.loads(bench.read_text())["runs"]
+    cold, warm = manifests
     assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] > 0
     assert warm["cache"]["misses"] == 0
     assert warm["cache"]["hits"] == cold["cache"]["misses"]
@@ -260,6 +287,15 @@ def test_cli_rejects_conflicting_scales(capsys):
     with pytest.raises(SystemExit):
         main(["fig6a", "--quick", "--smoke"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_cli_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit):
+        main(["design", "--smoke", "--no-cache", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert "--jobs must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------- bench json

@@ -10,8 +10,9 @@ that invariant at every layer it is used:
   (hypothesis drives the fork point and the policy);
 * the fig7 shared learning-phase prefix;
 * the sweep/ablation shared warm worlds;
-* the campaign runner's forked task waves (serial and parallel) and
-  the result cache's parent-digest fingerprinting.
+* the campaign runner's forked subtrees (serial and parallel), checked
+  against the straight-line oracle in ``campaign_oracle.py``, and the
+  result cache's parent-digest fingerprinting.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from campaign_oracle import run_straight_line
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import (
     MonitoredInterposing,
@@ -256,20 +258,16 @@ def campaign_asdict(merged) -> dict:
 
 def test_campaign_shared_prefix_is_byte_identical_across_modes():
     names = ("fig7", "sweep")
-    forked_serial = run_campaign(names, SMOKE, seed=1, jobs=1,
-                                 shared_prefix=True)
-    straight = run_campaign(names, SMOKE, seed=1, jobs=1,
-                            shared_prefix=False)
-    forked_parallel = run_campaign(names, SMOKE, seed=1, jobs=2,
-                                   shared_prefix=True)
+    forked_serial = run_campaign(names, SMOKE, seed=1, jobs=1)
+    straight = run_straight_line(names, SMOKE, seed=1)
+    forked_parallel = run_campaign(names, SMOKE, seed=1, jobs=2)
     assert (campaign_asdict(forked_serial)
             == campaign_asdict(straight)
             == campaign_asdict(forked_parallel))
 
 
 def test_campaign_plan_rebases_needs_across_experiments():
-    tasks, _ = plan_campaign(("fig7", "sweep"), SMOKE, seed=1,
-                             shared_prefix=True)
+    tasks, _ = plan_campaign(("fig7", "sweep"), SMOKE, seed=1)
     for index, task in enumerate(tasks):
         for need in task.needs:
             assert need < index
@@ -280,11 +278,9 @@ def test_cached_campaign_replays_forked_tasks(tmp_path):
     from repro.experiments.cache import ResultCache
 
     cache = ResultCache(tmp_path / "cache")
-    cold = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache,
-                        shared_prefix=True)
+    cold = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache)
     cold_stats = (cache.stats.hits, cache.stats.misses)
-    warm = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache,
-                        shared_prefix=True)
+    warm = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache)
     assert campaign_asdict(cold) == campaign_asdict(warm)
     assert cold_stats == (0, 5)          # prefix + four cases computed
     assert cache.stats.hits == 5         # all five replayed warm
