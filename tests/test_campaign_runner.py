@@ -140,15 +140,22 @@ def straight_line():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_campaign_matches_straight_line_oracle(jobs, tmp_path,
+def test_subtree_schedule_equals_wave_schedule(jobs, tmp_path,
                                                straight_line):
-    """The executor differs from the oracle only in speed.
+    """The subtree executor differs from plan (wave) order only in speed.
 
-    fig7 and sweep both carry ``needs/feed`` chains (the learning
-    prefix and the d_min warmup), so this exercises real forked
-    subtrees, serial and across a pool.  The warm re-run uses the
-    other jobs count: cache fingerprints do not depend on it.
+    The reference is the straight-line oracle, which runs the plan in
+    list order.  fig7 and sweep both carry ``needs/feed`` chains (the
+    learning prefix and the d_min warmup), so this exercises real
+    forked subtrees, serial and across a pool; validation has none.
+    The warm re-run uses the other jobs count: cache fingerprints do
+    not depend on it.
     """
+    validation = run_campaign(("validation",), SMOKE, seed=1, jobs=jobs)
+    reference = run_straight_line(("validation",), SMOKE, seed=1)
+    assert (validation["validation"].interposed_result.latencies_us
+            == reference["validation"].interposed_result.latencies_us)
+
     tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
     cold_cache = ResultCache(tmp_path / "cache")
     cold = run_campaign(FORKED, SMOKE, seed=1, jobs=jobs, cache=cold_cache)
@@ -160,8 +167,32 @@ def test_campaign_matches_straight_line_oracle(jobs, tmp_path,
                         cache=warm_cache)
     assert warm_cache.stats.misses == 0
     assert warm_cache.stats.hits == len(tasks)
+    assert set(cold["fig7"]) == set(straight_line["fig7"])
+    for case in straight_line["fig7"]:
+        assert (cold["fig7"][case].series_us
+                == straight_line["fig7"][case].series_us)
+        assert (cold["fig7"][case].learned_table
+                == straight_line["fig7"][case].learned_table)
     assert cold == straight_line
     assert warm == straight_line
+
+
+def test_subtree_schedule_reuses_wave_cache(tmp_path, straight_line):
+    """Cache fingerprints are schedule-independent: a cache written by
+    the oracle in plan order, without snapshot forks, is fully warm for
+    the subtree executor (parent digests fold in identically)."""
+    tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
+    cache_dir = tmp_path / "cache"
+    cold = ResultCache(cache_dir)
+    assert run_straight_line(FORKED, SMOKE, seed=1,
+                             cache=cold) == straight_line
+    assert cold.stats.stores == len(tasks)
+
+    warm = ResultCache(cache_dir)
+    assert run_campaign(FORKED, SMOKE, seed=1, jobs=2,
+                        cache=warm) == straight_line
+    assert warm.stats.misses == 0
+    assert warm.stats.hits == len(tasks)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
