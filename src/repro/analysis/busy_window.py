@@ -4,8 +4,8 @@ The q-event busy time W_i(q) is the fixed point of
 
     W_i(q) = q * C_i + sum_j C_j * η⁺_j(W_i(q))          (Eq. 3)
 
-iterated until convergence.  The number of activations that must be
-checked is
+iterated until convergence, for each q from the previous solution
+W_i(q-1) + C_i.  The number of activations that must be checked is
 
     Q_i = max { n : forall q <= n : δ⁻_i(q) <= W_i(q-1) }  (Eq. 4)
 
@@ -27,6 +27,10 @@ from repro.analysis.event_models import EventModel
 from repro.analysis.memo import memoize_model
 
 
+#: Iteration budget of one fixed-point solve.
+_MAX_ITERATIONS = 100_000
+
+
 class NotSchedulableError(RuntimeError):
     """The busy-window iteration diverged: demand exceeds capacity."""
 
@@ -34,30 +38,52 @@ class NotSchedulableError(RuntimeError):
 def busy_time(q: int, own_cost: int,
               interference: Callable[[int], int],
               horizon: int = 2**48,
-              max_iterations: int = 100_000) -> int:
+              max_iterations: int = _MAX_ITERATIONS) -> int:
     """Solve the fixed point W(q) = q * own_cost + interference(W(q)).
 
-    ``interference`` must be monotonically non-decreasing in the window
-    size; the iteration then converges to the least fixed point or
-    exceeds ``horizon`` (treated as unschedulable).
+    ``interference`` must be monotone non-decreasing in the window
+    size.  The iteration starts at ``max(q * own_cost, 1)``, which
+    never exceeds the least fixed point unless ``q * own_cost`` is 0
+    (see :func:`_fixed_point`), and then returns the least fixed point
+    or raises :class:`NotSchedulableError` once an iterate exceeds
+    ``horizon`` or ``max_iterations`` steps pass without convergence.
     """
     if q <= 0:
         raise ValueError(f"q must be >= 1, got {q}")
     if own_cost < 0:
         raise ValueError(f"cost must be >= 0, got {own_cost}")
     base = q * own_cost
-    w = max(base, 1)
+    return _fixed_point(q, base, max(base, 1), interference, horizon,
+                        max_iterations)
+
+
+def _fixed_point(q: int, base: int, start: int,
+                 interference: Callable[[int], int],
+                 horizon: int, max_iterations: int) -> int:
+    """Kleene iteration of ``w -> base + interference(w)`` from ``start``.
+
+    Contract: ``interference`` is monotone non-decreasing, and
+    ``start`` does not exceed the least fixed point.  Then every
+    iterate stays at or below the least fixed point and the sequence
+    climbs to it, so the first repeated value is the least fixed
+    point.  Any ``start`` between the cold start ``max(base, 1)`` and
+    the least fixed point therefore yields the same result, and
+    reaches it in no more steps.
+    """
+    w = start
     for _ in range(max_iterations):
         nxt = base + interference(w)
         if nxt > horizon:
             raise NotSchedulableError(
                 f"busy window exceeded horizon {horizon} for q={q}"
             )
-        if nxt == w:
-            return w
-        if nxt < w:
-            # A non-monotone interference function can undershoot;
-            # the least fixed point is still w (demand satisfied).
+        if nxt <= w:
+            # nxt == w: the least fixed point.  nxt < w cannot happen
+            # under the contract; it means ``start`` lay above the
+            # least fixed point (the one-cycle floor with base 0 and
+            # no interference at width 1).  ``w`` is then an upper
+            # bound on the least fixed point, not the fixed point
+            # itself, and is returned as a sound over-approximation.
             return w
         w = nxt
     raise NotSchedulableError(
@@ -93,6 +119,8 @@ def response_time(own_cost: int, model: EventModel,
     ``memoize=False`` evaluates the raw model on every call (the
     cold baseline of the analysis A/B microbenchmark).
     """
+    if own_cost < 0:
+        raise ValueError(f"cost must be >= 0, got {own_cost}")
     if memoize:
         model = memoize_model(model)
     busy_times: list[int] = []
@@ -102,8 +130,14 @@ def response_time(own_cost: int, model: EventModel,
     # δ⁻(q) is evaluated once per q and carried into the next
     # iteration, where it is this iteration's Eq. 4 check value.
     delta_q = model.delta_minus(1)
+    # Warm start: for monotone I, W(q) = q*C + I(W(q)) >= q*C +
+    # I(W(q-1)) = W(q-1) + C, so starting W(q) at W(q-1) + C never
+    # overshoots the least fixed point and reaches the same W(q) as a
+    # cold start at q*C, in fewer steps (see _fixed_point).
+    start = max(own_cost, 1)
     while True:
-        w = busy_time(q, own_cost, interference, horizon=horizon)
+        w = _fixed_point(q, q * own_cost, start, interference, horizon,
+                         _MAX_ITERATIONS)
         busy_times.append(w)
         candidate = w - delta_q
         if candidate > worst or q == 1:
@@ -117,6 +151,7 @@ def response_time(own_cost: int, model: EventModel,
             break
         q += 1
         delta_q = delta_next
+        start = w + own_cost
         if q > q_limit:
             raise NotSchedulableError(
                 f"busy window spans more than {q_limit} activations; "

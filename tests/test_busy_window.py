@@ -1,16 +1,39 @@
 """Tests for the busy-window fixed point and response-time analysis
 (Eqs. 3–5)."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from busy_window_oracle import cold_response_time
+from repro.analysis import latency, schedulability
 from repro.analysis.busy_window import (
     NotSchedulableError,
     busy_time,
     response_time,
 )
-from repro.analysis.event_models import PeriodicEventModel
+from repro.analysis.event_models import (
+    DeltaTableEventModel,
+    PeriodicEventModel,
+)
+from repro.analysis.interference import (
+    interposed_interference_dmin,
+    interposed_interference_table,
+)
+from repro.analysis.latency import (
+    InterferingIrq,
+    classic_irq_latency,
+    interposed_irq_latency,
+    violated_irq_latency,
+)
+from repro.analysis.schedulability import (
+    InterposingLoad,
+    TaskSpec,
+    task_response_time,
+)
+from repro.analysis.tdma import tdma_interference
 
 
 class TestBusyTime:
@@ -115,3 +138,172 @@ def test_property_response_time_bounds_busy_times(cost, period, hp_cost,
     for q in range(1, result.q_max + 1):
         assert result.response_time >= result.busy_time(q) - model.delta_minus(q)
     assert result.response_time >= cost
+
+
+# -- warm start vs the cold-start oracle ---------------------------------
+
+
+@st.composite
+def interference_terms(draw):
+    """One monotone interference term of the kinds the analyses combine."""
+    kind = draw(st.sampled_from(["tdma", "periodic", "dmin", "table"]))
+    if kind == "tdma":
+        cycle = draw(st.integers(2, 400))
+        slot = draw(st.integers(1, cycle))
+        return lambda w: tdma_interference(w, cycle, slot)
+    if kind == "periodic":
+        model = PeriodicEventModel(draw(st.integers(1, 300)),
+                                   jitter=draw(st.integers(0, 600)))
+        cost = draw(st.integers(0, 40))
+        return lambda w: model.eta_plus(w) * cost
+    if kind == "dmin":
+        dmin = draw(st.integers(1, 300))
+        cost = draw(st.integers(0, 40))
+        return lambda w: interposed_interference_dmin(w, dmin, cost)
+    # δ⁻ entries of at least 100 keep the table's closure short at the
+    # window sizes the horizons below allow
+    table = draw(st.lists(st.integers(100, 300), min_size=1, max_size=5))
+    return interposed_interference_table(table, draw(st.integers(0, 40)))
+
+
+def _solve(solver, *args, **kwargs):
+    """The solver's result, or which limit its NotSchedulableError hit."""
+    try:
+        return solver(*args, **kwargs)
+    except NotSchedulableError as error:
+        return "horizon" if "horizon" in str(error) else "q_limit"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    own_cost=st.integers(0, 60),
+    period=st.integers(1, 300),
+    jitter=st.integers(0, 900),
+    terms=st.lists(interference_terms(), max_size=4),
+    q_limit=st.integers(1, 40),
+    horizon=st.sampled_from([500, 5_000, 20_000]),
+)
+def test_warm_start_equals_cold_start_oracle(own_cost, period, jitter, terms,
+                                             q_limit, horizon):
+    """The whole result, or the NotSchedulableError, matches a cold
+    solve of every W(q) from max(q*C, 1)."""
+    model = PeriodicEventModel(period, jitter=jitter)
+
+    def interference(window):
+        return sum(term(window) for term in terms)
+
+    # Iterates climb strictly and never pass the horizon (at most
+    # 20,000), so neither solver can run out of its 100,000 iterations:
+    # the limit hit must agree too.
+    kwargs = {"q_limit": q_limit, "horizon": horizon}
+    warm = _solve(response_time, own_cost, model, interference, **kwargs)
+    assert warm == _solve(cold_response_time, own_cost, model, interference,
+                          **kwargs)
+    event(warm if isinstance(warm, str) else
+          "q_max > 1" if warm.q_max > 1 else "q_max == 1")
+
+
+@pytest.mark.parametrize("reason, own_cost, interference, q_limit", [
+    # interference alone has slope 3/2: W(1) grows past the horizon
+    ("horizon", 10, lambda w: interposed_interference_dmin(w, 2, 3), 50),
+    # slope 1/2 interference plus own load C/P = 3/4: every W(q)
+    # converges, but the busy window never closes
+    ("activations", 30, lambda w: tdma_interference(w, 80, 40), 25),
+], ids=["horizon", "q_limit"])
+def test_overload_raises_in_both_solvers(reason, own_cost, interference,
+                                         q_limit):
+    model = PeriodicEventModel(40, jitter=100)
+    for solver in (response_time, cold_response_time):
+        with pytest.raises(NotSchedulableError, match=reason):
+            solver(own_cost, model, interference, q_limit=q_limit,
+                   horizon=10**7)
+
+
+# -- the analyses' interference sums are monotone ------------------------
+
+
+class _Captured(Exception):
+    def __init__(self, interference):
+        super().__init__()
+        self.interference = interference
+
+
+def _captured_interference(module, analysis):
+    """The interference callable ``analysis()`` hands to response_time."""
+    def spy(own_cost, model, interference, **kwargs):
+        raise _Captured(interference)
+
+    with mock.patch.object(module, "response_time", spy):
+        with pytest.raises(_Captured) as captured:
+            analysis()
+    return captured.value.interference
+
+
+def _assert_monotone(interference, windows):
+    values = [interference(window) for window in sorted(windows)]
+    assert all(a <= b for a, b in zip(values, values[1:])), values
+
+
+windows = st.lists(st.integers(0, 50_000), min_size=2, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tasks=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 200),
+                  st.integers(1, 2_000), st.integers(0, 1_000)),
+        min_size=1, max_size=4),
+    cycle=st.integers(2, 4_000),
+    slot_share=st.floats(0.05, 1.0),
+    loads=st.lists(st.tuples(st.integers(1, 3_000), st.integers(1, 200)),
+                   max_size=3),
+    windows=windows,
+)
+def test_task_response_time_interference_is_monotone(tasks, cycle,
+                                                     slot_share, loads,
+                                                     windows):
+    specs = [TaskSpec(f"t{index}", priority, wcet, period, jitter)
+             for index, (priority, wcet, period, jitter) in enumerate(tasks)]
+    slot = max(1, int(cycle * slot_share))
+    interposing = [InterposingLoad(dmin, c_bh) for dmin, c_bh in loads]
+    interference = _captured_interference(
+        schedulability,
+        lambda: task_response_time(specs[-1], specs, cycle, slot,
+                                   interposing))
+    _assert_monotone(interference, windows)
+
+
+@st.composite
+def irq_models(draw):
+    if draw(st.booleans()):
+        return PeriodicEventModel(draw(st.integers(1, 2_000)),
+                                  jitter=draw(st.integers(0, 2_000)))
+    return DeltaTableEventModel(
+        draw(st.lists(st.integers(200, 2_000), min_size=1, max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(["classic", "interposed", "violated"]),
+    model=irq_models(),
+    c_th=st.integers(1, 50),
+    c_bh=st.integers(1, 200),
+    interferers=st.lists(
+        st.tuples(irq_models(), st.integers(1, 50), st.booleans()),
+        max_size=3),
+    windows=windows,
+)
+def test_irq_latency_interference_is_monotone(variant, model, c_th, c_bh,
+                                              interferers, windows):
+    others = [InterferingIrq(other, top, monitored)
+              for other, top, monitored in interferers]
+    analyses = {
+        "classic": lambda: classic_irq_latency(
+            model, c_th, c_bh, 4_000, 1_500, others),
+        "interposed": lambda: interposed_irq_latency(
+            model, c_th, c_bh, interferers=others),
+        "violated": lambda: violated_irq_latency(
+            model, c_th, c_bh, 4_000, 1_500, interferers=others),
+    }
+    interference = _captured_interference(latency, analyses[variant])
+    _assert_monotone(interference, windows)
