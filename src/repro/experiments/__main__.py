@@ -359,24 +359,31 @@ def main(argv: "list[str] | None" = None) -> int:
 
         store = CampaignStoreWriter(
             args.store,
-            campaign_metadata(scale_name=scale.name, seed=args.seed,
-                              jobs=jobs),
+            campaign_metadata(scale_name=scale.name, seed=args.seed),
         )
 
+    # Each experiment's seconds run from the previous experiment's
+    # emission (or the campaign start) to the end of its own, so with
+    # --jobs > 1 they overlap other experiments' work but still sum to
+    # the campaign wall.
     experiment_seconds: "dict[str, float]" = {}
-    for name in names:
-        started = time.perf_counter()
-        merged = run_campaign((name,), scale, seed=args.seed, jobs=jobs,
-                              cache=cache, telemetry=telemetry,
-                              progress=progress, store=store)
-        output = _render_one(name, merged[name], args.export)
-        elapsed = time.perf_counter() - started
-        experiment_seconds[name] = elapsed
-        print(f"[{name}] {elapsed:.1f}s (scale={scale.name}, jobs={jobs})",
-              file=sys.stderr)
+    last_emission = time.perf_counter()
+
+    def emit(name: str, merged) -> None:
+        nonlocal last_emission
+        output = _render_one(name, merged, args.export)
         print(f"=== {name} " + "=" * max(0, 50 - len(name)))
         print(output)
         print()
+        now = time.perf_counter()
+        experiment_seconds[name] = now - last_emission
+        last_emission = now
+        print(f"[{name}] {experiment_seconds[name]:.1f}s "
+              f"(scale={scale.name}, jobs={jobs})", file=sys.stderr)
+
+    run_campaign(names, scale, seed=args.seed, jobs=jobs, cache=cache,
+                 telemetry=telemetry, progress=progress, store=store,
+                 sink=emit)
 
     if args.cache_stats and cache is not None:
         print(f"[cache] {cache.stats.render()} dir={cache.directory}",

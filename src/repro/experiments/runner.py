@@ -176,8 +176,8 @@ class CampaignTelemetry:
     tasks: "list[TaskTelemetry]" = field(default_factory=list)
     #: monotonic instant of the first run_campaign call sharing this
     #: object; all started_offset_seconds are measured against it, so
-    #: per-worker task timelines stay monotone across a multi-campaign
-    #: CLI run (one trace track per worker pid).
+    #: per-worker task timelines stay monotone across several
+    #: run_campaign calls (one trace track per worker pid).
     epoch: "float | None" = None
 
     @property
@@ -467,29 +467,59 @@ def _merge_cache_stats(into: "Any", delta: "Any") -> None:
 
 def _run_tasks_subtree(
     tasks: "list[CampaignTask]", jobs: int,
+    emit: "Callable[[list[CampaignTask], list], None]",
     telemetry: "CampaignTelemetry | None" = None,
     progress: "Callable[[int, int, CampaignTask], None] | None" = None,
     epoch: "float | None" = None,
     cache: "ResultCache | None" = None,
-) -> "list":
-    """Execute tasks as per-worker subtree assignments.
+) -> None:
+    """Execute tasks as per-worker subtree assignments in one pool.
 
     With a cache, the parent first replays every hit it can resolve in
     dependency order (a fully warm run therefore spawns no pool at
     all); the remaining misses are grouped into subtrees whose
-    already-resolved parents are injected into the work item.  Each
-    subtree then runs start-to-finish inside one worker, and results
-    scatter back to their campaign indices — so merges consume them in
-    the fixed task order whatever the jobs count.
+    already-resolved parents are injected into the work item.  Every
+    subtree of the campaign goes to one pool in plan order; each runs
+    start-to-finish inside one worker, and results scatter back to
+    their campaign indices.
+
+    Plan order keeps each experiment's tasks contiguous and ``needs``
+    never cross an experiment, so experiments resolve in plan order:
+    as soon as the next experiment's tasks have all resolved,
+    ``emit(experiment_tasks, experiment_results)`` receives them in
+    task order — whatever the jobs count — and the runner drops them.
+    With one job, an experiment is emitted before any task of the
+    next one runs.
     """
     call_started = time.monotonic()
     base = 0.0 if epoch is None else call_started - epoch
     total = len(tasks)
     done = 0
-    results: "list[Any]" = [None] * len(tasks)
+    results: "list[Any]" = [None] * total
+    spans: "list[list[int]]" = []          # [start, stop) per experiment
+    span_of: "list[int]" = []
+    for index, task in enumerate(tasks):
+        if not index or task.experiment != tasks[index - 1].experiment:
+            spans.append([index, index])
+        spans[-1][1] = index + 1
+        span_of.append(len(spans) - 1)
+    unresolved = [stop - start for start, stop in spans]
+    emitted = 0
+
+    def resolve(index: int, result: Any) -> None:
+        nonlocal emitted
+        results[index] = result
+        unresolved[span_of[index]] -= 1
+        while emitted < len(spans) and not unresolved[emitted]:
+            start, stop = spans[emitted]
+            emitted += 1
+            own = results[start:stop]
+            results[start:stop] = [None] * (stop - start)
+            emit(tasks[start:stop], own)
+
     resolved_digests: "dict[int, str]" = {}
     known_keys: "dict[int, str]" = {}
-    pending = set(range(len(tasks)))
+    pending = set(range(total))
     if cache is not None:
         for index, task in enumerate(tasks):
             if any(need in pending for need in task.needs):
@@ -500,7 +530,6 @@ def _run_tasks_subtree(
             if entry is None:
                 known_keys[index] = key
                 continue
-            results[index] = entry.result
             resolved_digests[index] = result_digest(entry.result)
             pending.discard(index)
             done += 1
@@ -508,8 +537,9 @@ def _run_tasks_subtree(
                          cached=True, wall=0.0, wait=0.0,
                          offset=base + time.monotonic() - call_started,
                          pid=os.getpid())
+            resolve(index, entry.result)
     if not pending:
-        return results
+        return
     cache_dir = str(cache.directory) if cache is not None else None
     items = []
     for indices in plan_subtrees(tasks, include=pending):
@@ -532,22 +562,21 @@ def _run_tasks_subtree(
         for item, (sub_results, meta, stats_delta) in zip(items,
                                                           outcome_iter):
             indices = item[0]
+            if cache is not None and stats_delta is not None:
+                _merge_cache_stats(cache.stats, stats_delta)
             for position, index in enumerate(indices):
-                results[index] = sub_results[position]
                 cached, pickup, elapsed, pid = meta[position]
                 done += 1
                 _record_task(telemetry, progress, tasks[index], index,
                              done, total, cached=cached, wall=elapsed,
                              wait=pickup, offset=base + pickup, pid=pid)
-            if cache is not None and stats_delta is not None:
-                _merge_cache_stats(cache.stats, stats_delta)
+                resolve(index, sub_results[position])
 
     if jobs <= 1 or len(items) <= 1:
         consume(map(_execute_subtree, items))
     else:
         with _pool_context().Pool(min(jobs, len(items))) as pool:
             consume(pool.imap(_execute_subtree, items, chunksize=1))
-    return results
 
 
 def run_campaign(names: Sequence[str], scale: ExperimentScale,
@@ -557,15 +586,25 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
                  progress: "Callable[[int, int, CampaignTask], None] | None"
                  = None,
                  store: "Any | None" = None,
+                 sink: "Callable[[str, Any], None] | None" = None,
                  ) -> "dict[str, Any]":
-    """Run the selected experiment campaigns, optionally in parallel.
+    """Run the selected experiment campaigns as one campaign.
 
     ``jobs=1`` executes every task in-process, exactly like the
-    original serial loops.  ``jobs=N`` fans the tasks out over an
-    ``N``-worker process pool with ``chunksize=1`` (tasks have very
-    uneven durations, so greedy scheduling matters).  Either way the
-    merge consumes results in the fixed task order, so the returned
-    results — and anything rendered from them — are byte-identical.
+    original serial loops.  ``jobs=N`` fans the subtrees of *every*
+    selected experiment out over one ``N``-worker process pool with
+    ``chunksize=1`` (tasks have very uneven durations, so greedy
+    scheduling matters, and one pool lets a long experiment overlap
+    the others).  Either way each merge consumes its experiment's
+    results in the fixed task order, so the merged results — and
+    anything rendered from them — are byte-identical.
+
+    Results stream: as soon as an experiment's tasks have all resolved
+    (cache hits included), in ``names`` order, the runner hands its
+    tasks to ``store``, runs its merge, passes ``(name, merged)`` to
+    ``sink`` and drops the per-task results.  Without a ``sink`` the
+    merged results are collected into the returned dict; with one, the
+    returned dict stays empty.
 
     With a :class:`~repro.experiments.cache.ResultCache`, tasks whose
     content fingerprint matches a stored entry replay the pickled
@@ -574,8 +613,9 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
 
     ``telemetry`` (a :class:`CampaignTelemetry`, filled in-place) and
     ``progress`` (called as ``progress(done, total, task)`` after each
-    task completes, in the parent process) observe per-task timing
-    without changing the ordered-results contract.
+    task completes, in the parent process, counting over the whole
+    campaign) observe per-task timing without changing the
+    ordered-results contract.
 
     The fig7 and sweep campaigns fork their per-case/per-point tasks
     from a shared snapshot task (see :mod:`repro.sim.snapshot`); each
@@ -586,11 +626,11 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a
     :class:`repro.store.capture.CampaignStoreWriter` — called once per
-    task in task order, in the parent process, after every task has
-    resolved and before the merges run.  The runner never imports the
-    store package; capture is observational and results pass through
-    untouched, so merged results stay byte-identical with or without
-    it.
+    task in task order, in the parent process, with the task's index
+    *within its experiment*, just before that experiment's merge.  The
+    runner never imports the store package; capture is observational
+    and results pass through untouched, so merged results stay
+    byte-identical with or without it.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -602,16 +642,19 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
         if telemetry.epoch is None:
             telemetry.epoch = started
         epoch = telemetry.epoch
-    results = _run_tasks_subtree(tasks, jobs, telemetry, progress, epoch,
-                                 cache)
-    if store is not None:
-        for index, (task, result) in enumerate(zip(tasks, results)):
-            store.write_task(task, result, index)
     merged: "dict[str, Any]" = {}
-    for name in names:
-        own = [result for task, result in zip(tasks, results)
-               if task.experiment == name]
-        merged[name] = merges[name](own)
+    deliver = sink if sink is not None else merged.__setitem__
+
+    def emit(experiment_tasks: "list[CampaignTask]",
+             experiment_results: list) -> None:
+        if store is not None:
+            for index, (task, result) in enumerate(
+                    zip(experiment_tasks, experiment_results)):
+                store.write_task(task, result, index)
+        name = experiment_tasks[0].experiment
+        deliver(name, merges[name](experiment_results))
+
+    _run_tasks_subtree(tasks, jobs, emit, telemetry, progress, epoch, cache)
     if telemetry is not None:
         telemetry.wall_seconds += time.monotonic() - started
     return merged
@@ -632,7 +675,11 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
     The file holds ``{"runs": [...]}`` with one record per campaign
     run: a ``host`` block (python version, cpu count, platform — so
     cross-machine history stays interpretable), per-experiment
-    wall-clock seconds plus (when measured) the
+    wall-clock seconds (``experiment_wall_seconds``: the CLI's time
+    from the previous experiment's emission to this one's — with
+    ``jobs > 1`` later experiments' tasks run meanwhile in the shared
+    pool, so an experiment can read near zero; the values sum to the
+    campaign wall) plus (when measured) the
     engine microbenchmark's events/sec (``engine``),
     the idle-skip race on an idle-dominated scenario
     (``engine_idle_ab``: an

@@ -77,14 +77,19 @@ def _run_leg(tasks, capture: bool,
     gc.collect()
     if not capture:
         started = time.perf_counter()
-        _run_tasks_subtree(tasks, 1)
+        _run_tasks_subtree(tasks, 1, lambda own_tasks, own_results: None)
         return time.perf_counter() - started, None
     with tempfile.TemporaryDirectory(prefix="repro-store-ab-") as tmp:
         started = time.perf_counter()
         writer = CampaignStoreWriter(tmp, campaign_meta)
-        results = _run_tasks_subtree(tasks, 1)
-        for index, (task, result) in enumerate(zip(tasks, results)):
-            writer.write_task(task, result, index)
+
+        def capture_experiment(own_tasks, own_results) -> None:
+            # Same indexing as run_campaign: within the experiment.
+            for index, (task, result) in enumerate(zip(own_tasks,
+                                                       own_results)):
+                writer.write_task(task, result, index)
+
+        _run_tasks_subtree(tasks, 1, capture_experiment)
         stats = writer.finalize()
         return time.perf_counter() - started, stats
 

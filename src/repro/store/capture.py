@@ -143,19 +143,19 @@ def task_metadata(task: Any, index: int,
     return meta
 
 
-def campaign_metadata(scale_name: str, seed: int,
-                      jobs: "int | None" = None) -> "dict[str, Any]":
-    """Campaign-wide metadata fields shared by every artifact."""
+def campaign_metadata(scale_name: str, seed: int) -> "dict[str, Any]":
+    """Campaign-wide metadata fields shared by every artifact.
+
+    The jobs count is left out: it only changes scheduling, so a
+    campaign's artifacts are byte-identical at every jobs count.
+    """
     from repro.sim.engine import resolve_idle_skip
 
-    meta: "dict[str, Any]" = {
+    return {
         "scale": scale_name,
         "campaign_seed": seed,
         "idle_skip": resolve_idle_skip(None),
     }
-    if jobs is not None:
-        meta["jobs"] = jobs
-    return meta
 
 
 @dataclass

@@ -7,7 +7,10 @@ The identity test runs the full ``all`` campaign at smoke scale twice —
 serial and with a 4-worker pool — and diffs stdout and the exported
 CSVs byte for byte.  The forked fig7 and sweep campaigns are further
 pinned against the straight-line oracle in ``campaign_oracle.py``,
-cold and cache-warm, and under an injected task failure.
+cold and cache-warm, and under an injected task failure.  The whole
+``all`` campaign, run as one pool and streamed experiment by
+experiment, is pinned against the same oracle: emission order, task
+conservation, and a failure in a later experiment.
 """
 
 import functools
@@ -16,7 +19,7 @@ import json
 import pytest
 
 from campaign_oracle import run_straight_line
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import EXPERIMENTS, _render_one, main
 from repro.experiments.cache import (
     ResultCache,
     result_digest,
@@ -25,6 +28,7 @@ from repro.experiments.cache import (
 from repro.experiments.runner import (
     TASK_FUNCTIONS,
     CampaignTask,
+    CampaignTelemetry,
     execute_task,
     plan_campaign,
     plan_experiment,
@@ -236,6 +240,141 @@ def test_failed_task_is_a_loud_error_never_a_cache_entry(
     assert rerun_cache.stats.hits + rerun_cache.stats.misses == len(tasks)
     assert rerun_cache.stats.misses >= 1
     assert rerun == straight_line
+
+
+# ---------------------------------------------------------- streaming
+
+@pytest.fixture(scope="module")
+def straight_line_all():
+    return run_straight_line(EXPERIMENTS, SMOKE, seed=1)
+
+
+def _rendered(name, merged):
+    """One experiment's stdout block: the CLI's byte-identity surface."""
+    return _render_one(name, merged, None)
+
+
+def _campaign_keys(tasks):
+    """Every task's cache key, with producer digests from in-process runs."""
+    producers = {need for task in tasks for need in task.needs}
+    digests = {}
+    keys = []
+    for index, task in enumerate(tasks):
+        parents = tuple(digests[need] for need in task.needs)
+        keys.append(task_fingerprint(task, parent_digests=parents))
+        if index in producers:
+            digests[index] = result_digest(execute_task(task))
+    return keys
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_campaign_streams_each_experiment_once_in_order(
+        jobs, tmp_path, straight_line_all):
+    """One campaign over every experiment, streamed to a sink.
+
+    The sink sees each experiment exactly once, in ``names`` order, equal
+    to the oracle's merge.  In the parent, an experiment's emission
+    follows its own tasks and precedes every task of the next one; at
+    one job that is also the execution order.  Every planned task is
+    either computed or cached, cold and warm.
+    """
+    tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, seed=1)
+    position = {name: rank for rank, name in enumerate(EXPERIMENTS)}
+    for run in ("cold", "warm"):
+        events = []
+        telemetry = CampaignTelemetry()
+        cache = ResultCache(tmp_path / "cache")
+        returned = run_campaign(
+            EXPERIMENTS, SMOKE, seed=1, jobs=jobs, cache=cache,
+            telemetry=telemetry,
+            progress=lambda done, total, task: events.append(
+                ("task", task.experiment, done, total)),
+            sink=lambda name, merged: events.append(("emit", name, merged)))
+        assert returned == {}
+
+        emitted = [event for event in events if event[0] == "emit"]
+        assert [name for _, name, _ in emitted] == list(EXPERIMENTS)
+        for _, name, merged in emitted:
+            assert (_rendered(name, merged)
+                    == _rendered(name, straight_line_all[name]))
+        finished = [event for event in events if event[0] == "task"]
+        assert [done for _, _, done, _ in finished] == list(
+            range(1, len(tasks) + 1))
+        assert {total for _, _, _, total in finished} == {len(tasks)}
+
+        # Emission k sits between experiment k's tasks and k+1's.
+        for at, event in enumerate(events):
+            if event[0] != "emit":
+                continue
+            rank = position[event[1]]
+            assert all(position[earlier[1]] <= rank
+                       for earlier in events[:at])
+            assert all(position[later[1]] > rank
+                       for later in events[at + 1:])
+
+        summary = telemetry.as_dict()
+        assert summary["tasks_computed"] + summary["tasks_cached"] \
+            == len(tasks)
+        assert cache.stats.hits + cache.stats.misses == len(tasks)
+        if run == "cold":
+            assert summary["tasks_cached"] == cache.stats.hits == 0
+        else:
+            assert summary["tasks_computed"] == cache.stats.misses == 0
+
+
+def test_failure_in_a_later_experiment_keeps_earlier_work(
+        tmp_path, monkeypatch, straight_line_all):
+    """A fault in a later experiment, in the shared pool.
+
+    One sweep d_min point raises mid-subtree at ``--jobs 2``.  The
+    campaign raises, every experiment before sweep was already emitted
+    and none after it, the failed task leaves no cache entry, every
+    task that completed did, and a re-run matches a clean run.
+    """
+    tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, seed=1)
+    failing = next(index for index, task in enumerate(tasks)
+                   if task.kind == "sweep-dmin-point"
+                   and task.kwargs["multiplier"] == 4.0)
+    real_point = TASK_FUNCTIONS["sweep-dmin-point"]
+
+    @functools.wraps(real_point)
+    def faulty_point(**kwargs):
+        if kwargs["multiplier"] == 4.0:
+            raise RuntimeError("injected sweep fault")
+        return real_point(**kwargs)
+
+    cache_dir = tmp_path / "cache"
+    emitted = []
+    completed = []
+    monkeypatch.setitem(TASK_FUNCTIONS, "sweep-dmin-point", faulty_point)
+    with pytest.raises(RuntimeError, match="injected sweep fault"):
+        run_campaign(
+            EXPERIMENTS, SMOKE, seed=1, jobs=2, cache=ResultCache(cache_dir),
+            progress=lambda done, total, task: completed.append(
+                tasks.index(task)),
+            sink=lambda name, merged: emitted.append(name))
+    monkeypatch.undo()
+
+    assert emitted == list(EXPERIMENTS[:EXPERIMENTS.index("sweep")])
+    # The failed task's subtree ran in one worker up to the fault:
+    # the warm-up and the earlier d_min points completed there.
+    (warmup,) = tasks[failing].needs
+    completed += range(warmup, failing)
+    keys = _campaign_keys(tasks)
+    cache = ResultCache(cache_dir)
+    assert cache.load(keys[failing]) is None
+    assert failing not in completed
+    for index in completed:
+        assert cache.load(keys[index]) is not None, tasks[index]
+
+    rerun_cache = ResultCache(cache_dir)
+    rerun = run_campaign(EXPERIMENTS, SMOKE, seed=1, jobs=2,
+                         cache=rerun_cache)
+    assert rerun_cache.stats.hits >= len(completed)
+    assert rerun_cache.stats.misses >= 1
+    for name in EXPERIMENTS:
+        assert (_rendered(name, rerun[name])
+                == _rendered(name, straight_line_all[name]))
 
 
 # ----------------------------------------------------------------- CLI

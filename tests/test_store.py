@@ -303,6 +303,47 @@ class TestCampaignStoreWriter:
         assert row["idle_skip"] is True
         assert "queue_backend" not in row
 
+    def test_one_campaign_matches_per_experiment_campaigns(self, tmp_path):
+        """A multi-experiment campaign captures exactly what one
+        campaign per experiment, each with its own writer, captures:
+        the same artifact names, the same index entries (``task_index``
+        counts within each experiment) and byte-equal artifacts."""
+        from repro.experiments.__main__ import EXPERIMENTS
+        from repro.experiments.runner import run_campaign
+        from repro.experiments.scale import SMOKE
+
+        meta = {"scale": "smoke", "campaign_seed": 1}
+
+        def captured(directory):
+            index = json.loads((directory / INDEX_NAME).read_text())
+            return index["tasks"], {path.name: path
+                                    for path in directory.glob("*.rpart")}
+
+        combined = CampaignStoreWriter(tmp_path / "combined", meta)
+        run_campaign(EXPERIMENTS, SMOKE, seed=1, jobs=2, store=combined)
+        combined.finalize()
+        entries, artifacts = captured(tmp_path / "combined")
+
+        oracle_entries, oracle_artifacts = [], {}
+        for name in EXPERIMENTS:
+            writer = CampaignStoreWriter(tmp_path / "oracle" / name, meta)
+            run_campaign((name,), SMOKE, seed=1, jobs=1, store=writer)
+            writer.finalize()
+            own_entries, own_artifacts = captured(tmp_path / "oracle" / name)
+            oracle_entries += own_entries
+            oracle_artifacts.update(own_artifacts)
+
+        assert [entry["artifact"] for entry in entries] \
+            == [entry["artifact"] for entry in oracle_entries]
+        assert [entry["task_index"] for entry in entries] \
+            == [entry["task_index"] for entry in oracle_entries]
+        assert entries == oracle_entries
+        assert sorted(artifacts) == sorted(oracle_artifacts)
+        assert len(artifacts) > len(EXPERIMENTS)
+        for name, path in oracle_artifacts.items():
+            assert (RunArtifact.read(artifacts[name]).latency
+                    == RunArtifact.read(path).latency), name
+            assert artifacts[name].read_bytes() == path.read_bytes(), name
 
 def build_store(directory, specs):
     """Write one artifact per (metadata, latencies) spec, plus an index."""
@@ -553,6 +594,34 @@ class TestStoreABResult:
                                write_stats=StoreWriteStats(), repeats=1)
         assert result.overhead == 0.0
         assert result.write_ratio == 0.0
+
+    def test_measure_store_ab_runs_and_captures_like_the_cli(self, tmp_path):
+        # The --bench-json path: both legs must run on the executor's
+        # streaming contract, and the store leg must write exactly what
+        # a captured run_campaign writes.
+        from repro.experiments.runner import run_campaign
+        from repro.experiments.scale import SMOKE
+        from repro.store.benchmark import measure_store_ab
+        from repro.store.capture import campaign_metadata
+
+        experiments = ("validation", "tab62")
+        result = measure_store_ab(experiments=experiments, scale=SMOKE,
+                                  repeats=1)
+        assert result.repeats == 1
+        assert result.plain_seconds > 0
+        assert result.store_seconds > 0
+
+        writer = CampaignStoreWriter(
+            tmp_path, campaign_metadata(scale_name=SMOKE.name, seed=1))
+        run_campaign(experiments, SMOKE, seed=1, jobs=1, store=writer)
+        expected = writer.finalize()
+        assert expected.artifacts_written > 0
+        got = result.write_stats
+        assert got.artifacts_written == expected.artifacts_written
+        assert got.rows_written == expected.rows_written
+        assert got.trace_rows_written == expected.trace_rows_written
+        assert got.bytes_written == expected.bytes_written
+        assert got.skipped_tasks == expected.skipped_tasks
 
 
 class TestParquetSoftDependency:
