@@ -197,10 +197,9 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
     replay = run_traced_fig6(irqs=scale.fig6_irqs_per_load, seed=args.seed)
     if store is not None:
         # The replay is the one in-process run with tracing enabled, so
-        # it is the one artifact that carries trace columns; the
-        # Chrome-trace exporter below reads those columns back (see
-        # repro.telemetry.run), making the store the trace's source of
-        # truth.
+        # it is the one artifact that carries trace columns; rendered
+        # through the exporter, they give the same instants as the
+        # live trace written below.
         store.write_traced_run(replay)
     # The process-global world store holds whatever warm-world layers
     # this invocation captured in-process (campaign workers keep their

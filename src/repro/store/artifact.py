@@ -52,9 +52,10 @@ import struct
 import sys
 import tempfile
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.core.policy import HandlingMode
 from repro.hypervisor.hypervisor import LatencyRecord
@@ -101,19 +102,21 @@ class ArtifactError(ValueError):
     """A malformed, truncated or corrupt run artifact."""
 
 
-def _json_safe(value: Any) -> Any:
+def json_safe(value: Any) -> Any:
     """Coerce a trace-event data value into something JSON can carry.
 
-    Mirrors the Perfetto exporter's coercion exactly, so a trace event
-    round-tripped through an artifact renders to the identical Chrome
-    trace JSON as the live recorder would.
+    Tuples become lists, mapping keys strings, and anything that is not
+    a JSON scalar its ``repr``.  The trace columns store event data in
+    this form, and the Perfetto exporter renders instant args through
+    the same function, so a live and a persisted event give the same
+    Chrome trace bytes.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
+        return [json_safe(item) for item in value]
     if isinstance(value, Mapping):
-        return {str(key): _json_safe(item) for key, item in value.items()}
+        return {str(key): json_safe(item) for key, item in value.items()}
     return repr(value)
 
 
@@ -146,10 +149,7 @@ def trace_events_to_columns(events: Iterable[TraceEvent],
     for event in events:
         times.append(event.time)
         kinds.append(interner.intern(event.kind.value))
-        payload = json.dumps(
-            {str(k): _json_safe(v) for k, v in event.data.items()},
-            separators=(",", ":"),
-        )
+        payload = json.dumps(json_safe(event.data), separators=(",", ":"))
         blobs.append(interner.intern(payload))
     return {"time": times, "kind": kinds, "data": blobs}, interner
 

@@ -127,22 +127,14 @@ def export_traced_run(run: TracedRun,
     Returns the number of trace events written (None when no
     ``trace_path`` was given).
 
-    The exporter is a client of the run-artifact store's columnar
-    trace representation (:mod:`repro.store.artifact`): the live
-    recorder's events round-trip through the store's
-    time/kind/data-id columns before rendering, so the Chrome trace
-    is guaranteed byte-identical whether it is produced from a live
-    run or replayed from a persisted artifact — the store tests pin
-    this.
+    The trace is streamed straight from the live recorder, one event
+    at a time (see :func:`~repro.telemetry.perfetto.write_chrome_trace`).
+    A persisted artifact's recorder (``RunArtifact.trace_recorder``)
+    renders the same bytes; the store tests pin that as an oracle
+    rather than every export paying for a columnar round trip.
     """
     written = None
     if trace_path is not None:
-        from repro.sim.trace import TraceRecorder
-        from repro.store.artifact import (
-            trace_events_from_columns,
-            trace_events_to_columns,
-        )
-
         meta = {
             "scenario": f"fig6{run.scenario}",
             "load": run.load,
@@ -152,13 +144,9 @@ def export_traced_run(run: TracedRun,
         }
         if metadata:
             meta.update(metadata)
-        columns, interner = trace_events_to_columns(run.trace.events)
-        recorder = TraceRecorder.from_events(
-            trace_events_from_columns(columns, interner.strings)
-        )
         written = write_chrome_trace(
             trace_path,
-            recorder,
+            run.trace,
             clock=run.clock,
             cpu_segments=run.cpu_segments,
             campaign=campaign,
