@@ -14,7 +14,9 @@ conservation, and a failure in a later experiment.
 """
 
 import functools
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -419,6 +421,26 @@ def test_cli_outputs_byte_identical_across_jobs(tmp_path, capsys):
     assert parallel_manifest["jobs"] == 4
     assert serial_manifest["files"] == sorted(
         path.name for path in export_serial.glob("*.csv"))
+
+
+# tab62 prints the source size of hypervisor.py, scheduler.py and
+# monitor.py in its footprint rows; masking that one column makes the
+# golden a pure simulation-and-rendering contract that survives a
+# refactor of those files.
+_PY_BYTES_ROW = re.compile(r"^(.{34} +\d+ +\d+ repro\.\S+ +)\d+$", re.M)
+SMOKE_STDOUT_MASKED_SHA256 = (
+    "a66296f6aa95f4a651ebfd5345d55e5c37c7ea9632d0cce26a2c64d7a98169f4")
+
+
+def test_cli_smoke_stdout_golden(capsys):
+    """``all --smoke`` stdout, with tab62's ``py bytes`` column masked,
+    is pinned byte for byte."""
+    assert main(["all", "--smoke", "--no-cache", "--jobs", "1"]) == 0
+    masked, rows = _PY_BYTES_ROW.subn(r"\1<py-bytes>",
+                                      capsys.readouterr().out)
+    assert rows == 3
+    digest = hashlib.sha256(masked.encode()).hexdigest()
+    assert digest == SMOKE_STDOUT_MASKED_SHA256
 
 
 def test_cli_quick_smoke_target(capsys):
