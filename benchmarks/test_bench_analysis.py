@@ -8,7 +8,7 @@ partition over arbitrary sliding windows.
 
 import pytest
 
-from repro.analysis.benchmark import measure_analysis_speedup
+from races import measure_analysis_speedup
 from repro.experiments.validation import render_validation, run_validation
 
 

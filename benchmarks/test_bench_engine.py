@@ -1,9 +1,8 @@
 """Benchmark engine — discrete-event hot-path throughput.
 
-Not a paper artifact — this is the perf-regression harness for the
+Not a paper artifact — this is the perf-regression floor for the
 simulation core that every experiment runs on.  It tracks the
-two-regime events/sec of :func:`repro.sim.benchmark
-.measure_engine_throughput`:
+two-regime events/sec of :func:`races.measure_engine_throughput`:
 
 * **chain** — a single self-rescheduling timer over a near-empty heap,
   the profile of replaying one interarrival trace (Fig. 6/7);
@@ -12,33 +11,19 @@ two-regime events/sec of :func:`repro.sim.benchmark
 
 Any regression to the O(n) ``pending_events`` scan, per-event
 ``__dict__`` allocation, or Python-level heap comparisons shows up
-here as a large events/sec drop.  The same measurement feeds the
-``engine`` record of ``BENCH_experiments.json`` (CLI ``--bench-json``).
+here as a large events/sec drop.
 
 The idle-skip leg races the analytic fast-forward engine
-(:func:`repro.sim.benchmark.measure_idle_ab`) against tick-by-tick
-execution on an idle-dominated scenario — sparse IRQ arrivals
-separated by tens of quiescent TDMA cycles, the regime the skip layer
-exists for.  Both legs must execute the identical event count (the
-byte-identity contract); the speedup lands in the ``engine_idle_ab``
-record of ``BENCH_experiments.json``.
-
-The fork leg races the layered copy-on-write world store
-(:func:`repro.sim.benchmark.measure_fork_ab`) against deep-copy forks
-over an identical scenario tree — every branch node a policy variant
-of one warm world.  Leaf digests must be byte-identical between the
-legs (the harness raises otherwise); the speedup and retained-memory
-ratio land in the ``engine_fork_ab`` record of
-``BENCH_experiments.json``.
+(:func:`races.measure_idle_ab`) against tick-by-tick execution on an
+idle-dominated scenario — sparse IRQ arrivals separated by tens of
+quiescent TDMA cycles, the regime the skip layer exists for.  Both
+legs must execute the identical event count (the byte-identity
+contract).
 """
 
 import pytest
 
-from repro.sim.benchmark import (
-    measure_engine_throughput,
-    measure_fork_ab,
-    measure_idle_ab,
-)
+from races import measure_engine_throughput, measure_idle_ab
 
 
 def test_engine_throughput(benchmark):
@@ -93,38 +78,6 @@ def test_idle_skip_ab(benchmark):
     assert (result.results["skip"].events_executed
             == result.results["tick"].events_executed)
     assert result.speedup >= 5.0
-
-
-def test_fork_ab(benchmark):
-    """Layered-fork A/B: layered forks must be >= 5x deep-copy forks.
-
-    The 5x floor is the acceptance threshold; the measured speedup on
-    the 100-branch tree is typically ~10x, with an order of magnitude
-    less retained memory (O(changes) vs O(world) per branch).  The
-    harness raises when any leaf digest differs between the legs, so a
-    green run also re-pins byte-identity at benchmark scale.
-    """
-    result = benchmark.pedantic(
-        measure_fork_ab,
-        kwargs={"branching": (3, 4), "arrivals": 120, "repeats": 2},
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["speedup"] = round(result.speedup, 2)
-    benchmark.extra_info["memory_ratio"] = round(result.memory_ratio, 2)
-    benchmark.extra_info["branches"] = result.branches
-    benchmark.extra_info["nodes"] = result.nodes
-    for name, leg in result.results.items():
-        benchmark.extra_info[f"{name}_forks_per_second"] = round(
-            leg.forks_per_second)
-        benchmark.extra_info[f"{name}_retained_bytes"] = leg.retained_bytes
-    assert set(result.results) == {"layered", "full"}
-    assert result.branches == 12
-    assert result.nodes == 3 + 12
-    assert result.results["layered"].forks == result.results["full"].forks
-    assert result.speedup >= 5.0
-    # Retained memory must be O(changes), not O(world) per branch; the
-    # true ratio is ~10x — 3x is the noise-proof floor.
-    assert result.memory_ratio >= 3.0
 
 
 @pytest.mark.slow

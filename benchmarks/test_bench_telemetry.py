@@ -17,7 +17,7 @@ contract:
 
 import time
 
-from repro.sim.benchmark import measure_engine_throughput
+from races import measure_engine_throughput
 from repro.sim.engine import SimulationEngine
 from repro.telemetry import MetricsRegistry, collect_engine
 

@@ -62,11 +62,7 @@ from repro.experiments.design import render_design
 from repro.experiments.fig6 import render_fig6
 from repro.experiments.fig7 import render_fig7
 from repro.experiments.overhead import render_overhead
-from repro.experiments.runner import (
-    CampaignTelemetry,
-    run_campaign,
-    write_bench_json,
-)
+from repro.experiments.runner import CampaignTelemetry, run_campaign
 from repro.experiments.scale import resolve_scale
 from repro.sim.engine import ENV_IDLE_SKIP
 from repro.sim.snapshot import SnapshotError
@@ -288,10 +284,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "campaign task (plus a campaign index) into "
                              "this directory; query later with "
                              "'python -m repro.experiments query'")
-    parser.add_argument("--bench-json", metavar="FILE", default=None,
-                        help="append per-experiment wall times and the "
-                             "engine microbenchmark to this JSON history "
-                             "(e.g. BENCH_experiments.json)")
     parser.add_argument("--metrics-json", metavar="FILE", default=None,
                         help="write a metrics snapshot (engine, "
                              "hypervisor/IRQ path, cache, campaign runner) "
@@ -342,7 +334,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     instrument = (args.metrics_json is not None
                   or args.trace_out is not None
-                  or args.bench_json is not None
                   or args.progress)
     telemetry = CampaignTelemetry() if instrument else None
 
@@ -406,48 +397,6 @@ def main(argv: "list[str] | None" = None) -> int:
               f"{stats.skipped_tasks} tasks without latency data)",
               file=sys.stderr)
 
-    if args.bench_json is not None:
-        from repro.analysis.benchmark import measure_analysis_speedup
-        from repro.sim.benchmark import (
-            measure_engine_throughput,
-            measure_fork_ab,
-            measure_idle_ab,
-        )
-        from repro.store.benchmark import measure_store_ab
-
-        engine = measure_engine_throughput()
-        engine_idle_ab = measure_idle_ab()
-        engine_fork_ab = measure_fork_ab()
-        analysis = measure_analysis_speedup()
-        store_ab = measure_store_ab()
-        record = write_bench_json(
-            args.bench_json,
-            scale_name=scale.name, jobs=jobs,
-            experiment_seconds=experiment_seconds, engine=engine,
-            engine_idle_ab=engine_idle_ab,
-            engine_fork_ab=engine_fork_ab,
-            analysis=analysis,
-            cache=cache.stats if cache is not None else None,
-            telemetry=telemetry,
-            store_ab=store_ab,
-        )
-        idle = record["engine_idle_ab"]
-        fork = record["engine_fork_ab"]
-        store_rec = record["store_ab"]
-        print(f"[bench] engine {record['engine']['events_per_second']:,.0f} "
-              f"events/s; idle-skip {idle['speedup']:.1f}x "
-              f"({idle['skipped_events']:,} events elided); "
-              f"layered forks {fork['speedup']:.1f}x "
-              f"({fork['memory_ratio']:.1f}x less memory over "
-              f"{fork['branches']} branches); "
-              f"analysis memoization "
-              f"{record['analysis']['speedup']:.1f}x; "
-              f"store capture {store_rec['write_ratio']:+.1%} write ratio "
-              f"(A/B {store_rec['overhead']:+.1%}; "
-              f"{store_rec['artifacts']} artifacts, "
-              f"{store_rec['rows']} rows); "
-              f"history appended to {args.bench_json}",
-              file=sys.stderr)
     return 0
 
 

@@ -48,21 +48,11 @@ runs inside the task.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import multiprocessing
 import os
-import platform
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
-
-try:
-    import fcntl
-except ImportError:                         # non-POSIX: no advisory locks
-    fcntl = None
+from typing import Any, Callable, Sequence
 
 from repro.experiments.ablation import (
     run_boost_ablation,
@@ -192,24 +182,6 @@ class CampaignTelemetry:
         if self.wall_seconds <= 0.0 or self.jobs <= 0:
             return 0.0
         return min(1.0, self.busy_seconds / (self.wall_seconds * self.jobs))
-
-    def as_dict(self) -> "dict[str, Any]":
-        computed = [task for task in self.tasks if not task.cached]
-        waits = [task.queue_wait_seconds for task in computed]
-        return {
-            "jobs": self.jobs,
-            "wall_seconds": round(self.wall_seconds, 4),
-            "busy_seconds": round(self.busy_seconds, 4),
-            "worker_utilization": round(self.worker_utilization, 4),
-            "tasks_computed": len(computed),
-            "tasks_cached": len(self.tasks) - len(computed),
-            "max_task_seconds": round(
-                max((task.wall_seconds for task in computed), default=0.0), 4
-            ),
-            "mean_queue_wait_seconds": round(
-                sum(waits) / len(waits), 4
-            ) if waits else 0.0,
-        }
 
 
 def plan_experiment(name: str, scale: ExperimentScale, seed: int,
@@ -574,9 +546,18 @@ def _run_tasks_subtree(
 
     if jobs <= 1 or len(items) <= 1:
         consume(map(_execute_subtree, items))
-    else:
-        with _pool_context().Pool(min(jobs, len(items))) as pool:
-            consume(pool.imap(_execute_subtree, items, chunksize=1))
+        return
+    # Imported here: serial and fully warm runs never pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A worker that dies surfaces as BrokenProcessPool from map, never
+    # as a hang; on any failure, subtrees not yet started are dropped.
+    pool = ProcessPoolExecutor(min(jobs, len(items)),
+                               mp_context=_pool_context())
+    try:
+        consume(pool.map(_execute_subtree, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(names: Sequence[str], scale: ExperimentScale,
@@ -592,10 +573,12 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
 
     ``jobs=1`` executes every task in-process, exactly like the
     original serial loops.  ``jobs=N`` fans the subtrees of *every*
-    selected experiment out over one ``N``-worker process pool with
-    ``chunksize=1`` (tasks have very uneven durations, so greedy
-    scheduling matters, and one pool lets a long experiment overlap
-    the others).  Either way each merge consumes its experiment's
+    selected experiment out over one ``N``-worker
+    :class:`~concurrent.futures.ProcessPoolExecutor`, one subtree per
+    call (tasks have very uneven durations, so greedy scheduling
+    matters, and one pool lets a long experiment overlap the others).
+    A worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  Either way each merge consumes its experiment's
     results in the fixed task order, so the merged results — and
     anything rendered from them — are byte-identical.
 
@@ -659,175 +642,3 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
         telemetry.wall_seconds += time.monotonic() - started
     return merged
 
-
-def write_bench_json(path: "str | os.PathLike[str]", *,
-                     scale_name: str, jobs: int,
-                     experiment_seconds: "Mapping[str, float]",
-                     engine: "Any | None" = None,
-                     engine_idle_ab: "Any | None" = None,
-                     engine_fork_ab: "Any | None" = None,
-                     analysis: "Any | None" = None,
-                     cache: "Any | None" = None,
-                     telemetry: "CampaignTelemetry | None" = None,
-                     store_ab: "Any | None" = None) -> dict:
-    """Append one run record to a ``BENCH_experiments.json`` history.
-
-    The file holds ``{"runs": [...]}`` with one record per campaign
-    run: a ``host`` block (python version, cpu count, platform — so
-    cross-machine history stays interpretable), per-experiment
-    wall-clock seconds (``experiment_wall_seconds``: the CLI's time
-    from the previous experiment's emission to this one's — with
-    ``jobs > 1`` later experiments' tasks run meanwhile in the shared
-    pool, so an experiment can read near zero; the values sum to the
-    campaign wall) plus (when measured) the
-    engine microbenchmark's events/sec (``engine``),
-    the idle-skip race on an idle-dominated scenario
-    (``engine_idle_ab``: an
-    :class:`~repro.sim.benchmark.IdleABResult` — skip vs tick events/s,
-    speedup, spans/events/cycles elided),
-    the fork-tree race on a deep fig7-style scenario tree
-    (``engine_fork_ab``: a
-    :class:`~repro.sim.benchmark.ForkABResult` — layered vs full-copy
-    forks/s, speedup, retained bytes per leg and their ratio),
-    the run-artifact store's write-overhead race (``store_ab``: a
-    :class:`~repro.store.benchmark.StoreABResult` — campaign wall time
-    with vs without per-task artifact capture, plus the capture
-    volume),
-    the analysis memoization A/B (``analysis``: an
-    :class:`~repro.analysis.benchmark.AnalysisBenchmarkResult`) and
-    the campaign's cache statistics (``cache``: a
-    :class:`~repro.experiments.cache.CacheStats` or a plain mapping) —
-    consecutive records of the same campaign show the cold→warm
-    trajectory.  Appending instead of overwriting keeps a regression
-    trail the perf harness can diff.
-
-    The read-modify-write append is safe against concurrent campaigns:
-    the whole cycle runs under an advisory lock (where the platform
-    supports it) and the updated history lands via temp file +
-    ``os.replace``, so a reader never sees a torn file and two writers
-    cannot drop each other's records.  The lock side-file lives under
-    the system temp directory, keyed by a hash of the resolved target
-    path — not next to the history file — so benchmark runs never
-    litter the checkout with ``.lock`` artifacts.
-    """
-    record: "dict[str, Any]" = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z",
-        "scale": scale_name,
-        "jobs": jobs,
-        # Host context: absolute events/s values are only comparable
-        # within one machine, so cross-machine history needs to say
-        # where each record came from.
-        "host": {
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-        },
-        "experiment_wall_seconds": {
-            name: round(seconds, 3)
-            for name, seconds in experiment_seconds.items()
-        },
-        "total_wall_seconds": round(sum(experiment_seconds.values()), 3),
-    }
-    if engine is not None:
-        record["engine"] = {
-            "events_per_second": round(engine.events_per_second, 1),
-            "chain_events_per_second": round(
-                engine.chain_events_per_second, 1),
-            "pool_events_per_second": round(engine.pool_events_per_second, 1),
-            "events_executed": engine.events_executed,
-            "cancelled_events": engine.cancelled_events,
-            "elapsed_seconds": round(engine.elapsed_seconds, 4),
-        }
-    if engine_idle_ab is not None:
-        record["engine_idle_ab"] = {
-            "speedup": round(engine_idle_ab.speedup, 2),
-            "skip_spans": engine_idle_ab.skip_spans,
-            "skipped_events": engine_idle_ab.skipped_events,
-            "skipped_cycles": engine_idle_ab.skipped_cycles,
-            "events_per_second": {
-                name: round(result.events_per_second, 1)
-                for name, result in sorted(engine_idle_ab.results.items())
-            },
-        }
-    if engine_fork_ab is not None:
-        record["engine_fork_ab"] = {
-            "speedup": round(engine_fork_ab.speedup, 2),
-            "memory_ratio": round(engine_fork_ab.memory_ratio, 2),
-            "branches": engine_fork_ab.branches,
-            "nodes": engine_fork_ab.nodes,
-            "leaf_digest": engine_fork_ab.leaf_digest,
-            "forks_per_second": {
-                name: round(result.forks_per_second, 1)
-                for name, result in sorted(engine_fork_ab.results.items())
-            },
-            "retained_bytes": {
-                name: result.retained_bytes
-                for name, result in sorted(engine_fork_ab.results.items())
-            },
-        }
-    if store_ab is not None:
-        stats = store_ab.write_stats
-        record["store_ab"] = {
-            "overhead": round(store_ab.overhead, 4),
-            "write_ratio": round(store_ab.write_ratio, 4),
-            "plain_seconds": round(store_ab.plain_seconds, 4),
-            "store_seconds": round(store_ab.store_seconds, 4),
-            "artifacts": stats.artifacts_written,
-            "rows": stats.rows_written,
-            "bytes_written": stats.bytes_written,
-            "write_seconds": round(stats.write_seconds, 4),
-        }
-    if analysis is not None:
-        record["analysis"] = {
-            "cold_seconds": round(analysis.cold_seconds, 4),
-            "memoized_seconds": round(analysis.memoized_seconds, 4),
-            "speedup": round(analysis.speedup, 2),
-            "bounds_per_round": analysis.bounds_per_round,
-            "identical_bounds": analysis.identical,
-        }
-    if cache is not None:
-        record["cache"] = (dict(cache) if isinstance(cache, Mapping)
-                           else cache.as_dict())
-    if telemetry is not None:
-        record["campaign"] = telemetry.as_dict()
-
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    # Key the advisory lock by the resolved target so every writer to
-    # the same history file contends on the same side-file, wherever
-    # they were launched from.
-    lock_key = hashlib.sha256(
-        str(target.resolve()).encode("utf-8")).hexdigest()[:16]
-    lock_path = Path(tempfile.gettempdir()) / f"repro-bench-{lock_key}.lock"
-    with open(lock_path, "a+") as lock_file:
-        if fcntl is not None:
-            fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
-        try:
-            history: "dict[str, Any]" = {"runs": []}
-            if target.exists():
-                try:
-                    loaded = json.loads(target.read_text())
-                except (OSError, ValueError):
-                    loaded = None
-                if (isinstance(loaded, dict)
-                        and isinstance(loaded.get("runs"), list)):
-                    history = loaded
-            history["runs"].append(record)
-            fd, tmp_name = tempfile.mkstemp(dir=target.parent or ".",
-                                            prefix=target.name,
-                                            suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(history, indent=2) + "\n")
-                os.replace(tmp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        finally:
-            if fcntl is not None:
-                fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
-    return record

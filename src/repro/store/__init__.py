@@ -11,8 +11,7 @@ diff queries across whole campaigns — "p99.9 interposed latency
 across every scenario at every load bound" is one call against
 persisted artifacts, not a re-run.  The ``python -m repro.experiments
 query`` subcommand (:mod:`~repro.store.cli`) exposes the same queries
-as tables or JSON, and :mod:`~repro.store.benchmark` races capture
-against plain execution to keep the write cost under the 5% bar.
+as tables or JSON.
 """
 
 from repro.store.artifact import (
@@ -24,7 +23,6 @@ from repro.store.artifact import (
     trace_events_from_columns,
     trace_events_to_columns,
 )
-from repro.store.benchmark import StoreABResult, measure_store_ab
 from repro.store.capture import (
     CampaignStoreWriter,
     StoreWriteStats,
@@ -54,13 +52,11 @@ __all__ = [
     "GroupDelta",
     "RunArtifact",
     "RunStore",
-    "StoreABResult",
     "StoreQueryStats",
     "StoreWriteStats",
     "artifact_from_hypervisor",
     "campaign_metadata",
     "extract_summaries",
-    "measure_store_ab",
     "task_metadata",
     "trace_events_from_columns",
     "trace_events_to_columns",

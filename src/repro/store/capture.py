@@ -160,7 +160,7 @@ def campaign_metadata(scale_name: str, seed: int) -> "dict[str, Any]":
 
 @dataclass
 class StoreWriteStats:
-    """Write-side counters, fed to telemetry and the ``store_ab`` bench."""
+    """Write-side counters, fed to telemetry."""
 
     artifacts_written: int = 0
     rows_written: int = 0

@@ -16,8 +16,7 @@ fleet-scale questions the ROADMAP names without re-running anything:
   ``LatencyColumns``, which the tests pin;
 * **diff** — join two stores on (experiment, scenario, load) groups
   and report per-group latency deltas (mean/p50/p99/max), the
-  machinery ``compare_bench --store-diff`` and the CI query smoke leg
-  drive.
+  machinery ``query diff`` and the CI query smoke leg drive.
 
 Artifacts merge in campaign task order (index order), matching how
 the experiment merge functions concatenate per-task samples, so

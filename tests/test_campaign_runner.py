@@ -16,7 +16,10 @@ conservation, and a failure in a later experiment.
 import functools
 import hashlib
 import json
+import os
 import re
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -36,7 +39,6 @@ from repro.experiments.runner import (
     plan_experiment,
     plan_subtrees,
     run_campaign,
-    write_bench_json,
 )
 from repro.experiments.scale import PAPER, QUICK, SMOKE, resolve_scale
 
@@ -314,14 +316,14 @@ def test_campaign_streams_each_experiment_once_in_order(
             assert all(position[later[1]] > rank
                        for later in events[at + 1:])
 
-        summary = telemetry.as_dict()
-        assert summary["tasks_computed"] + summary["tasks_cached"] \
-            == len(tasks)
+        cached = sum(task.cached for task in telemetry.tasks)
+        computed = len(telemetry.tasks) - cached
+        assert computed + cached == len(tasks)
         assert cache.stats.hits + cache.stats.misses == len(tasks)
         if run == "cold":
-            assert summary["tasks_cached"] == cache.stats.hits == 0
+            assert cached == cache.stats.hits == 0
         else:
-            assert summary["tasks_computed"] == cache.stats.misses == 0
+            assert computed == cache.stats.misses == 0
 
 
 def test_failure_in_a_later_experiment_keeps_earlier_work(
@@ -377,6 +379,52 @@ def test_failure_in_a_later_experiment_keeps_earlier_work(
     for name in EXPERIMENTS:
         assert (_rendered(name, rerun[name])
                 == _rendered(name, straight_line_all[name]))
+
+
+def test_dead_worker_is_a_loud_error_never_a_hang(tmp_path, monkeypatch):
+    """A pool worker that dies mid-task fails the campaign at once.
+
+    One sweep cycle point calls ``os._exit`` inside its worker.  The
+    campaign raises ``BrokenProcessPool`` well within the alarm, the
+    lost task leaves no cache entry, and a re-run on the same cache
+    renders exactly what an uncached run renders.
+    """
+    names = ("validation", "sweep")
+    tasks, _ = plan_campaign(names, SMOKE, seed=1)
+    killed = next(index for index, task in enumerate(tasks)
+                  if task.kind == "sweep-cycle-point"
+                  and task.kwargs["scale"] == 2.0)
+    real_point = TASK_FUNCTIONS["sweep-cycle-point"]
+    parent = os.getpid()
+
+    @functools.wraps(real_point)
+    def dying_point(**kwargs):
+        if kwargs["scale"] == 2.0 and os.getpid() != parent:
+            os._exit(3)
+        return real_point(**kwargs)
+
+    def hung(signum, frame):
+        raise TimeoutError("campaign hung on a dead pool worker")
+
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setitem(TASK_FUNCTIONS, "sweep-cycle-point", dying_point)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_campaign(names, SMOKE, seed=1, jobs=2,
+                         cache=ResultCache(cache_dir))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.undo()
+
+    cache = ResultCache(cache_dir)
+    assert cache.load(task_fingerprint(tasks[killed])) is None
+    rerun = run_campaign(names, SMOKE, seed=1, jobs=2, cache=cache)
+    uncached = run_campaign(names, SMOKE, seed=1, jobs=1)
+    for name in names:
+        assert _rendered(name, rerun[name]) == _rendered(name, uncached[name])
 
 
 # ----------------------------------------------------------------- CLI
@@ -489,45 +537,3 @@ def test_cli_rejects_jobs_below_one(jobs, capsys):
     assert "--jobs must be at least 1" in captured.err
     assert captured.out == ""
 
-
-# ---------------------------------------------------------- bench json
-
-def test_write_bench_json_appends_history(tmp_path):
-    target = tmp_path / "BENCH_experiments.json"
-    write_bench_json(target, scale_name="smoke", jobs=1,
-                     experiment_seconds={"fig6a": 1.25})
-    from repro.sim.benchmark import measure_engine_throughput
-
-    engine = measure_engine_throughput(events=2_000, repeats=1)
-    write_bench_json(target, scale_name="quick", jobs=4,
-                     experiment_seconds={"fig6a": 0.5, "fig7": 1.0},
-                     engine=engine)
-    history = json.loads(target.read_text())
-    assert [run["scale"] for run in history["runs"]] == ["smoke", "quick"]
-    assert history["runs"][0]["experiment_wall_seconds"] == {"fig6a": 1.25}
-    assert history["runs"][1]["total_wall_seconds"] == 1.5
-    assert history["runs"][1]["engine"]["events_per_second"] > 0
-    assert "engine" not in history["runs"][0]
-
-
-def test_write_bench_json_records_host(tmp_path):
-    import os
-    import platform
-
-    target = tmp_path / "BENCH_experiments.json"
-    write_bench_json(target, scale_name="smoke", jobs=1,
-                     experiment_seconds={"fig6a": 0.1})
-    run = json.loads(target.read_text())["runs"][0]
-    host = run["host"]
-    assert host["python"] == platform.python_version()
-    assert host["cpu_count"] == os.cpu_count()
-    assert host["platform"]
-
-
-def test_write_bench_json_survives_corrupt_history(tmp_path):
-    target = tmp_path / "BENCH_experiments.json"
-    target.write_text("{not json")
-    write_bench_json(target, scale_name="smoke", jobs=1,
-                     experiment_seconds={"design": 0.1})
-    history = json.loads(target.read_text())
-    assert len(history["runs"]) == 1

@@ -7,15 +7,13 @@ The load-bearing guarantees:
 * **exact invalidation** — changing task kwargs, the seed, the scale
   or the source of a transitively imported module changes the
   fingerprint of exactly the affected tasks and no others;
-* **robustness** — corrupt/truncated entries read as misses, entries
-  land atomically, and concurrent ``write_bench_json`` appends cannot
-  drop records.
+* **robustness** — corrupt/truncated entries read as misses, and
+  entries land atomically.
 """
 
 import json
 import pickle
 import textwrap
-import threading
 
 import pytest
 
@@ -33,7 +31,6 @@ from repro.experiments.runner import (
     CampaignTask,
     plan_campaign,
     run_campaign,
-    write_bench_json,
 )
 from repro.experiments.scale import QUICK, SMOKE
 
@@ -261,42 +258,3 @@ def test_cli_cache_stats_reports_hits(tmp_path, capsys):
     warm_err = capsys.readouterr().err
     assert "[cache] hits=1 misses=0" in warm_err
 
-
-# --------------------------------------------------------- bench json
-
-def test_write_bench_json_records_cache_stats(tmp_path):
-    target = tmp_path / "BENCH.json"
-    cache = ResultCache(tmp_path / "cache")
-    task = CampaignTask("design", "design", {"irq_count": 60})
-    key = task_fingerprint(task)
-    cache.load(key)
-    cache.store(key, task, "result", elapsed_seconds=2.0)
-    cache.load(key)
-
-    write_bench_json(target, scale_name="smoke", jobs=1,
-                     experiment_seconds={"design": 0.1},
-                     cache=cache.stats)
-    record = json.loads(target.read_text())["runs"][0]
-    assert record["cache"]["hits"] == 1
-    assert record["cache"]["misses"] == 1
-    assert record["cache"]["saved_seconds"] == 2.0
-    assert record["cache"]["bytes_written"] > 0
-
-
-def test_write_bench_json_concurrent_appends_keep_every_record(tmp_path):
-    target = tmp_path / "BENCH.json"
-
-    def append(index):
-        write_bench_json(target, scale_name=f"s{index}", jobs=1,
-                         experiment_seconds={"design": 0.1})
-
-    threads = [threading.Thread(target=append, args=(i,)) for i in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    history = json.loads(target.read_text())
-    assert len(history["runs"]) == 8
-    assert {run["scale"] for run in history["runs"]} == \
-        {f"s{i}" for i in range(8)}
-    assert not list(tmp_path.glob("*.tmp"))

@@ -577,53 +577,6 @@ class TestStoreTelemetry:
         assert value("store_queries_total") == 4
 
 
-class TestStoreABResult:
-    def test_overhead_and_write_ratio(self):
-        from repro.store.benchmark import StoreABResult
-        from repro.store.capture import StoreWriteStats
-        result = StoreABResult(
-            plain_seconds=2.0, store_seconds=2.1,
-            write_stats=StoreWriteStats(write_seconds=0.04), repeats=3)
-        assert result.overhead == pytest.approx(0.05)
-        assert result.write_ratio == pytest.approx(0.02)
-
-    def test_zero_plain_leg_is_safe(self):
-        from repro.store.benchmark import StoreABResult
-        from repro.store.capture import StoreWriteStats
-        result = StoreABResult(plain_seconds=0.0, store_seconds=1.0,
-                               write_stats=StoreWriteStats(), repeats=1)
-        assert result.overhead == 0.0
-        assert result.write_ratio == 0.0
-
-    def test_measure_store_ab_runs_and_captures_like_the_cli(self, tmp_path):
-        # The --bench-json path: both legs must run on the executor's
-        # streaming contract, and the store leg must write exactly what
-        # a captured run_campaign writes.
-        from repro.experiments.runner import run_campaign
-        from repro.experiments.scale import SMOKE
-        from repro.store.benchmark import measure_store_ab
-        from repro.store.capture import campaign_metadata
-
-        experiments = ("validation", "tab62")
-        result = measure_store_ab(experiments=experiments, scale=SMOKE,
-                                  repeats=1)
-        assert result.repeats == 1
-        assert result.plain_seconds > 0
-        assert result.store_seconds > 0
-
-        writer = CampaignStoreWriter(
-            tmp_path, campaign_metadata(scale_name=SMOKE.name, seed=1))
-        run_campaign(experiments, SMOKE, seed=1, jobs=1, store=writer)
-        expected = writer.finalize()
-        assert expected.artifacts_written > 0
-        got = result.write_stats
-        assert got.artifacts_written == expected.artifacts_written
-        assert got.rows_written == expected.rows_written
-        assert got.trace_rows_written == expected.trace_rows_written
-        assert got.bytes_written == expected.bytes_written
-        assert got.skipped_tasks == expected.skipped_tasks
-
-
 class TestParquetSoftDependency:
     def test_missing_pyarrow_raises_runtime_error(self, tmp_path):
         try:

@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     CampaignTelemetry,
     TaskTelemetry,
     run_campaign,
-    write_bench_json,
 )
 from repro.experiments.scale import SMOKE
 from repro.sim.trace import TraceKind
@@ -260,21 +259,6 @@ def test_instrumented_cached_campaign_records_hits(tmp_path):
     assert warm.busy_seconds == 0.0
     plain = run_campaign(("fig6a",), SMOKE, seed=1, jobs=1)
     assert warm_results["fig6a"].latencies_us == plain["fig6a"].latencies_us
-
-
-def test_bench_json_includes_campaign_record(tmp_path):
-    telemetry = CampaignTelemetry(jobs=3, wall_seconds=2.0, tasks=[
-        TaskTelemetry("fig7", "fig7-case", 0, False, 1.5, 0.1, 0.1, 42),
-    ])
-    record = write_bench_json(
-        tmp_path / "bench.json", scale_name="smoke", jobs=3,
-        experiment_seconds={"fig7": 2.0}, telemetry=telemetry,
-    )
-    assert record["campaign"]["jobs"] == 3
-    assert record["campaign"]["tasks_computed"] == 1
-    assert record["campaign"]["max_task_seconds"] == 1.5
-    history = json.loads((tmp_path / "bench.json").read_text())
-    assert history["runs"][-1]["campaign"]["busy_seconds"] == 1.5
 
 
 # ------------------------------------------------- property: reconcile
