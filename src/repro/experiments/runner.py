@@ -578,9 +578,10 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     call (tasks have very uneven durations, so greedy scheduling
     matters, and one pool lets a long experiment overlap the others).
     A worker that dies raises
-    :class:`~concurrent.futures.process.BrokenProcessPool`.  Either way each merge consumes its experiment's
-    results in the fixed task order, so the merged results — and
-    anything rendered from them — are byte-identical.
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  Either
+    way each merge consumes its experiment's results in the fixed task
+    order, so the merged results — and anything rendered from them —
+    are byte-identical.
 
     Results stream: as soon as an experiment's tasks have all resolved
     (cache hits included), in ``names`` order, the runner hands its
