@@ -65,17 +65,6 @@ class InterferenceLedger:
 
     def __init__(self):
         self._intervals: list[InterferenceInterval] = []
-        self._epoch = 0
-
-    @property
-    def snapshot_epoch(self) -> int:
-        """Change counter bumped by every mutation of the ledger.
-
-        Lets the layered world store (:mod:`repro.sim.worldstore`) skip
-        re-serializing the interval list when nothing was recorded
-        since the previous capture.
-        """
-        return self._epoch
 
     def record(self, start: int, end: int, victim: str, source: str,
                kind: InterferenceKind) -> None:
@@ -83,7 +72,6 @@ class InterferenceLedger:
         self._intervals.append(
             InterferenceInterval(start, end, victim, source, kind)
         )
-        self._epoch += 1
 
     @property
     def intervals(self) -> list[InterferenceInterval]:
@@ -102,7 +90,6 @@ class InterferenceLedger:
                                  InterferenceKind(kind))
             for start, end, victim, source, kind in state
         ]
-        self._epoch += 1
 
     def for_victim(self, victim: str,
                    kinds: Optional[Iterable[InterferenceKind]] = None

@@ -65,8 +65,6 @@ from repro.experiments.overhead import render_overhead
 from repro.experiments.runner import CampaignTelemetry, run_campaign
 from repro.experiments.scale import resolve_scale
 from repro.sim.engine import ENV_IDLE_SKIP
-from repro.sim.snapshot import SnapshotError
-from repro.sim.worldstore import ENV_STORE_BUDGET, parse_store_budget
 from repro.experiments.sweep import render_cycle_sweep, render_dmin_sweep
 from repro.experiments.validation import render_validation
 
@@ -302,13 +300,6 @@ def main(argv: "list[str] | None" = None) -> int:
                              "results are byte-identical either way, only "
                              "speed differs (default: $REPRO_IDLE_SKIP or "
                              "enabled)")
-    parser.add_argument("--store-budget", metavar="BYTES", default=None,
-                        help="resident-bytes budget for the layered world "
-                             "store (accepts k/m/g suffixes, e.g. 256k); "
-                             "cold fragments beyond it spill to disk and "
-                             "fault back transparently (default: "
-                             "$REPRO_STORE_BUDGET or unlimited); results "
-                             "are byte-identical either way")
     args = parser.parse_args(arguments)
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
@@ -316,14 +307,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.no_idle_skip:
         # Via the environment so campaign worker processes inherit it.
         os.environ[ENV_IDLE_SKIP] = "0"
-    if args.store_budget is not None:
-        try:
-            parse_store_budget(args.store_budget)
-        except SnapshotError as exc:
-            parser.error(str(exc))
-        # Via the environment so campaign worker processes (and every
-        # lazily created store, including default_store) inherit it.
-        os.environ[ENV_STORE_BUDGET] = args.store_budget
 
     names = ALIASES.get(args.experiment, (args.experiment,))
     scale = resolve_scale(quick=args.quick, smoke=args.smoke)

@@ -281,9 +281,8 @@ def build_warm_world(system: PaperSystemConfig,
     hv, timer = system.build(policy, intervals)
     hv.start()
     timer.arm_next()
-    snapshot, _basis = capture_world_layered(
+    return capture_world_layered(
         hv, {IRQ_TIMER_DEVICE: timer}, store or default_store())
-    return snapshot
 
 
 def fork_warm_variant(

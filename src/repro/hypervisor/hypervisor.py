@@ -111,7 +111,7 @@ class LatencyColumns:
 
     __slots__ = ("_source_ids", "_seqs", "_arrivals", "_completions",
                  "_modes", "_cuts", "_source_names", "_source_index",
-                 "_source_counts", "_epoch")
+                 "_source_counts")
 
     def __init__(self):
         self._source_ids = array("h")
@@ -123,18 +123,9 @@ class LatencyColumns:
         self._source_names: list[str] = []
         self._source_index: dict[str, int] = {}
         self._source_counts: list[int] = []
-        self._epoch = 0
-
-    @property
-    def snapshot_epoch(self) -> int:
-        """Change counter bumped per append; lets the layered world
-        store (:mod:`repro.sim.worldstore`) skip re-serializing the
-        columns when no IRQ completed since the previous capture."""
-        return self._epoch
 
     def append(self, source: str, seq: int, arrival: int, completed_at: int,
                mode: HandlingMode, enforced_cut: bool) -> None:
-        self._epoch += 1
         sid = self._source_index.get(source)
         if sid is None:
             sid = len(self._source_names)
@@ -1359,9 +1350,7 @@ class Hypervisor:
     # Snapshot/fork support (see repro.sim.snapshot)
     # ------------------------------------------------------------------
 
-    #: World parts in capture order; each has a builder below.  The
-    #: layered store (:mod:`repro.sim.worldstore`) captures parts
-    #: independently so a fork only re-serializes what changed.
+    #: World parts in capture order; each has a builder below.
     SNAPSHOT_PARTS = (
         "config", "slots", "engine", "scheduler", "intc", "trace",
         "context_switches", "ledger", "stats", "latency_records",
@@ -1388,29 +1377,6 @@ class Hypervisor:
         if self.intc.masked:
             raise SnapshotError("interrupts masked (hypervisor chain in flight)")
 
-    def snapshot_part_names(self) -> tuple:
-        """Names of the independently-capturable world parts."""
-        return self.SNAPSHOT_PARTS
-
-    def snapshot_part(self, name: str, ctx) -> Any:
-        """Build one part of the snapshot state (claims its events)."""
-        builder = self._SNAPSHOT_BUILDERS.get(name)
-        if builder is None:
-            raise SnapshotError(f"unknown snapshot part {name!r}")
-        return builder(self, ctx)
-
-    def snapshot_epochs(self) -> dict:
-        """Change epochs of the parts that track their own dirtiness.
-
-        These are the append-heavy stores that dominate snapshot size;
-        everything else is cheap enough to re-serialize and compare.
-        """
-        return {
-            "trace": self.trace.snapshot_epoch,
-            "ledger": self.ledger.snapshot_epoch,
-            "latency_records": self.latency_columns.snapshot_epoch,
-        }
-
     def snapshot_state(self, ctx) -> dict:
         """Capture the complete hypervisor system as plain data.
 
@@ -1420,7 +1386,8 @@ class Hypervisor:
         uses to step the world to the next capturable instant.
         """
         self.snapshot_check()
-        return {name: self.snapshot_part(name, ctx)
+        builders = self._SNAPSHOT_BUILDERS
+        return {name: builders[name](self, ctx)
                 for name in self.SNAPSHOT_PARTS}
 
     _SNAPSHOT_BUILDERS: dict = {

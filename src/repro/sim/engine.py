@@ -188,23 +188,6 @@ class SimulationEngine:
         """
         return self._pending
 
-    @property
-    def activity_fingerprint(self) -> tuple[int, int, int, int, int]:
-        """``(now, scheduled, executed, cancelled, pending)`` summary.
-
-        Every queue mutation moves at least one *monotone* component —
-        ``schedule``/``restore_event`` bump the seq counter or pending,
-        dispatch bumps executed, ``cancel`` bumps cancelled,
-        ``fast_forward`` moves seq/executed — so two equal fingerprints
-        mean no event was scheduled, dispatched, cancelled, restored or
-        fast-forwarded in between.  The layered world store
-        (:mod:`repro.sim.worldstore`) uses this to prove that event
-        ownership (heap claims) is unchanged since a capture basis and
-        only pure component state can have mutated.
-        """
-        return (self._now, self._seq, self._events_executed,
-                self._cancelled_count, self._pending)
-
     # ------------------------------------------------------------------
     # Idle-skip protocol (analytic fast-forward across quiescent gaps)
     # ------------------------------------------------------------------

@@ -266,8 +266,7 @@ def settle(world: Any, devices: Optional[dict[str, Any]] = None,
         from repro.sim.worldstore import capture_world_layered
 
         def _capture():
-            snapshot, _basis = capture_world_layered(world, devices, store)
-            return snapshot
+            return capture_world_layered(world, devices, store)
     else:
         def _capture():
             return capture_world(world, devices)

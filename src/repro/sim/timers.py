@@ -31,22 +31,10 @@ class OneShotTimer:
         self.name = name
         self._handle: Optional[EventHandle] = None
         self._expirations = 0
-        self._epoch = 0
 
     @property
     def line(self) -> int:
         return self._line
-
-    @property
-    def snapshot_epoch(self) -> int:
-        """Change counter bumped by every timer mutation.
-
-        Lets the layered world store (:mod:`repro.sim.worldstore`) skip
-        re-serializing the device (and, for interval timers, its whole
-        interarrival array) when the timer was not re-programmed since
-        the previous capture.
-        """
-        return self._epoch
 
     @property
     def expirations(self) -> int:
@@ -67,19 +55,16 @@ class OneShotTimer:
         self.cancel()
         self._handle = self._engine.schedule(delay_cycles, self._expire,
                                              label=f"{self.name}-expiry")
-        self._epoch += 1
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
         if self._handle is not None and self._handle.pending:
             self._handle.cancel()
         self._handle = None
-        self._epoch += 1
 
     def _expire(self) -> None:
         self._handle = None
         self._expirations += 1
-        self._epoch += 1
         self._intc.raise_line(self._line)
 
     def on_irq_top(self, event) -> None:
@@ -112,7 +97,6 @@ class OneShotTimer:
 
     def _apply_snapshot(self, state: dict) -> None:
         self._expirations = state["expirations"]
-        self._epoch += 1
         if state["armed"] is not None:
             time, seq = state["armed"]
             self._handle = self._engine.restore_event(

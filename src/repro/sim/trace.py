@@ -80,7 +80,6 @@ class TraceRecorder:
     def __init__(self, enabled: bool = True, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
             raise ValueError(f"trace capacity must be positive, got {capacity}")
-        self._epoch = 0
         self._enabled = enabled
         self._capacity = capacity
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
@@ -88,8 +87,7 @@ class TraceRecorder:
         self._listeners: list[Callable[[TraceEvent], None]] = []
 
     @classmethod
-    def from_events(cls, events: "Iterable[TraceEvent]",
-                    capacity: Optional[int] = None) -> "TraceRecorder":
+    def from_events(cls, events: "Iterable[TraceEvent]") -> "TraceRecorder":
         """An enabled recorder pre-loaded with ``events``.
 
         Used by the run-artifact store (:mod:`repro.store`) to rebuild
@@ -97,35 +95,19 @@ class TraceRecorder:
         consume a live :class:`TraceRecorder` (the Perfetto exporter)
         can read from an artifact instead.
         """
-        recorder = cls(enabled=True, capacity=capacity)
+        recorder = cls(enabled=True)
         recorder._events.extend(events)
-        recorder._epoch += 1
         return recorder
 
     @property
     def enabled(self) -> bool:
-        """Whether :meth:`emit` records (a property so toggles are dirty)."""
+        """Whether :meth:`emit` records."""
         return self._enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = value
-        self._epoch += 1
 
     @property
     def capacity(self) -> Optional[int]:
         """The retention bound, or None for unbounded recording."""
         return self._capacity
-
-    @property
-    def snapshot_epoch(self) -> int:
-        """Change counter bumped by every mutation of recorder state.
-
-        The layered world store (:mod:`repro.sim.worldstore`) skips
-        re-serializing the (often dominant) event list when this has
-        not moved since the previous capture.
-        """
-        return self._epoch
 
     def emit(self, time: int, kind: TraceKind, **data: Any) -> None:
         """Record an event (no-op when recording is disabled)."""
@@ -138,7 +120,6 @@ class TraceRecorder:
             # maxlen semantics); only the drop counter is ours to keep.
             self._dropped += 1
         events.append(event)
-        self._epoch += 1
         for listener in self._listeners:
             listener(event)
 
@@ -175,7 +156,6 @@ class TraceRecorder:
         """Discard all retained events."""
         self._events.clear()
         self._dropped = 0
-        self._epoch += 1
 
     def digest(self) -> str:
         """Stable SHA-256 over the canonical JSON of all retained events.
@@ -220,7 +200,6 @@ class TraceRecorder:
              for time, kind, data in state["events"]),
             maxlen=self._capacity,
         )
-        self._epoch += 1
 
     def render_timeline(self, clock=None, limit: int = 50) -> str:
         """Human-readable timeline of the first ``limit`` events.

@@ -1,15 +1,12 @@
-"""Layered copy-on-write store for world snapshots.
+"""Content-addressed store for world snapshots and their data-level forks.
 
-:mod:`repro.sim.snapshot` (PR 4) made shared-prefix execution
-possible, but every fork still materializes a *full* copy of the world
-state: deep scenario trees — learning phase → per-``d_min`` branch →
-per-load-bound branch → per-seed leaf — pay O(world) time and memory
-at every branch point even though siblings differ in one policy
-object.  This module removes that wall:
+:mod:`repro.sim.snapshot` captures a world as a flat ``state`` dict.
+This module interns that state part by part, so forks of one warm
+world share every part they did not change:
 
 * a **fragment store** interns each component state as canonical JSON
   text keyed by its SHA-256 — identical states (the engine counters of
-  a hundred siblings, the shared interarrival array) are stored once;
+  sibling forks, the shared interarrival array) are stored once;
 * a **layer** maps part names to fragment digests; a fork is a thin
   child layer recording only the parts that changed, falling through
   to its parent for everything else.  Layers themselves are interned
@@ -22,46 +19,25 @@ object.  This module removes that wall:
   reconstructed fragment by fragment and must equal
   ``json.dumps(state, sort_keys=True, ...)`` exactly.
 
-Dirty tracking uses two independent mechanisms layered on the
-existing ``snapshot_state``/``restore_from_snapshot`` protocol:
-
-* the engine's :attr:`~repro.sim.engine.SimulationEngine
-  .activity_fingerprint` proves, when unchanged since the capture
-  basis, that no event was scheduled/dispatched/cancelled — event
-  ownership (heap claims) is exactly as captured, so the store may
-  re-serialize parts *individually* without re-running the global
-  claim/``assert_drained`` quiescence audit;
-* per-component **change epochs** (``snapshot_epoch`` counters bumped
-  by every public mutator of the trace recorder, interference ledger,
-  latency columns and timers) let the heavyweight append-only parts
-  skip re-serialization entirely when untouched.  Parts without an
-  epoch are simply re-serialized and digest-compared — correct for
-  arbitrary mutation, O(part) instead of O(world).
+A capture is always the full :func:`~repro.sim.snapshot.capture_world`
+audit followed by interning; only :func:`fork_snapshot` (a policy or
+source variant of a captured world) is O(changes).
 
 The module stays domain-free like :mod:`repro.sim.snapshot`: the part
-split is structural (top-level scalars, one part per ``world`` sub-key
-as returned by the world's ``snapshot_part_names()``, one per device),
-never hypervisor-specific.
+split is structural (top-level scalars, one part per ``world`` sub-key,
+one per device), never hypervisor-specific.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import struct
-import tempfile
-from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.sim.snapshot import (
-    SNAPSHOT_FORMAT,
-    SnapshotContext,
     SnapshotError,
     WorldSnapshot,
     capture_world,
-    class_path,
     restore_world,
 )
 
@@ -70,64 +46,6 @@ _TOP_SCALARS = ("format", "world_class", "pending")
 
 #: Cap on the capture-event log kept for Perfetto export.
 CAPTURE_LOG_CAP = 4096
-
-#: Environment variable holding the resident-bytes budget for stores
-#: created without an explicit ``budget_bytes`` (``--store-budget``
-#: writes it so campaign worker processes inherit the limit).
-ENV_STORE_BUDGET = "REPRO_STORE_BUDGET"
-
-#: First bytes of every spill file; a file without it is treated as
-#: absent (all records miss) rather than an error.
-SPILL_MAGIC = b"RSPILL01"
-
-#: Per-record header: big-endian payload length + raw content digest.
-_SPILL_HEADER = struct.Struct(">I32s")
-
-_BUDGET_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-
-#: Sentinel distinguishing "resolve the budget from the environment"
-#: (the default) from an explicit ``budget_bytes=None`` (unlimited).
-_ENV_BUDGET = object()
-
-
-def parse_store_budget(raw: str) -> Optional[int]:
-    """Parse a budget spelling: bytes with an optional k/m/g suffix.
-
-    ``""``, ``"none"`` and ``"unlimited"`` mean no budget.  Anything
-    else must be a non-negative integer byte count, optionally scaled
-    by a binary suffix (``256k``, ``16m``, ``1g``).
-    """
-    text = raw.strip().lower()
-    if text in ("", "none", "unlimited"):
-        return None
-    scale = 1
-    if text[-1] in _BUDGET_SUFFIXES:
-        scale = _BUDGET_SUFFIXES[text[-1]]
-        text = text[:-1]
-    try:
-        count = int(text, 10)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise SnapshotError(
-            f"invalid store budget {raw!r} (expected a non-negative "
-            f"byte count with an optional k/m/g suffix, e.g. 262144, "
-            f"256k, 16m, or none)")
-    return count * scale
-
-
-def resolve_store_budget(explicit: "int | None" = None) -> Optional[int]:
-    """Resident-bytes budget: explicit argument > environment > unlimited.
-
-    An empty environment value counts as unset; an invalid one raises
-    rather than silently running unbounded.
-    """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENV_STORE_BUDGET, "")
-    if not raw:
-        return None
-    return parse_store_budget(raw)
 
 
 def canonical_json(value: Any) -> str:
@@ -145,10 +63,7 @@ class WorldStoreStats:
 
     __slots__ = ("fragments_stored", "fragment_dedup_hits", "bytes_stored",
                  "bytes_shared", "layers_created", "layer_dedup_hits",
-                 "fast_captures", "full_captures", "data_forks",
-                 "parts_reused", "parts_recaptured", "fragments_spilled",
-                 "fragments_pinned", "spill_faults", "spill_corrupt_records",
-                 "spill_bytes_written", "spill_bytes_read")
+                 "full_captures", "data_forks")
 
     def __init__(self) -> None:
         self.fragments_stored = 0
@@ -157,17 +72,8 @@ class WorldStoreStats:
         self.bytes_shared = 0
         self.layers_created = 0
         self.layer_dedup_hits = 0
-        self.fast_captures = 0
         self.full_captures = 0
         self.data_forks = 0
-        self.parts_reused = 0
-        self.parts_recaptured = 0
-        self.fragments_spilled = 0
-        self.fragments_pinned = 0
-        self.spill_faults = 0
-        self.spill_corrupt_records = 0
-        self.spill_bytes_written = 0
-        self.spill_bytes_read = 0
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -260,63 +166,16 @@ class LayeredSnapshot:
         return (WorldSnapshot, (self.state,))
 
 
-class ForkBasis:
-    """What a capture must be compared against to go fast.
-
-    Records the layer a live world was restored from (or captured
-    into), the engine activity fingerprint at that instant, and the
-    change epochs of every epoch-aware part.  A later capture with an
-    unchanged engine fingerprint only re-examines parts whose epoch
-    moved (or that have no epoch), instead of re-auditing the world.
-    """
-
-    __slots__ = ("store", "layer", "engine_fingerprint", "epochs",
-                 "device_names")
-
-    def __init__(self, store: "WorldStore", layer: WorldLayer,
-                 engine_fingerprint: tuple, epochs: dict[str, int],
-                 device_names: tuple[str, ...]):
-        self.store = store
-        self.layer = layer
-        self.engine_fingerprint = engine_fingerprint
-        self.epochs = epochs
-        self.device_names = device_names
-
-
 class WorldStore:
     """Content-addressed fragment + layer store shared by a fork tree.
 
-    Resident fragments live in an LRU dict bounded by ``budget_bytes``
-    (``None`` = unlimited; the default resolves ``REPRO_STORE_BUDGET``).
-    When the budget overflows, cold fragments whose values survive a
-    JSON round-trip are appended to a spill file and dropped from RAM;
-    :meth:`fragment_text`/:meth:`fragment_value` transparently fault
-    them back on resolve.  The content digest doubles as the record
-    checksum — a torn or corrupted record is detected on read and
-    treated as a miss (the fragment must be re-derived), mirroring the
-    result cache's corrupt-entry policy.
+    Every fragment stays resident until :meth:`clear`.
     """
 
-    def __init__(self, budget_bytes: "int | None" = _ENV_BUDGET,  # type: ignore[assignment]
-                 spill_path: "str | os.PathLike[str] | None" = None) -> None:
-        if budget_bytes is _ENV_BUDGET:
-            budget_bytes = resolve_store_budget()
-        #: Resident-bytes budget; ``None`` disables spilling entirely.
-        self.budget_bytes = budget_bytes
-        self._spill_path: Optional[Path] = (
-            Path(spill_path) if spill_path is not None else None)
-        self._spill_path_is_temp = spill_path is None
-        self._spill_file = None
-        # digest -> (offset, payload bytes) of records in the spill file
-        self._spilled: dict[str, tuple[int, int]] = {}
-        # digests whose values don't survive a JSON round-trip (tuples,
-        # non-string dict keys): pinned resident forever.
-        self._unspillable: set[str] = set()
+    def __init__(self) -> None:
         self._resident_bytes = 0
-        # digest -> (canonical text, shared Python value, encoded bytes),
-        # ordered coldest-first for LRU eviction
-        self._fragments: "OrderedDict[str, tuple[str, Any, int]]" = (
-            OrderedDict())
+        # digest -> (canonical text, shared Python value, encoded bytes)
+        self._fragments: dict[str, tuple[str, Any, int]] = {}
         # layer-mapping digest -> interned WorldLayer
         self._layers: dict[str, WorldLayer] = {}
         # layer digest -> whole-state digest (assembly memo)
@@ -325,10 +184,6 @@ class WorldStore:
         #: Capped ``(sim_time, kind, parts_changed, depth)`` capture log
         #: rendered as a Perfetto track by :mod:`repro.telemetry`.
         self.capture_log: list[tuple[int, str, int, int]] = []
-        #: Capped ``(sim_time, kind, fragments, bytes)`` spill/fault log
-        #: rendered as the "Fragment spill" Perfetto track.
-        self.spill_log: list[tuple[int, str, int, int]] = []
-        self._last_sim_time = 0
 
     # -- fragments ----------------------------------------------------
 
@@ -338,194 +193,37 @@ class WorldStore:
         data = text.encode("utf-8")
         digest = hashlib.sha256(data).hexdigest()
         if digest in self._fragments:
-            self._fragments.move_to_end(digest)
-            self.stats.fragment_dedup_hits += 1
-            self.stats.bytes_shared += len(text)
-        elif digest in self._spilled:
-            # The same content was spilled earlier: re-admit from the
-            # caller's copy (no disk read) and keep the on-disk record
-            # for the next eviction.
-            self._admit(digest, text, value, len(data))
             self.stats.fragment_dedup_hits += 1
             self.stats.bytes_shared += len(text)
         else:
-            self._admit(digest, text, value, len(data))
+            self._fragments[digest] = (text, value, len(data))
+            self._resident_bytes += len(data)
             self.stats.fragments_stored += 1
             self.stats.bytes_stored += len(text)
         return digest
 
     def fragment_text(self, digest: str) -> str:
-        entry = self._fragments.get(digest)
-        if entry is None:
-            entry = self._fault(digest)
-        else:
-            self._fragments.move_to_end(digest)
-        return entry[0]
+        return self._fragments[digest][0]
 
     def fragment_value(self, digest: str) -> Any:
-        entry = self._fragments.get(digest)
-        if entry is None:
-            entry = self._fault(digest)
-        else:
-            self._fragments.move_to_end(digest)
-        return entry[1]
-
-    # -- spill tier ---------------------------------------------------
+        return self._fragments[digest][1]
 
     @property
     def resident_bytes(self) -> int:
-        """Encoded bytes of the fragments currently held in RAM."""
+        """Encoded bytes of the fragments held in RAM."""
         return self._resident_bytes
 
-    @property
-    def spilled_count(self) -> int:
-        return len(self._spilled)
-
-    @property
-    def pinned_count(self) -> int:
-        return len(self._unspillable)
-
-    @property
-    def spill_path(self) -> Optional[Path]:
-        """Configured or auto-generated spill file path.
-
-        ``None`` when no path was given and nothing has spilled yet.
-        """
-        return self._spill_path
-
     def clear(self) -> None:
-        """Drop every fragment, layer, memo and spill record.
+        """Drop every fragment, layer and memo.
 
-        The spill file is deleted (recreated lazily on the next
-        eviction).  ``stats`` counters are cumulative and survive a
-        clear; the resident/spilled gauges reset to zero.
+        ``stats`` counters are cumulative and survive a clear; the
+        resident-bytes gauge resets to zero.
         """
         self._fragments.clear()
         self._layers.clear()
         self._root_digests.clear()
-        self._spilled.clear()
-        self._unspillable.clear()
         self._resident_bytes = 0
         self.capture_log.clear()
-        self.spill_log.clear()
-        self._last_sim_time = 0
-        if self._spill_file is not None:
-            try:
-                self._spill_file.close()
-            except OSError:
-                pass
-            self._spill_file = None
-        if self._spill_path is not None:
-            try:
-                os.unlink(self._spill_path)
-            except OSError:
-                pass
-            if self._spill_path_is_temp:
-                self._spill_path = None
-
-    def _admit(self, digest: str, text: str, value: Any,
-               nbytes: int) -> None:
-        self._fragments[digest] = (text, value, nbytes)
-        self._resident_bytes += nbytes
-        self._enforce_budget()
-
-    def _enforce_budget(self) -> None:
-        budget = self.budget_bytes
-        if budget is None or self._resident_bytes <= budget:
-            return
-        evicted = 0
-        evicted_bytes = 0
-        # Coldest first; the newest entry is never evicted (its caller
-        # holds a live reference anyway, so dropping it saves nothing).
-        for digest in list(self._fragments)[:-1]:
-            if self._resident_bytes <= budget:
-                break
-            if digest in self._unspillable:
-                continue
-            text, value, nbytes = self._fragments[digest]
-            if not _json_faithful(text, value):
-                self._unspillable.add(digest)
-                self.stats.fragments_pinned += 1
-                continue
-            if digest not in self._spilled:
-                self._spilled[digest] = self._spill_write(digest, text)
-                self.stats.fragments_spilled += 1
-            del self._fragments[digest]
-            self._resident_bytes -= nbytes
-            evicted += 1
-            evicted_bytes += nbytes
-        if evicted:
-            self._log_spill("spill", evicted, evicted_bytes)
-
-    def _ensure_spill_file(self):
-        if self._spill_file is not None:
-            return self._spill_file
-        path = self._spill_path
-        if path is None:
-            path = Path(tempfile.gettempdir()) / (
-                f"repro-spill-{os.getpid()}-{id(self):x}.bin")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic creation: the magic header lands via tempfile+replace,
-        # so a reader never sees a half-written file head.  Appends
-        # after that are flushed per record; a torn tail fails the
-        # per-record checksum and reads as a miss.
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        prefix=path.name + ".",
-                                        suffix=".tmp")
-        with os.fdopen(fd, "wb") as head:
-            head.write(SPILL_MAGIC)
-        os.replace(tmp_name, path)
-        self._spill_path = path
-        self._spill_file = open(path, "a+b")
-        return self._spill_file
-
-    def _spill_write(self, digest: str, text: str) -> tuple[int, int]:
-        data = text.encode("utf-8")
-        handle = self._ensure_spill_file()
-        handle.seek(0, os.SEEK_END)
-        offset = handle.tell() + _SPILL_HEADER.size
-        handle.write(_SPILL_HEADER.pack(len(data), bytes.fromhex(digest)))
-        handle.write(data)
-        handle.flush()
-        self.stats.spill_bytes_written += len(data)
-        return offset, len(data)
-
-    def _fault(self, digest: str) -> tuple[str, Any, int]:
-        entry = self._spilled.get(digest)
-        if entry is None:
-            raise KeyError(digest)
-        offset, nbytes = entry
-        data = b""
-        if self._spill_file is not None:
-            try:
-                self._spill_file.seek(offset)
-                data = self._spill_file.read(nbytes)
-            except OSError:
-                data = b""
-        if (len(data) != nbytes
-                or hashlib.sha256(data).hexdigest() != digest):
-            del self._spilled[digest]
-            self.stats.spill_corrupt_records += 1
-            self._log_spill("corrupt", 1, nbytes)
-            raise SnapshotError(
-                f"spill record for fragment {digest} in "
-                f"{self._spill_path} is corrupt or truncated; treating "
-                f"it as a miss — re-derive the fragment (re-capture or "
-                f"re-put) to repair the store")
-        text = data.decode("utf-8")
-        value = json.loads(text)
-        self._fragments[digest] = (text, value, nbytes)
-        self._resident_bytes += nbytes
-        self.stats.spill_faults += 1
-        self.stats.spill_bytes_read += nbytes
-        self._log_spill("fault", 1, nbytes)
-        self._enforce_budget()
-        return self._fragments[digest]
-
-    def _log_spill(self, kind: str, fragments: int, nbytes: int) -> None:
-        if len(self.spill_log) < CAPTURE_LOG_CAP:
-            self.spill_log.append(
-                (self._last_sim_time, kind, fragments, nbytes))
 
     # -- layers -------------------------------------------------------
 
@@ -589,24 +287,8 @@ class WorldStore:
 
     def log_capture(self, sim_time: int, kind: str, parts_changed: int,
                     depth: int) -> None:
-        self._last_sim_time = sim_time
         if len(self.capture_log) < CAPTURE_LOG_CAP:
             self.capture_log.append((sim_time, kind, parts_changed, depth))
-
-
-def _json_faithful(text: str, value: Any) -> bool:
-    """Whether ``value`` survives a JSON round-trip of its canonical text.
-
-    Python equality is exact here: ``(1, 2) != [1, 2]`` and
-    ``{5: 1} != {"5": 1}``, so any value whose identity-preserving
-    shape the decoder cannot reproduce fails the check and stays
-    resident.  Digest identity never depends on this — only the shared
-    *value* object does.
-    """
-    try:
-        return json.loads(text) == value
-    except ValueError:
-        return False
 
 
 def _join_object(items: list[tuple[str, str]]) -> str:
@@ -625,12 +307,7 @@ _DEFAULT_STORE: Optional[WorldStore] = None
 
 
 def default_store() -> WorldStore:
-    """The per-process store shared by experiment warm-world forks.
-
-    Created lazily, so it picks up the ``REPRO_STORE_BUDGET`` resident
-    budget in effect at first use — the process-global store is bounded
-    exactly like any explicitly constructed one.
-    """
+    """The per-process store shared by experiment warm-world forks."""
     global _DEFAULT_STORE
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = WorldStore()
@@ -640,9 +317,9 @@ def default_store() -> WorldStore:
 def reset_default_store() -> None:
     """Clear and drop the process-global store.
 
-    The next :func:`default_store` call builds a fresh one, re-reading
-    the environment budget — campaigns that run back to back in one
-    process use this to release every retained fragment in between.
+    The next :func:`default_store` call builds a fresh one — campaigns
+    that run back to back in one process use this to release every
+    retained fragment in between.
     """
     global _DEFAULT_STORE
     if _DEFAULT_STORE is not None:
@@ -650,67 +327,19 @@ def reset_default_store() -> None:
     _DEFAULT_STORE = None
 
 
-def _world_parts(world: Any) -> Optional[tuple]:
-    """``(part_names, epochs)`` when the world speaks the part protocol."""
-    names = getattr(world, "snapshot_part_names", None)
-    part = getattr(world, "snapshot_part", None)
-    check = getattr(world, "snapshot_check", None)
-    if names is None or part is None or check is None:
-        return None
-    epochs = getattr(world, "snapshot_epochs", None)
-    return tuple(names()), (dict(epochs()) if epochs is not None else {})
-
-
-def _device_epoch(device: Any) -> Optional[int]:
-    return getattr(device, "snapshot_epoch", None)
-
-
-def _collect_epochs(world: Any, devices: dict[str, Any]) -> dict[str, int]:
-    """Current change epochs keyed by part key, for a fresh basis."""
-    epochs: dict[str, int] = {}
-    world_epochs = getattr(world, "snapshot_epochs", None)
-    if world_epochs is not None:
-        for name, epoch in world_epochs().items():
-            epochs[f"world.{name}"] = epoch
-    for name, device in devices.items():
-        epoch = _device_epoch(device)
-        if epoch is not None:
-            epochs[f"devices.{name}"] = epoch
-    return epochs
-
-
 def capture_world_layered(world: Any,
                           devices: Optional[dict[str, Any]] = None,
                           store: Optional[WorldStore] = None,
-                          basis: Optional[ForkBasis] = None,
-                          ) -> tuple[LayeredSnapshot, ForkBasis]:
-    """Capture ``world`` into ``store``; returns ``(snapshot, basis)``.
+                          ) -> LayeredSnapshot:
+    """Capture ``world`` into ``store`` as a :class:`LayeredSnapshot`.
 
     Semantically identical to :func:`repro.sim.snapshot.capture_world`
     — same quiescence rules, same state, same digest — but the result
-    shares every unchanged part with the rest of the store, and a
-    valid ``basis`` (same store, engine fingerprint unchanged since a
-    previous capture/restore) reduces the work to the parts that
-    actually mutated.
+    shares every unchanged part with the rest of the store.
     """
     if store is None:
         store = default_store()
-    devices = dict(devices or {})
-    parts = _world_parts(world)
-    if (basis is not None and parts is not None
-            and basis.store is store
-            and basis.device_names == tuple(sorted(devices))
-            and world.engine.activity_fingerprint == basis.engine_fingerprint):
-        return _capture_fast(world, devices, store, basis, parts)
-    return _capture_full(world, devices, store, basis)
-
-
-def _capture_full(world: Any, devices: dict[str, Any], store: WorldStore,
-                  basis: Optional[ForkBasis]) -> tuple[LayeredSnapshot,
-                                                       ForkBasis]:
-    """Full-audit path: exactly :func:`capture_world`, then intern."""
-    snapshot = capture_world(world, devices)
-    state = snapshot.state
+    state = capture_world(world, devices).state
     delta: dict[str, str] = {}
     for key in _TOP_SCALARS:
         delta[key] = store.put_fragment(state[key])
@@ -720,75 +349,10 @@ def _capture_full(world: Any, devices: dict[str, Any], store: WorldStore,
     for name, value in state["devices"].items():
         _require_str_key(name, "device name")
         delta[f"devices.{name}"] = store.put_fragment(value)
-    parent: Optional[WorldLayer] = None
-    if (basis is not None and basis.store is store
-            and set(basis.layer.mapping()) == set(delta)):
-        parent_mapping = basis.layer.mapping()
-        changed = {key: digest for key, digest in delta.items()
-                   if parent_mapping.get(key) != digest}
-        store.stats.parts_reused += len(delta) - len(changed)
-        store.stats.parts_recaptured += len(changed)
-        parent, delta = basis.layer, changed
-    layer = store.make_layer(parent, delta)
+    layer = store.make_layer(None, delta)
     store.stats.full_captures += 1
     store.log_capture(world.engine.now, "full", len(delta), layer.depth)
-    return (LayeredSnapshot(store, layer),
-            ForkBasis(store, layer, world.engine.activity_fingerprint,
-                      _collect_epochs(world, devices),
-                      tuple(sorted(devices))))
-
-
-def _capture_fast(world: Any, devices: dict[str, Any], store: WorldStore,
-                  basis: ForkBasis, parts: tuple) -> tuple[LayeredSnapshot,
-                                                           ForkBasis]:
-    """Fingerprint-backed path: only mutated parts are re-serialized.
-
-    An unchanged :attr:`activity_fingerprint` proves no event was
-    scheduled, dispatched, cancelled or restored since the basis, so
-    every heap claim recorded then still stands — the global
-    ``assert_drained`` audit is provably redundant and each part can
-    be rebuilt (or skipped via its epoch) in isolation.
-    """
-    part_names, world_epochs = parts
-    world.snapshot_check()
-    ctx = SnapshotContext(world.engine, devices)
-    parent_mapping = basis.layer.mapping()
-    delta: dict[str, str] = {}
-    epochs: dict[str, int] = {}
-
-    def examine(key: str, epoch: Optional[int], build) -> None:
-        if epoch is not None:
-            epochs[key] = epoch
-            if key in parent_mapping and basis.epochs.get(key) == epoch:
-                store.stats.parts_reused += 1
-                return
-        digest = store.put_fragment(build())
-        if parent_mapping.get(key) != digest:
-            delta[key] = digest
-            store.stats.parts_recaptured += 1
-        else:
-            store.stats.parts_reused += 1
-
-    examine("format", None, lambda: SNAPSHOT_FORMAT)
-    examine("world_class", None, lambda: class_path(type(world)))
-    examine("pending", None, lambda: world.engine.pending_events)
-    for name in part_names:
-        _require_str_key(name, "world part")
-        examine(f"world.{name}", world_epochs.get(name),
-                lambda name=name: world.snapshot_part(name, ctx))
-    for name, device in devices.items():
-        _require_str_key(name, "device name")
-        examine(f"devices.{name}", _device_epoch(device),
-                lambda device=device: {
-                    "class": class_path(type(device)),
-                    "state": device.snapshot_state(ctx),
-                })
-    layer = store.make_layer(basis.layer, delta)
-    store.stats.fast_captures += 1
-    store.log_capture(world.engine.now, "fast", len(delta), layer.depth)
-    return (LayeredSnapshot(store, layer),
-            ForkBasis(store, layer, world.engine.activity_fingerprint,
-                      epochs, basis.device_names))
+    return LayeredSnapshot(store, layer)
 
 
 def _require_str_key(name: Any, what: str) -> None:
@@ -797,18 +361,11 @@ def _require_str_key(name: Any, what: str) -> None:
 
 
 def restore_world_layered(snapshot: LayeredSnapshot,
-                          ) -> tuple[Any, dict[str, Any], ForkBasis]:
-    """Fork a live world; returns ``(world, devices, basis)``.
-
-    The basis lets the next :func:`capture_world_layered` of this fork
-    skip everything the continuation did not touch.
-    """
-    world, devices = restore_world(snapshot)
-    basis = ForkBasis(snapshot.store, snapshot.layer,
-                      world.engine.activity_fingerprint,
-                      _collect_epochs(world, devices),
-                      tuple(sorted(devices)))
-    return world, devices, basis
+                          ) -> tuple[Any, dict[str, Any]]:
+    """Fork a live world; returns ``(world, devices)``."""
+    # Kept only because the benchmark harness traces this name; it goes
+    # with the module when the layered store is retired.
+    return restore_world(snapshot)
 
 
 def fork_snapshot(snapshot: LayeredSnapshot,

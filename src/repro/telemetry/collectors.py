@@ -23,7 +23,7 @@ Metric-name prefixes group by layer:
 ``campaign_`` campaign runner (task wall times, worker
            utilization, queue wait)
 ``sim_world_`` layered world store (layers, fragment dedup,
-           bytes shared, fast vs full captures, data forks)
+           bytes shared, full captures, data forks)
 ``store_`` run-artifact store (artifacts/rows/bytes written,
            artifacts scanned, rows/bytes read, query timings)
 ========== =====================================================
@@ -120,13 +120,7 @@ def collect_world_store(registry: MetricsRegistry, store: Any,
     often a capture or fork deduplicated against an already-interned
     layer or fragment, and how many bytes the content-addressed
     fragment store holds versus how many a flat (deep-copy) store
-    would have re-serialized (``bytes_shared``).  ``fast`` vs ``full``
-    captures split captures that proved quiescence via the engine
-    activity fingerprint (and so could diff part-by-part) from those
-    that fell back to a complete re-serialization.  The
-    ``sim_world_spill_*`` family tracks the cold-fragment disk tier:
-    evictions past the resident-bytes budget, transparent fault-backs,
-    and corrupt spill records treated as misses.
+    would have re-serialized (``bytes_shared``).
     """
     labels = {"run": run}
     stats = store.stats
@@ -159,50 +153,17 @@ def collect_world_store(registry: MetricsRegistry, store: Any,
     counter("sim_world_bytes_shared_total",
             "Canonical-JSON bytes deduplicated away by fragment sharing",
             stats.bytes_shared)
-    counter("sim_world_fast_captures_total",
-            "Captures that proved quiescence via the engine fingerprint "
-            "and diffed part-by-part against their fork basis",
-            stats.fast_captures)
     counter("sim_world_full_captures_total",
             "Captures that re-serialized the whole world",
             stats.full_captures)
     counter("sim_world_data_forks_total",
             "Forks performed at the data level (no world restore)",
             stats.data_forks)
-    counter("sim_world_parts_reused_total",
-            "Per-part capture skips (epoch or digest unchanged)",
-            stats.parts_reused)
-    counter("sim_world_parts_recaptured_total",
-            "Per-part re-serializations that produced a changed digest",
-            stats.parts_recaptured)
     registry.gauge(
         "sim_world_resident_bytes",
         "Canonical-JSON bytes of fragments currently resident in RAM",
         ("run",),
     ).labels(**labels).set(store.resident_bytes)
-    registry.gauge(
-        "sim_world_spilled_fragments",
-        "Cold fragments currently living only in the spill file",
-        ("run",),
-    ).labels(**labels).set(store.spilled_count)
-    counter("sim_world_spill_fragments_total",
-            "Cold fragments evicted to the on-disk spill tier",
-            stats.fragments_spilled)
-    counter("sim_world_spill_bytes_written_total",
-            "Canonical-JSON bytes appended to the spill file",
-            stats.spill_bytes_written)
-    counter("sim_world_spill_faults_total",
-            "Spilled fragments faulted back into RAM on resolve",
-            stats.spill_faults)
-    counter("sim_world_spill_bytes_read_total",
-            "Canonical-JSON bytes read back from the spill file",
-            stats.spill_bytes_read)
-    counter("sim_world_spill_corrupt_records_total",
-            "Spill records dropped as corrupt/truncated (treated as miss)",
-            stats.spill_corrupt_records)
-    counter("sim_world_spill_pinned_fragments_total",
-            "Fragments pinned in RAM (value not JSON-faithful to its text)",
-            stats.fragments_pinned)
 
 
 def collect_store(registry: MetricsRegistry,

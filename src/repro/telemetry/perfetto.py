@@ -25,11 +25,8 @@ Track layout
   A second "World captures" thread renders the layered world store's
   capture log (see ``WorldStore.capture_log``): one ``ph="i"`` instant
   per capture/fork at its simulation time, annotated with the capture
-  kind (fast/full/fork), how many parts landed in the child layer, and
-  the resulting layer depth.  A third "Fragment spill" thread renders
-  the store's spill log (see ``WorldStore.spill_log``): one ``ph="i"``
-  instant per spill batch / fault / corrupt-record miss, annotated
-  with the fragment count and canonical-JSON bytes moved.
+  kind (full/fork), how many parts landed in the child layer, and the
+  resulting layer depth.
 
 Timestamps are microseconds, as the format requires: simulation cycles
 go through :meth:`~repro.sim.clock.Clock.cycles_to_us` when a clock is
@@ -179,9 +176,7 @@ def _event_texts(trace, clock, cpu_segments, campaign, engine,
     spans = getattr(engine, "skip_span_log", None) if engine is not None else None
     captures = (getattr(world_store, "capture_log", None)
                 if world_store is not None else None)
-    spills = (getattr(world_store, "spill_log", None)
-              if world_store is not None else None)
-    if spans or captures or spills:
+    if spans or captures:
         yield _metadata(PID_ENGINE, "Engine")
     if spans:
         yield _metadata(PID_ENGINE, "", 1, "Idle-skip spans")
@@ -216,23 +211,6 @@ def _event_texts(trace, clock, cpu_segments, campaign, engine,
                 "cat": "world_store",
                 "args": {"parts_changed": parts_changed,
                          "layer_depth": depth},
-            })
-
-    if spills:
-        yield _metadata(PID_ENGINE, "", 3, "Fragment spill")
-        # Same wall-vs-simulation ordering caveat as the capture log.
-        for sim_time, kind, fragments, nbytes in sorted(
-                spills, key=lambda entry: entry[0]):
-            yield _encode({
-                "ph": "i",
-                "s": "t",
-                "pid": PID_ENGINE,
-                "tid": 3,
-                "ts": to_us(sim_time),
-                "name": f"spill:{kind}",
-                "cat": "world_store_spill",
-                "args": {"fragments": fragments,
-                         "bytes": nbytes},
             })
 
     if campaign is not None:
@@ -295,8 +273,7 @@ def chrome_trace_events(
     world_store:
         A :class:`~repro.sim.worldstore.WorldStore`; its capture log
         becomes instants on a "World captures" thread of the "Engine"
-        track, and its spill log instants on a "Fragment spill"
-        thread (each omitted entirely when nothing was logged).
+        track (omitted entirely when nothing was logged).
     """
     for text in _event_texts(trace, clock, cpu_segments, campaign,
                              engine, world_store):

@@ -120,9 +120,8 @@ def export_traced_run(run: TracedRun,
 
     ``world_store`` (a :class:`~repro.sim.worldstore.WorldStore`, e.g.
     :func:`~repro.sim.worldstore.default_store`) adds the layered
-    world store's capture and fragment-spill logs as Perfetto tracks
-    and samples its ``sim_world_*`` sharing and spill metrics into
-    the registry.
+    world store's capture log as a Perfetto track and samples its
+    ``sim_world_*`` sharing metrics into the registry.
 
     Returns the number of trace events written (None when no
     ``trace_path`` was given).
