@@ -195,7 +195,7 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
         # through the exporter, they give the same instants as the
         # live trace written below.
         store.write_traced_run(replay)
-    # The process-global world store holds whatever warm-world layers
+    # The process-global world store holds the fig7 prefix layers
     # this invocation captured in-process (campaign workers keep their
     # own stores); exporting it adds the sim_world_* sharing metrics
     # and the capture-log Perfetto track.

@@ -119,7 +119,7 @@ def canonicalize(value: Any) -> Any:
 # --------------------------------------------------------------- source
 
 #: module name -> (content hash, frozenset of package-local imports);
-#: per-process memo so a 31-task campaign parses each module once.
+#: per-process memo so a 32-task campaign parses each module once.
 _MODULE_INFO_CACHE: "dict[str, Optional[tuple[str, frozenset]]]" = {}
 
 
@@ -217,8 +217,8 @@ def source_fingerprint(module_name: str,
 def result_digest(result: Any) -> str:
     """Stable content digest of one task result.
 
-    Results that define ``digest()`` (world snapshots, prefix/warm-up
-    wrappers) use it — their digest is a hash over canonical plain
+    Results that define ``digest()`` (world snapshots, the fig7 prefix
+    wrapper) use it — their digest is a hash over canonical plain
     data, stable across processes.  Anything else is hashed through
     its pickle, which is exactly the representation the cache stores
     and the byte-identity tests pin.

@@ -25,12 +25,8 @@ from repro.hypervisor.irq import IrqSource
 from repro.hypervisor.partition import Partition
 from repro.metrics.stats import LatencySummary, summarize
 from repro.sim.clock import Clock
-from repro.sim.snapshot import (WorldSnapshot, class_path, resolve_class,
-                                restore_world)
+from repro.sim.snapshot import WorldSnapshot, restore_world
 from repro.sim.timers import IntervalSequenceTimer
-from repro.sim.worldstore import (LayeredSnapshot, WorldStore,
-                                  capture_world_layered, default_store,
-                                  fork_snapshot)
 
 #: Device name under which the IRQ-generating timer registers in world
 #: snapshots; :func:`run_irq_scenario_from` looks it up on restore.
@@ -260,101 +256,6 @@ def run_irq_scenario(system: PaperSystemConfig,
     return finish_irq_scenario(hv, system, len(intervals), limit_seconds)
 
 
-def build_warm_world(system: PaperSystemConfig,
-                     policy: InterposingPolicy,
-                     intervals: Sequence[int],
-                     store: Optional[WorldStore] = None) -> WorldSnapshot:
-    """Build, start and snapshot a scenario world at its t=0 quiescent point.
-
-    The instant after ``start()`` + ``arm_next()`` — before the first
-    arrival — is always quiescent: the only pending events are the TDMA
-    boundary and the armed IRQ timer.  Sweep and ablation drivers
-    capture this warm world once and fork per-point variants from it,
-    skipping the (identical) construction work per point.
-
-    The capture is interned into ``store`` (the per-process default
-    when omitted), so warm worlds that share a prefix share storage
-    and subsequent :func:`fork_warm_variant` branches cost O(changes);
-    the returned :class:`~repro.sim.worldstore.LayeredSnapshot` has the
-    same state and digest a flat :func:`capture_world` would produce.
-    """
-    hv, timer = system.build(policy, intervals)
-    hv.start()
-    timer.arm_next()
-    return capture_world_layered(
-        hv, {IRQ_TIMER_DEVICE: timer}, store or default_store())
-
-
-def fork_warm_variant(
-    snapshot: LayeredSnapshot,
-    policy: Optional[InterposingPolicy] = None,
-    configure_policy: Optional[Callable[[InterposingPolicy], None]] = None,
-    source_name: Optional[str] = None,
-) -> LayeredSnapshot:
-    """Fork a per-point variant at the data level — no live world.
-
-    A branch node of a scenario tree differs from its parent only in
-    one source's policy, so there is no need to restore, mutate and
-    re-capture an entire world: the policy object alone is restored
-    from its recorded state, replaced (``policy``) or mutated in place
-    (``configure_policy``), re-serialized, and spliced into a child
-    layer that shares every other part with the parent.  The result is
-    byte-identical to ``restore_world`` → mutate → ``capture_world``
-    (pinned by tests) at a fraction of the cost — this is the
-    O(changes) fork the deep sweep trees rely on.
-    """
-    if (policy is None) == (configure_policy is None):
-        raise ValueError("pass exactly one of policy/configure_policy")
-    sources = snapshot.state["world"]["sources"]
-    if source_name is None and len(sources) != 1:
-        raise ValueError(
-            f"snapshot has {len(sources)} IRQ sources; pass source_name")
-    new_sources = []
-    matched = False
-    for sstate in sources:
-        if source_name is not None and sstate["name"] != source_name:
-            new_sources.append(sstate)
-            continue
-        matched = True
-        if policy is not None:
-            variant = policy
-        else:
-            policy_cls = resolve_class(sstate["policy"]["class"])
-            variant = policy_cls.restore_from_snapshot(
-                sstate["policy"]["state"])
-            configure_policy(variant)
-        new_sources.append(dict(sstate, policy={
-            "class": class_path(type(variant)),
-            "state": variant.snapshot_state(),
-        }))
-    if not matched:
-        raise ValueError(f"snapshot has no IRQ source named {source_name!r}")
-    return fork_snapshot(snapshot, {"world.sources": new_sources})
-
-
-def fork_point_snapshot(snapshot: WorldSnapshot, system: PaperSystemConfig,
-                        policy: InterposingPolicy):
-    """Install ``policy`` on a warm world's IRQ source, preferring the
-    O(changes) data-level fork.
-
-    Returns ``(snapshot, configure)`` for
-    :func:`run_irq_scenario_from`.  A layered snapshot is forked at the
-    data level (:func:`fork_warm_variant`) and needs no configure hook;
-    a flat one — e.g. a warm world that crossed a process boundary and
-    pickled down to a plain :class:`WorldSnapshot` — keeps the classic
-    restore-then-configure path.  Both are byte-identical, which the
-    fork-tree property tests pin.
-    """
-    if isinstance(snapshot, LayeredSnapshot):
-        return (fork_warm_variant(snapshot, policy=policy,
-                                  source_name=system.irq_name), None)
-
-    def install_policy(hv, timer, source) -> None:
-        source.policy = policy
-
-    return snapshot, install_policy
-
-
 def run_irq_scenario_from(
     snapshot: WorldSnapshot,
     system: PaperSystemConfig,
@@ -365,12 +266,11 @@ def run_irq_scenario_from(
     """Fork a scenario continuation from a snapshot and run it out.
 
     ``configure(hv, timer, source)`` runs on the freshly restored world
-    before execution resumes — the hook the drivers use to install a
-    per-point policy/throttle variant (or re-target a still-learning
-    policy's bound) on top of a shared warm-up.  The caller guarantees
-    the configuration change is invisible to the already-executed
-    prefix, so the continuation stays byte-identical to a straight-line
-    run of the same variant.
+    before execution resumes — the hook fig7 uses to re-target a
+    still-learning policy's bound on top of its shared learning
+    prefix.  The caller guarantees the configuration change is
+    invisible to the already-executed prefix, so the continuation stays
+    byte-identical to a straight-line run of the same variant.
     """
     hv, devices = restore_world(snapshot)
     timer = devices[IRQ_TIMER_DEVICE]

@@ -232,18 +232,16 @@ def _assemble_case(label: str, config: Fig7Config, result: ScenarioResult,
     )
 
 
-def run_fig7(config: "Fig7Config | None" = None,
-             shared_prefix: bool = True) -> dict[str, Fig7CaseResult]:
+def run_fig7(config: "Fig7Config | None" = None) -> dict[str, Fig7CaseResult]:
     """Run all four bound cases over the same generated trace.
 
-    With ``shared_prefix`` (the default) the learning phase is
-    simulated once and the four cases fork from its snapshot; pass
-    False to force four independent straight-line runs (the two modes
-    produce byte-identical results).
+    The learning phase is simulated once and the four cases fork from
+    its snapshot; each case is byte-identical to a straight-line
+    :func:`run_fig7_case` with no prefix.
     """
     config = config or Fig7Config()
     trace = generate_automotive_trace(config.trace, config.system.clock())
-    prefix = run_fig7_prefix(config, trace) if shared_prefix else None
+    prefix = run_fig7_prefix(config, trace)
     return {
         label: run_fig7_case(label, config, trace, prefix=prefix)
         for label in FIG7_CASES

@@ -14,8 +14,7 @@ fig7       shared learning-phase prefix (1) + one forked task
 tab62      one task per interrupt load (3)
 validation classic leg + monitored leg (2)
 ablation   boost / throttle / depth (3)
-sweep      one task per cycle-scale (4) + shared warm world (1)
-           + one forked task per d_min multiplier (5)
+sweep      one task per cycle-scale (4) + one per d_min multiplier (5)
 design     single task (1)
 ========== =====================================================
 
@@ -24,10 +23,10 @@ loops do, and the merge functions consume task results in the serial
 order, ``run_campaign(..., jobs=N)`` is **byte-identical** to
 ``jobs=1`` for every N: parallelism only changes wall-clock time.
 
-Tasks that fork a shared snapshot (fig7 cases, d_min points) declare
-the snapshot task in ``needs`` and receive its result through the
-``feed`` kwarg.  The runner groups each connected ``needs`` chain into
-one per-worker assignment (:func:`plan_subtrees`): the worker receives
+Tasks that fork a shared snapshot (the fig7 cases) declare the
+snapshot task in ``needs`` and receive its result through the ``feed``
+kwarg.  The runner groups each connected ``needs`` chain into one
+per-worker assignment (:func:`plan_subtrees`): the worker receives
 the subtree root once and walks the descendants against the shared
 layered world store, so intermediate worlds are never re-pickled.
 Parent result digests are still folded into cache fingerprints inside
@@ -74,11 +73,7 @@ from repro.experiments.fig7 import (
 )
 from repro.experiments.overhead import merge_overhead, run_overhead_load
 from repro.experiments.scale import ExperimentScale
-from repro.experiments.sweep import (
-    run_cycle_sweep_point,
-    run_dmin_sweep_point,
-    run_dmin_warmup,
-)
+from repro.experiments.sweep import run_cycle_sweep_point, run_dmin_sweep_point
 from repro.experiments.validation import (
     merge_validation,
     run_validation_classic,
@@ -120,7 +115,6 @@ TASK_FUNCTIONS: "dict[str, Callable[..., Any]]" = {
     "fig6-load": run_fig6_load,
     "fig7-prefix": run_fig7_prefix,
     "fig7-case": run_fig7_case,
-    "sweep-dmin-warmup": run_dmin_warmup,
     "overhead-load": run_overhead_load,
     "validation-classic": run_validation_classic,
     "validation-monitored": run_validation_monitored,
@@ -192,9 +186,9 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
     results *in task order* — the same order the serial loops produce —
     so merged results do not depend on worker scheduling.
 
-    The fig7 and sweep campaigns carry a snapshot task (the shared
-    learning phase / warm world) that the per-case and per-point tasks
-    fork from via ``needs``/``feed``; the merges skip its result slot.
+    The fig7 campaign carries a snapshot task (the shared learning
+    phase) that the per-case tasks fork from via ``needs``/``feed``;
+    its merge skips that result slot.
     """
     if name.startswith("fig6") and name[-1] in ("a", "b", "c"):
         scenario = name[-1]
@@ -257,25 +251,20 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
     if name == "sweep":
         cycle_scales = (0.5, 1.0, 2.0, 4.0)
         multipliers = (1.0, 2.0, 4.0, 8.0, 16.0)
-        cycle_tasks = [
+        tasks = [
             CampaignTask(name, "sweep-cycle-point",
                          {"scale": value, "irq_count": scale.sweep_irqs,
                           "seed": seed})
             for value in cycle_scales
         ]
-        split = len(cycle_scales)
-        warmup = CampaignTask(name, "sweep-dmin-warmup",
-                              {"irq_count": scale.sweep_irqs, "seed": seed})
-        dmin_tasks = [
+        tasks += [
             CampaignTask(name, "sweep-dmin-point",
                          {"multiplier": value,
-                          "irq_count": scale.sweep_irqs, "seed": seed},
-                         needs=(split,), feed="warmup")
+                          "irq_count": scale.sweep_irqs, "seed": seed})
             for value in multipliers
         ]
-        tasks = cycle_tasks + [warmup] + dmin_tasks
-        # results[split] is the warm-up snapshot, not a point.
-        return tasks, lambda results: (results[:split], results[split + 1:])
+        split = len(cycle_scales)
+        return tasks, lambda results: (results[:split], results[split:])
     if name == "design":
         tasks = [CampaignTask(name, "design",
                               {"irq_count": scale.design_irqs})]
@@ -375,9 +364,9 @@ def _execute_subtree(item: "tuple") -> "tuple[list, list, Any]":
 
     The subtree root's injected parents crossed the process boundary
     exactly once, in ``item``; every descendant then forks from the
-    *live* result of its parent task — for snapshot chains that means
-    `fork_snapshot`/`fork_warm_variant` against the worker's shared
-    layered store, never a re-pickle of an intermediate world.
+    *live* result of its parent task — for fig7's prefix that means
+    restoring the worker's own layered snapshot, never a re-pickle of
+    an intermediate world.
 
     With a cache directory the worker replays hits and stores misses
     itself (`ResultCache` writes are atomic and concurrent-safe), with
@@ -601,11 +590,11 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     campaign) observe per-task timing without changing the
     ordered-results contract.
 
-    The fig7 and sweep campaigns fork their per-case/per-point tasks
-    from a shared snapshot task (see :mod:`repro.sim.snapshot`); each
-    connected ``needs`` chain runs inside one worker, so the parent
-    snapshot crosses the pool boundary once and descendants fork from
-    live results against the shared world store.
+    The fig7 campaign forks its per-case tasks from a shared snapshot
+    task (see :mod:`repro.sim.snapshot`); each connected ``needs``
+    chain runs inside one worker, so the parent snapshot crosses the
+    pool boundary once and descendants fork from live results against
+    the shared world store.
 
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a

@@ -16,25 +16,15 @@ Two sweeps substantiate the paper's structural claims:
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.event_models import PeriodicEventModel
 from repro.analysis.latency import classic_irq_latency, interposed_irq_latency
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import MonitoredInterposing, NeverInterpose
-from repro.experiments.common import (
-    PaperSystemConfig,
-    build_warm_world,
-    fork_point_snapshot,
-    run_irq_scenario,
-    run_irq_scenario_from,
-)
+from repro.experiments.common import PaperSystemConfig, run_irq_scenario
 from repro.metrics.report import render_table
-from repro.sim.snapshot import WorldSnapshot
 from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
 
 
@@ -56,19 +46,12 @@ def run_cycle_sweep_point(scale: float,
                           system: "PaperSystemConfig | None" = None,
                           dmin_us: float = 1_444.0,
                           irq_count: int = 1_000,
-                          seed: int = 17,
-                          shared_warmup: bool = True) -> CycleSweepPoint:
+                          seed: int = 17) -> CycleSweepPoint:
     """One TDMA-cycle scale factor (the campaign runner's task unit).
 
     The interarrival array is deterministic in (irq_count, dmin, seed),
     so every point regenerates the identical stream the serial sweep
     shares across its loop iterations.
-
-    With ``shared_warmup`` (the default) the classic and interposed
-    legs fork one warm world captured at its t=0 quiescent point
-    instead of each constructing the scaled system from scratch; the
-    legs differ only in the policy installed on the fork, so the
-    results are byte-identical to two straight-line runs.
     """
     base = system or PaperSystemConfig()
     clock = base.clock()
@@ -92,25 +75,12 @@ def run_cycle_sweep_point(scale: float,
     interposed_bound = interposed_irq_latency(
         model, c_th, c_bh, costs=base.costs
     )
-    if shared_warmup:
-        warm = build_warm_world(system_scaled, NeverInterpose(), intervals)
-        classic_run = run_irq_scenario_from(warm, system_scaled)
-        # The interposed leg is a data-level fork of the warm world
-        # (policy spliced into a child layer, O(changes)) when the
-        # snapshot is layered; both paths are byte-identical.
-        interposed_warm, configure = fork_point_snapshot(
-            warm, system_scaled,
-            MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)))
-        interposed_run = run_irq_scenario_from(interposed_warm, system_scaled,
-                                               configure=configure)
-    else:
-        classic_run = run_irq_scenario(system_scaled, NeverInterpose(),
-                                       intervals)
-        interposed_run = run_irq_scenario(
-            system_scaled,
-            MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
-            intervals,
-        )
+    classic_run = run_irq_scenario(system_scaled, NeverInterpose(), intervals)
+    interposed_run = run_irq_scenario(
+        system_scaled,
+        MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
+        intervals,
+    )
     return CycleSweepPoint(
         scale=scale,
         tdma_cycle_us=system_scaled.tdma_cycle_us,
@@ -131,12 +101,10 @@ def run_cycle_sweep(system: "PaperSystemConfig | None" = None,
                     scales: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
                     dmin_us: float = 1_444.0,
                     irq_count: int = 1_000,
-                    seed: int = 17,
-                    shared_warmup: bool = True) -> list[CycleSweepPoint]:
+                    seed: int = 17) -> list[CycleSweepPoint]:
     """Scale the TDMA slot table and compare both mechanisms."""
     return [
-        run_cycle_sweep_point(scale, system, dmin_us, irq_count, seed,
-                              shared_warmup=shared_warmup)
+        run_cycle_sweep_point(scale, system, dmin_us, irq_count, seed)
         for scale in scales
     ]
 
@@ -153,89 +121,28 @@ class DminSweepPoint:
     delayed_fraction: float
 
 
-@dataclass(frozen=True)
-class DminSweepWarmup:
-    """The warm world every d_min sweep point forks its run from.
-
-    All multipliers share the identical system and arrival stream —
-    only the monitoring condition differs — so the construction +
-    arming work is done once and captured at the t=0 quiescent point.
-    ``key`` fingerprints the parameters the world was built under, so
-    a point is never forked from a mismatched warm-up.
-    """
-
-    key: str
-    snapshot: WorldSnapshot
-
-    def digest(self) -> str:
-        """Content digest folded into child-task cache fingerprints."""
-        return self.snapshot.digest()
-
-
-def _dmin_warmup_key(system: PaperSystemConfig, mean_interarrival_us: float,
-                     irq_count: int, seed: int) -> str:
-    payload = json.dumps({
-        "system": dataclasses.asdict(system),
-        "mean_interarrival_us": mean_interarrival_us,
-        "irq_count": irq_count,
-        "seed": seed,
-    }, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def run_dmin_warmup(system: "PaperSystemConfig | None" = None,
-                    mean_interarrival_us: float = 1_444.0,
-                    irq_count: int = 1_000,
-                    seed: int = 19) -> DminSweepWarmup:
-    """Build and capture the shared warm world of the d_min sweep."""
-    system = system or PaperSystemConfig()
-    clock = system.clock()
-    mean = clock.us_to_cycles(mean_interarrival_us)
-    intervals = exponential_interarrivals(irq_count, mean, seed=seed)
-    snapshot = build_warm_world(system, NeverInterpose(), intervals)
-    return DminSweepWarmup(
-        key=_dmin_warmup_key(system, mean_interarrival_us, irq_count, seed),
-        snapshot=snapshot,
-    )
-
-
 def run_dmin_sweep_point(multiplier: float,
                          system: "PaperSystemConfig | None" = None,
                          mean_interarrival_us: float = 1_444.0,
                          irq_count: int = 1_000,
-                         seed: int = 19,
-                         warmup: "DminSweepWarmup | None" = None,
-                         ) -> DminSweepPoint:
+                         seed: int = 19) -> DminSweepPoint:
     """One d_min multiplier (the campaign runner's task unit).
 
-    With a ``warmup`` (see :func:`run_dmin_warmup`) the point forks the
-    shared warm world and installs its own monitoring condition on the
-    fork; without one it builds the world straight-line.  Both paths
-    produce byte-identical results, which the determinism tests pin.
+    Every point regenerates the identical arrival stream from
+    (irq_count, mean_interarrival_us, seed); only the monitoring
+    condition differs.
     """
     system = system or PaperSystemConfig()
     clock = system.clock()
     mean = clock.us_to_cycles(mean_interarrival_us)
     c_bh_eff = system.effective_bottom_cycles(clock)
     dmin = round(mean * multiplier)
-    if warmup is not None:
-        if warmup.key != _dmin_warmup_key(system, mean_interarrival_us,
-                                          irq_count, seed):
-            raise ValueError(
-                "d_min sweep warm-up was built under different parameters"
-            )
-
-        point_warm, configure = fork_point_snapshot(
-            warmup.snapshot, system,
-            MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)))
-        run = run_irq_scenario_from(point_warm, system, configure=configure)
-    else:
-        intervals = exponential_interarrivals(irq_count, mean, seed=seed)
-        run = run_irq_scenario(
-            system,
-            MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
-            intervals,
-        )
+    intervals = exponential_interarrivals(irq_count, mean, seed=seed)
+    run = run_irq_scenario(
+        system,
+        MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
+        intervals,
+    )
     total = len(run.records) or 1
     return DminSweepPoint(
         dmin_us=clock.cycles_to_us(dmin),
@@ -251,23 +158,16 @@ def run_dmin_sweep(system: "PaperSystemConfig | None" = None,
                    dmin_multipliers: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
                    mean_interarrival_us: float = 1_444.0,
                    irq_count: int = 1_000,
-                   seed: int = 19,
-                   shared_warmup: bool = True) -> list[DminSweepPoint]:
+                   seed: int = 19) -> list[DminSweepPoint]:
     """Fix the arrival process, sweep the monitoring condition d_min.
 
     Larger d_min (a stricter condition) means a smaller interference
     budget for other partitions but more delayed IRQs — the knob a
     system integrator turns to trade latency against independence.
-    All points share one warm world (see :func:`run_dmin_warmup`)
-    unless ``shared_warmup`` is disabled.
     """
-    warmup = None
-    if shared_warmup:
-        warmup = run_dmin_warmup(system, mean_interarrival_us, irq_count,
-                                 seed)
     return [
         run_dmin_sweep_point(multiplier, system, mean_interarrival_us,
-                             irq_count, seed, warmup=warmup)
+                             irq_count, seed)
         for multiplier in dmin_multipliers
     ]
 

@@ -1,13 +1,12 @@
 """Checkpoint/fork of complete simulation worlds.
 
-Redundant prefix re-execution is the largest remaining waste in the
-experiment campaigns: fig7's four bound cases share an identical
-learning phase, and every sweep/ablation point re-runs an identical
-warm-up.  This module lets a driver simulate the shared prefix *once*,
-capture the complete world — engine clock/seq/heap, hypervisor,
-scheduler, partitions, policies/monitors, timers, interrupt
-controller, trace recorder — and fork independent continuations that
-are **byte-identical** to straight-line runs.
+Fig7's four bound cases share an identical learning phase, and
+re-simulating it per case is redundant work.  This module lets a
+driver simulate such a shared prefix *once*, capture the complete
+world — engine clock/seq/heap, hypervisor, scheduler, partitions,
+policies/monitors, timers, interrupt controller, trace recorder — and
+fork independent continuations that are **byte-identical** to
+straight-line runs.
 
 Why not ``copy.deepcopy``?  Scheduled events are closures over the old
 world: deep-copying the heap would either duplicate the entire object

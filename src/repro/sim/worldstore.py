@@ -307,7 +307,7 @@ _DEFAULT_STORE: Optional[WorldStore] = None
 
 
 def default_store() -> WorldStore:
-    """The per-process store shared by experiment warm-world forks."""
+    """The per-process store that fig7's learning-prefix captures use."""
     global _DEFAULT_STORE
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = WorldStore()
@@ -376,10 +376,8 @@ def fork_snapshot(snapshot: LayeredSnapshot,
     plain-data values.  This is the O(changes) branch-node operation:
     no restore, no re-simulation, no O(world) serialization — just the
     replaced parts are encoded, and the child layer records only the
-    digests that actually differ.  The caller owns semantic validity
-    (the result must equal restore → mutate → capture, which the fork
-    helpers in :mod:`repro.experiments.common` guarantee and the tests
-    pin).
+    digests that actually differ.  The caller owns semantic validity:
+    the result must equal restore → mutate → capture.
     """
     store = snapshot.store
     mapping = snapshot.layer.mapping()

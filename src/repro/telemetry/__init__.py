@@ -3,8 +3,8 @@
 Three pieces, all stdlib-only:
 
 * :mod:`repro.telemetry.registry` — a process-local metrics registry
-  (counters, gauges, histograms with labels) with snapshot, Prometheus
-  text and JSON exporters;
+  (counters, gauges, histograms with labels) with snapshot and JSON
+  exporters;
 * :mod:`repro.telemetry.collectors` — pull-based samplers that read
   the simulator's existing plain-int counters (engine, hypervisor/IRQ
   path, result cache, campaign runner) into a registry after a run, so

@@ -166,65 +166,38 @@ def collect_world_store(registry: MetricsRegistry, store: Any,
     ).labels(**labels).set(store.resident_bytes)
 
 
-def collect_store(registry: MetricsRegistry,
-                  write_stats: Any = None,
-                  query_stats: Any = None,
+def collect_store(registry: MetricsRegistry, write_stats: Any,
                   run: str = "") -> None:
-    """Sample run-artifact store counters (:mod:`repro.store`).
+    """Sample run-artifact store write counters (:mod:`repro.store`).
 
-    ``write_stats`` is a
-    :class:`~repro.store.capture.StoreWriteStats` (campaign capture
-    side), ``query_stats`` a
-    :class:`~repro.store.runstore.StoreQueryStats` (scan/query side);
-    either may be omitted.
+    ``write_stats`` is the campaign capture side's
+    :class:`~repro.store.capture.StoreWriteStats`.
     """
     labels = {"run": run}
 
     def counter(name: str, help_text: str, value: "int | float") -> None:
         registry.counter(name, help_text, ("run",)).labels(**labels).inc(value)
 
-    if write_stats is not None:
-        counter("store_artifacts_written_total",
-                "Run artifacts persisted by campaign capture",
-                write_stats.artifacts_written)
-        counter("store_rows_written_total",
-                "Latency rows persisted into run artifacts",
-                write_stats.rows_written)
-        counter("store_trace_rows_written_total",
-                "Trace-event rows persisted into run artifacts",
-                write_stats.trace_rows_written)
-        counter("store_bytes_written_total",
-                "Bytes of run-artifact data written",
-                write_stats.bytes_written)
-        counter("store_tasks_skipped_total",
-                "Campaign tasks captured without latency data",
-                write_stats.skipped_tasks)
-        registry.gauge(
-            "store_write_seconds",
-            "Wall-clock seconds spent writing run artifacts",
-            ("run",),
-        ).labels(**labels).set(round(write_stats.write_seconds, 4))
-    if query_stats is not None:
-        counter("store_artifacts_scanned_total",
-                "Artifact headers scanned by RunStore directory scans",
-                query_stats.artifacts_scanned)
-        counter("store_artifacts_read_total",
-                "Artifacts fully parsed (checksummed) for queries",
-                query_stats.artifacts_read)
-        counter("store_rows_scanned_total",
-                "Latency rows materialized for queries",
-                query_stats.rows_scanned)
-        counter("store_bytes_read_total",
-                "Bytes of run-artifact data read for queries",
-                query_stats.bytes_read)
-        counter("store_queries_total",
-                "Aggregate/diff queries answered by RunStore",
-                query_stats.queries)
-        registry.gauge(
-            "store_query_seconds",
-            "Wall-clock seconds spent scanning and answering queries",
-            ("run",),
-        ).labels(**labels).set(round(query_stats.query_seconds, 4))
+    counter("store_artifacts_written_total",
+            "Run artifacts persisted by campaign capture",
+            write_stats.artifacts_written)
+    counter("store_rows_written_total",
+            "Latency rows persisted into run artifacts",
+            write_stats.rows_written)
+    counter("store_trace_rows_written_total",
+            "Trace-event rows persisted into run artifacts",
+            write_stats.trace_rows_written)
+    counter("store_bytes_written_total",
+            "Bytes of run-artifact data written",
+            write_stats.bytes_written)
+    counter("store_tasks_skipped_total",
+            "Campaign tasks captured without latency data",
+            write_stats.skipped_tasks)
+    registry.gauge(
+        "store_write_seconds",
+        "Wall-clock seconds spent writing run artifacts",
+        ("run",),
+    ).labels(**labels).set(round(write_stats.write_seconds, 4))
 
 
 def collect_hypervisor(registry: MetricsRegistry, hv: Any,

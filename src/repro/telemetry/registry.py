@@ -7,8 +7,7 @@ data model, sized for this reproduction's needs:
   (set/inc/dec) and :class:`Histogram` (fixed bucket bounds, cumulative
   counts plus sum/count) — each optionally labelled;
 * one :class:`MetricsRegistry` that owns the instruments and renders
-  them as a plain dict (:meth:`~MetricsRegistry.snapshot`), Prometheus
-  text exposition (:meth:`~MetricsRegistry.render_prometheus`) or JSON
+  them as a plain dict (:meth:`~MetricsRegistry.snapshot`) or JSON
   (:meth:`~MetricsRegistry.to_json` / :meth:`~MetricsRegistry.write_json`).
 
 The overhead contract mirrors :class:`~repro.sim.trace.TraceRecorder`:
@@ -50,22 +49,6 @@ def _check_name(name: str) -> str:
     if not name or name[0].isdigit() or not set(name) <= _NAME_OK:
         raise ValueError(f"invalid metric name {name!r}")
     return name
-
-
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _format_value(value: Union[int, float]) -> str:
-    # Integers render without a trailing ``.0`` so counter output stays
-    # diff-friendly; floats use repr (shortest round-trip form).
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float) and value.is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
 
 
 class _NoopSeries:
@@ -179,8 +162,6 @@ class _HistogramSeries:
 class Metric:
     """One named instrument with zero or more labelled child series."""
 
-    _series_type = "untyped"
-
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = ()):
         self.name = _check_name(name)
@@ -236,8 +217,6 @@ class Metric:
 class Counter(Metric):
     """Monotonically increasing count (events fired, cache hits, ...)."""
 
-    _series_type = "counter"
-
     def _new_series(self) -> _CounterSeries:
         return _CounterSeries()
 
@@ -261,8 +240,6 @@ class Counter(Metric):
 
 class Gauge(Metric):
     """Point-in-time value (heap depth, queue occupancy, utilization)."""
-
-    _series_type = "gauge"
 
     def _new_series(self) -> _GaugeSeries:
         return _GaugeSeries()
@@ -293,8 +270,6 @@ class Gauge(Metric):
 
 class Histogram(Metric):
     """Distribution with fixed cumulative buckets (task wall times)."""
-
-    _series_type = "histogram"
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = (),
@@ -417,42 +392,6 @@ class MetricsRegistry:
         }
 
     # -- exporters -------------------------------------------------------
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: "list[str]" = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if metric.help:
-                lines.append(f"# HELP {name} {metric.help}")
-            lines.append(f"# TYPE {name} {metric._series_type}")
-            for labels, series in metric.series():
-                label_text = ",".join(
-                    f'{key}="{_escape_label_value(value)}"'
-                    for key, value in labels.items()
-                )
-                if isinstance(metric, Histogram):
-                    for bound, count in series.buckets():
-                        bucket_labels = label_text + ("," if label_text else "")
-                        lines.append(
-                            f"{name}_bucket{{{bucket_labels}"
-                            f'le="{_format_value(bound)}"}} {count}'
-                        )
-                    bucket_labels = label_text + ("," if label_text else "")
-                    lines.append(
-                        f'{name}_bucket{{{bucket_labels}le="+Inf"}} '
-                        f"{series.count}"
-                    )
-                    suffix = f"{{{label_text}}}" if label_text else ""
-                    lines.append(f"{name}_sum{suffix} "
-                                 f"{_format_value(series.sum)}")
-                    lines.append(f"{name}_count{suffix} {series.count}")
-                else:
-                    suffix = f"{{{label_text}}}" if label_text else ""
-                    lines.append(
-                        f"{name}{suffix} {_format_value(series.value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self, metadata: "Mapping[str, Any] | None" = None) -> str:
         """JSON document with the snapshot plus free-form metadata."""

@@ -2,10 +2,10 @@
 
 A deliberately naive twin of :func:`repro.experiments.runner.run_campaign`.
 It plans the same task list, then runs every task in list order,
-in-process, without its ``feed`` kwarg: forked tasks (the fig7 cases,
-the d_min sweep points) therefore simulate their shared prefix
-straight-line instead of forking a snapshot, and the snapshot-producer
-slots they would have read stay ``None`` — the merges skip those slots.
+in-process, without its ``feed`` kwarg: forked tasks (the fig7 cases)
+therefore simulate their shared prefix straight-line instead of
+forking a snapshot, and the snapshot-producer slot they would have
+read stays ``None`` — the merge skips that slot.
 No pool, no subtree grouping, no world-store forks.  Whatever the
 production executor does, its merged results must equal this one's
 (see ``tests/test_campaign_runner.py``).

@@ -5,7 +5,7 @@ for every ``--jobs`` count, because per-task seeds are derived
 deterministically and merges consume task results in serial order.
 The identity test runs the full ``all`` campaign at smoke scale twice —
 serial and with a 4-worker pool — and diffs stdout and the exported
-CSVs byte for byte.  The forked fig7 and sweep campaigns are further
+CSVs byte for byte.  The forked fig7 and the sweep campaigns are further
 pinned against the straight-line oracle in ``campaign_oracle.py``,
 cold and cache-warm, and under an injected task failure.  The whole
 ``all`` campaign, run as one pool and streamed experiment by
@@ -51,7 +51,7 @@ EXPECTED_TASK_COUNTS = {
     "tab62": 3,                             # one per interrupt load
     "validation": 2,                        # classic + monitored legs
     "ablation": 3,                          # boost / throttle / depth
-    "sweep": 10,                            # 4 cycle + warmup + 5 d_min
+    "sweep": 9,                             # 4 cycle + 5 d_min
     "design": 1,
 }
 
@@ -153,9 +153,9 @@ def test_subtree_schedule_equals_wave_schedule(jobs, tmp_path,
     """The subtree executor differs from plan (wave) order only in speed.
 
     The reference is the straight-line oracle, which runs the plan in
-    list order.  fig7 and sweep both carry ``needs/feed`` chains (the
-    learning prefix and the d_min warmup), so this exercises real
-    forked subtrees, serial and across a pool; validation has none.
+    list order.  fig7 carries a ``needs/feed`` chain (the learning
+    prefix), so this exercises a real forked subtree next to sweep's
+    independent points, serial and across a pool; validation has none.
     The warm re-run uses the other jobs count: cache fingerprints do
     not depend on it.
     """
@@ -330,28 +330,28 @@ def test_failure_in_a_later_experiment_keeps_earlier_work(
         tmp_path, monkeypatch, straight_line_all):
     """A fault in a later experiment, in the shared pool.
 
-    One sweep d_min point raises mid-subtree at ``--jobs 2``.  The
-    campaign raises, every experiment before sweep was already emitted
-    and none after it, the failed task leaves no cache entry, every
-    task that completed did, and a re-run matches a clean run.
+    One fig7 case raises mid-subtree at ``--jobs 2``.  The campaign
+    raises, every experiment before fig7 was already emitted and none
+    after it, the failed task leaves no cache entry, every task that
+    completed did, and a re-run matches a clean run.
     """
     tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, seed=1)
     failing = next(index for index, task in enumerate(tasks)
-                   if task.kind == "sweep-dmin-point"
-                   and task.kwargs["multiplier"] == 4.0)
-    real_point = TASK_FUNCTIONS["sweep-dmin-point"]
+                   if task.kind == "fig7-case"
+                   and task.kwargs["label"] == "c")
+    real_case = TASK_FUNCTIONS["fig7-case"]
 
-    @functools.wraps(real_point)
-    def faulty_point(**kwargs):
-        if kwargs["multiplier"] == 4.0:
-            raise RuntimeError("injected sweep fault")
-        return real_point(**kwargs)
+    @functools.wraps(real_case)
+    def faulty_case(label, *args, **kwargs):
+        if label == "c":
+            raise RuntimeError("injected fig7 fault")
+        return real_case(label, *args, **kwargs)
 
     cache_dir = tmp_path / "cache"
     emitted = []
     completed = []
-    monkeypatch.setitem(TASK_FUNCTIONS, "sweep-dmin-point", faulty_point)
-    with pytest.raises(RuntimeError, match="injected sweep fault"):
+    monkeypatch.setitem(TASK_FUNCTIONS, "fig7-case", faulty_case)
+    with pytest.raises(RuntimeError, match="injected fig7 fault"):
         run_campaign(
             EXPERIMENTS, SMOKE, seed=1, jobs=2, cache=ResultCache(cache_dir),
             progress=lambda done, total, task: completed.append(
@@ -359,11 +359,11 @@ def test_failure_in_a_later_experiment_keeps_earlier_work(
             sink=lambda name, merged: emitted.append(name))
     monkeypatch.undo()
 
-    assert emitted == list(EXPERIMENTS[:EXPERIMENTS.index("sweep")])
+    assert emitted == list(EXPERIMENTS[:EXPERIMENTS.index("fig7")])
     # The failed task's subtree ran in one worker up to the fault:
-    # the warm-up and the earlier d_min points completed there.
-    (warmup,) = tasks[failing].needs
-    completed += range(warmup, failing)
+    # the prefix and cases a-b completed there.
+    (prefix,) = tasks[failing].needs
+    completed += range(prefix, failing)
     keys = _campaign_keys(tasks)
     cache = ResultCache(cache_dir)
     assert cache.load(keys[failing]) is None

@@ -8,8 +8,8 @@ that invariant at every layer it is used:
 
 * the raw capture/restore protocol at arbitrary quiescent points
   (hypothesis drives the fork point and the policy);
-* the fig7 shared learning-phase prefix;
-* the sweep/ablation shared warm worlds;
+* the fig7 shared learning-phase prefix, the only world a campaign
+  forks;
 * the campaign runner's forked subtrees (serial and parallel), checked
   against the straight-line oracle in ``campaign_oracle.py``, and the
   result cache's parent-digest fingerprinting.
@@ -32,11 +32,11 @@ from repro.core.policy import (
 from repro.experiments.common import (
     IRQ_TIMER_DEVICE,
     PaperSystemConfig,
-    build_warm_world,
     run_irq_scenario,
     run_irq_scenario_from,
 )
 from repro.experiments.fig7 import (
+    FIG7_CASES,
     Fig7Config,
     run_fig7,
     run_fig7_case,
@@ -44,10 +44,6 @@ from repro.experiments.fig7 import (
 )
 from repro.experiments.runner import plan_campaign, run_campaign
 from repro.experiments.scale import resolve_scale
-from repro.experiments.sweep import (
-    run_dmin_sweep_point,
-    run_dmin_warmup,
-)
 from repro.sim.snapshot import (
     SnapshotError,
     capture_world,
@@ -142,6 +138,14 @@ def test_restore_is_repeatable_and_continuations_are_independent():
     assert first.hypervisor is not second.hypervisor
 
 
+def _warm_capture(system: PaperSystemConfig, intervals):
+    """A started world captured at its t=0 quiescent point."""
+    hv, timer = system.build(NeverInterpose(), intervals)
+    hv.start()
+    timer.arm_next()
+    return capture_world(hv, {timer.name: timer})
+
+
 def test_snapshot_digest_is_stable_and_content_sensitive():
     system = PaperSystemConfig()
     clock = system.clock()
@@ -149,10 +153,10 @@ def test_snapshot_digest_is_stable_and_content_sensitive():
     intervals = clip_to_dmin(
         exponential_interarrivals(20, dmin, seed=3), dmin
     )
-    warm_a = build_warm_world(system, NeverInterpose(), intervals)
-    warm_b = build_warm_world(system, NeverInterpose(), intervals)
+    warm_a = _warm_capture(system, intervals)
+    warm_b = _warm_capture(system, intervals)
     assert warm_a.digest() == warm_b.digest()
-    other = build_warm_world(system, NeverInterpose(), intervals[:-1])
+    other = _warm_capture(system, intervals[:-1])
     assert warm_a.digest() != other.digest()
 
 
@@ -184,8 +188,8 @@ def test_fig7_shared_prefix_matches_straight_line(tmp_path):
     config = Fig7Config(trace=AutomotiveTraceConfig(
         activation_count=SMOKE.fig7_activations, seed=1,
     ))
-    forked = run_fig7(config, shared_prefix=True)
-    straight = run_fig7(config, shared_prefix=False)
+    forked = run_fig7(config)
+    straight = {label: run_fig7_case(label, config) for label in FIG7_CASES}
     assert fig7_asdict(forked) == fig7_asdict(straight)
     # The exported CSV artifacts are byte-identical too.
     from repro.metrics.export import write_series_csv
@@ -220,27 +224,6 @@ def test_fig7_prefix_digest_distinguishes_fallback():
     assert prefix.digest() != fallback.digest()
 
 
-# ------------------------------------------------------------- sweep
-
-def test_dmin_sweep_point_forked_from_warmup_matches_straight():
-    warmup = run_dmin_warmup(irq_count=SMOKE.sweep_irqs, seed=19)
-    for multiplier in (1.0, 8.0):
-        forked = run_dmin_sweep_point(multiplier,
-                                      irq_count=SMOKE.sweep_irqs,
-                                      seed=19, warmup=warmup)
-        straight = run_dmin_sweep_point(multiplier,
-                                        irq_count=SMOKE.sweep_irqs,
-                                        seed=19, warmup=None)
-        assert dataclasses.asdict(forked) == dataclasses.asdict(straight)
-
-
-def test_dmin_sweep_point_rejects_mismatched_warmup():
-    warmup = run_dmin_warmup(irq_count=SMOKE.sweep_irqs, seed=19)
-    with pytest.raises(ValueError):
-        run_dmin_sweep_point(1.0, irq_count=SMOKE.sweep_irqs, seed=20,
-                             warmup=warmup)
-
-
 # ---------------------------------------------------------- campaigns
 
 def campaign_asdict(merged) -> dict:
@@ -267,7 +250,9 @@ def test_campaign_shared_prefix_is_byte_identical_across_modes():
 
 
 def test_campaign_plan_rebases_needs_across_experiments():
-    tasks, _ = plan_campaign(("fig7", "sweep"), SMOKE, seed=1)
+    # fig7 comes second, so its needs must be rebased past sweep's tasks.
+    tasks, _ = plan_campaign(("sweep", "fig7"), SMOKE, seed=1)
+    assert any(task.needs for task in tasks)
     for index, task in enumerate(tasks):
         for need in task.needs:
             assert need < index
@@ -309,7 +294,7 @@ def test_warm_world_restores_timer_device():
     intervals = clip_to_dmin(
         exponential_interarrivals(10, dmin, seed=5), dmin
     )
-    warm = build_warm_world(system, NeverInterpose(), intervals)
+    warm = _warm_capture(system, intervals)
     hv, devices = restore_world(warm)
     timer = devices[IRQ_TIMER_DEVICE]
     assert timer.interval_count == len(intervals)

@@ -552,18 +552,13 @@ class TestLiveRoundTrip:
 class TestStoreTelemetry:
     def test_collect_store_counters(self):
         from repro.store.capture import StoreWriteStats
-        from repro.store.runstore import StoreQueryStats
         from repro.telemetry import MetricsRegistry, collect_store
         registry = MetricsRegistry()
         write_stats = StoreWriteStats(artifacts_written=2, rows_written=40,
                                       trace_rows_written=7,
                                       bytes_written=1234,
                                       write_seconds=0.5, skipped_tasks=1)
-        query_stats = StoreQueryStats(artifacts_scanned=3, artifacts_read=2,
-                                      rows_scanned=40, bytes_read=999,
-                                      queries=4, query_seconds=0.1)
-        collect_store(registry, write_stats=write_stats,
-                      query_stats=query_stats, run="test")
+        collect_store(registry, write_stats=write_stats, run="test")
         snapshot = registry.snapshot()
 
         def value(name):
@@ -573,17 +568,3 @@ class TestStoreTelemetry:
         assert value("store_rows_written_total") == 40
         assert value("store_bytes_written_total") == 1234
         assert value("store_tasks_skipped_total") == 1
-        assert value("store_artifacts_read_total") == 2
-        assert value("store_queries_total") == 4
-
-
-class TestParquetSoftDependency:
-    def test_missing_pyarrow_raises_runtime_error(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-            pytest.skip("pyarrow installed; soft-import path not testable")
-        except ImportError:
-            pass
-        artifact = RunArtifact.read(write_sample(tmp_path / "a.rpart"))
-        with pytest.raises(RuntimeError, match="pyarrow"):
-            artifact.to_parquet(tmp_path / "a.parquet")

@@ -115,19 +115,6 @@ def test_disabled_registry_is_noop_and_registers_nothing():
     assert registry.snapshot() == {}
 
 
-def test_prometheus_rendering_includes_help_type_and_series():
-    registry = MetricsRegistry()
-    registry.counter("irqs_total", "IRQs seen", ("line",)).labels(
-        line="5").inc(3)
-    registry.histogram("wait_seconds", "Wait", buckets=(1.0,)).observe(0.5)
-    text = registry.render_prometheus()
-    assert "# HELP irqs_total IRQs seen" in text
-    assert "# TYPE irqs_total counter" in text
-    assert 'irqs_total{line="5"} 3' in text
-    assert 'wait_seconds_bucket{le="1"} 1' in text
-    assert "wait_seconds_count 1" in text
-
-
 def test_json_snapshot_round_trips(tmp_path):
     registry = MetricsRegistry()
     registry.counter("a_total").inc(2)
