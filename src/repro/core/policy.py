@@ -209,24 +209,6 @@ class SelfLearningInterposing(InterposingPolicy):
         self.monitor = build_monitor(self._learner.table(), bound)
         self._phase = LearningPhase.RUN
 
-    def set_load_fraction(self, load_fraction: Optional[float]) -> None:
-        """Re-target the run-mode bound of a still-learning policy.
-
-        This is the fig7 fork hook: the four bound cases a–d share one
-        learning prefix (the fraction is only read at the
-        learning→run transition), so a forked continuation sets its
-        case's fraction before the transition fires.  Once run mode
-        has derived the monitor the fraction is baked in, so changing
-        it then would silently do nothing — refuse instead.
-        """
-        if self._phase is not LearningPhase.LEARN:
-            raise ValueError(
-                "load fraction can only be changed during the learning phase"
-            )
-        if self._bound is not None and load_fraction is not None:
-            raise ValueError("policy already carries an explicit bound")
-        self._load_fraction = load_fraction
-
     def snapshot_state(self) -> dict:
         return {
             "depth": self._learner.depth,

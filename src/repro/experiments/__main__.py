@@ -178,7 +178,6 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
     seed (see :mod:`repro.telemetry.run`); cache and campaign-runner
     metrics are sampled from the run itself.
     """
-    from repro.sim.worldstore import default_store
     from repro.telemetry import (
         MetricsRegistry,
         collect_cache,
@@ -195,16 +194,11 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
         # through the exporter, they give the same instants as the
         # live trace written below.
         store.write_traced_run(replay)
-    # The process-global world store holds the fig7 prefix layers
-    # this invocation captured in-process (campaign workers keep their
-    # own stores); exporting it adds the sim_world_* sharing metrics
-    # and the capture-log Perfetto track.
     written = export_traced_run(
         replay,
         trace_path=args.trace_out,
         registry=registry,
         campaign=telemetry,
-        world_store=default_store(),
         metadata={"scale": scale.name, "jobs": jobs},
     )
     if args.trace_out is not None:

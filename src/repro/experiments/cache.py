@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 #: Bumped whenever the entry layout or fingerprint payload changes so
 #: stale caches from older code read as misses instead of garbage.
@@ -119,7 +119,7 @@ def canonicalize(value: Any) -> Any:
 # --------------------------------------------------------------- source
 
 #: module name -> (content hash, frozenset of package-local imports);
-#: per-process memo so a 32-task campaign parses each module once.
+#: per-process memo so a 31-task campaign parses each module once.
 _MODULE_INFO_CACHE: "dict[str, Optional[tuple[str, frozenset]]]" = {}
 
 
@@ -217,11 +217,11 @@ def source_fingerprint(module_name: str,
 def result_digest(result: Any) -> str:
     """Stable content digest of one task result.
 
-    Results that define ``digest()`` (world snapshots, the fig7 prefix
-    wrapper) use it — their digest is a hash over canonical plain
-    data, stable across processes.  Anything else is hashed through
-    its pickle, which is exactly the representation the cache stores
-    and the byte-identity tests pin.
+    Results that define ``digest()`` (world snapshots) use it — their
+    digest is a hash over canonical plain data, stable across
+    processes.  Anything else is hashed through its pickle, which is
+    exactly the representation the cache stores.  No fingerprint folds
+    it in: no campaign task depends on another's result.
     """
     digest = getattr(result, "digest", None)
     if callable(digest):
@@ -230,15 +230,8 @@ def result_digest(result: Any) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def task_fingerprint(task: Any, root_package: str = "repro",
-                     parent_digests: "tuple[str, ...]" = ()) -> str:
-    """Content-address one campaign task (see the module docstring).
-
-    ``parent_digests`` carries the result digests of the tasks this one
-    depends on (``task.needs``), in order — a forked task's fingerprint
-    folds in the exact snapshot it forks from, so a cached continuation
-    is only replayed when its parent's world is byte-identical too.
-    """
+def task_fingerprint(task: Any, root_package: str = "repro") -> str:
+    """Content-address one campaign task (see the module docstring)."""
     from repro.experiments.runner import TASK_FUNCTIONS
 
     function = TASK_FUNCTIONS[task.kind]
@@ -248,11 +241,6 @@ def task_fingerprint(task: Any, root_package: str = "repro",
         "kwargs": canonicalize(dict(task.kwargs)),
         "source": source_fingerprint(function.__module__, root_package),
     }
-    if parent_digests:
-        payload["parents"] = list(parent_digests)
-        feed = getattr(task, "feed", None)
-        if feed:
-            payload["feed"] = feed
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

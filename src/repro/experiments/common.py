@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro.core.policy import HandlingMode, InterposingPolicy
 from repro.hypervisor.config import CostModel, HypervisorConfig, SlotConfig
@@ -259,22 +259,9 @@ def run_irq_scenario(system: PaperSystemConfig,
 def run_irq_scenario_from(
     snapshot: WorldSnapshot,
     system: PaperSystemConfig,
-    configure: Optional[Callable[[Hypervisor, IntervalSequenceTimer,
-                                  IrqSource], None]] = None,
     limit_seconds: float = 600.0,
 ) -> ScenarioResult:
-    """Fork a scenario continuation from a snapshot and run it out.
-
-    ``configure(hv, timer, source)`` runs on the freshly restored world
-    before execution resumes — the hook fig7 uses to re-target a
-    still-learning policy's bound on top of its shared learning
-    prefix.  The caller guarantees the configuration change is
-    invisible to the already-executed prefix, so the continuation stays
-    byte-identical to a straight-line run of the same variant.
-    """
+    """Fork a scenario continuation from a snapshot and run it out."""
     hv, devices = restore_world(snapshot)
     timer = devices[IRQ_TIMER_DEVICE]
-    source = hv.irq_source(system.irq_name)
-    if configure is not None:
-        configure(hv, timer, source)
     return finish_irq_scenario(hv, system, timer.interval_count, limit_seconds)

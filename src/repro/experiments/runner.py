@@ -9,8 +9,7 @@ per-load Fig. 6 cells) instead of sharing mutable state:
 campaign   task decomposition
 ========== =====================================================
 fig6a/b/c  one task per interrupt load (3 each)
-fig7       shared learning-phase prefix (1) + one forked task
-           per bound case a–d (4)
+fig7       one task per bound case a–d (4)
 tab62      one task per interrupt load (3)
 validation classic leg + monitored leg (2)
 ablation   boost / throttle / depth (3)
@@ -23,16 +22,8 @@ loops do, and the merge functions consume task results in the serial
 order, ``run_campaign(..., jobs=N)`` is **byte-identical** to
 ``jobs=1`` for every N: parallelism only changes wall-clock time.
 
-Tasks that fork a shared snapshot (the fig7 cases) declare the
-snapshot task in ``needs`` and receive its result through the ``feed``
-kwarg.  The runner groups each connected ``needs`` chain into one
-per-worker assignment (:func:`plan_subtrees`): the worker receives
-the subtree root once and walks the descendants against the shared
-layered world store, so intermediate worlds are never re-pickled.
-Parent result digests are still folded into cache fingerprints inside
-the worker, so incremental re-runs stay exact.  Dependencies never
-reach a worker unresolved, and the byte-identity contract extends
-across the whole task list.
+No task depends on another: every task runs straight-line from its
+own kwargs, so each is one pool work item and one cache entry.
 
 Workload generation inside the workers is cheap and deterministic
 (:mod:`repro.workloads` memoizes interarrival arrays and traces), so
@@ -46,7 +37,6 @@ runs inside the task.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import time
@@ -58,19 +48,10 @@ from repro.experiments.ablation import (
     run_depth_ablation,
     run_throttle_ablation,
 )
-from repro.experiments.cache import (
-    ResultCache,
-    result_digest,
-    task_fingerprint,
-)
+from repro.experiments.cache import ResultCache, task_fingerprint
 from repro.experiments.design import run_design
 from repro.experiments.fig6 import Fig6Config, merge_fig6_loads, run_fig6_load
-from repro.experiments.fig7 import (
-    FIG7_CASES,
-    Fig7Config,
-    run_fig7_case,
-    run_fig7_prefix,
-)
+from repro.experiments.fig7 import FIG7_CASES, Fig7Config, run_fig7_case
 from repro.experiments.overhead import merge_overhead, run_overhead_load
 from repro.experiments.scale import ExperimentScale
 from repro.experiments.sweep import run_cycle_sweep_point, run_dmin_sweep_point
@@ -87,22 +68,11 @@ DEFAULT_LOADS = (0.01, 0.05, 0.10)
 
 @dataclass(frozen=True)
 class CampaignTask:
-    """One picklable unit of campaign work.
-
-    Most tasks are independent; a *forked* task additionally names the
-    campaign-wide indices of the tasks it ``needs`` finished first (its
-    snapshot parents) and the kwarg (``feed``) through which the first
-    parent's result is injected before dispatch.  A task and everything
-    that depends on it run in one worker, in task-list order.
-    """
+    """One picklable, independent unit of campaign work."""
 
     experiment: str                     #: campaign id ("fig6a", "sweep", ...)
     kind: str                           #: dispatch key into TASK_FUNCTIONS
     kwargs: "dict[str, Any]" = field(default_factory=dict)
-    #: Indices (into the campaign task list) of prerequisite tasks.
-    needs: "tuple[int, ...]" = ()
-    #: Kwarg name receiving the first prerequisite's result, if any.
-    feed: "str | None" = None
 
     def __repr__(self) -> str:          # compact pool-debugging aid
         return f"CampaignTask({self.experiment}:{self.kind})"
@@ -113,7 +83,6 @@ class CampaignTask:
 #: multiprocessing start method.
 TASK_FUNCTIONS: "dict[str, Callable[..., Any]]" = {
     "fig6-load": run_fig6_load,
-    "fig7-prefix": run_fig7_prefix,
     "fig7-case": run_fig7_case,
     "overhead-load": run_overhead_load,
     "validation-classic": run_validation_classic,
@@ -155,7 +124,7 @@ class CampaignTelemetry:
     with or without it, and merges still consume results in task order.
     """
 
-    jobs: int = 1
+    jobs: int = 1                   #: workers used (1 when in-process)
     wall_seconds: float = 0.0
     tasks: "list[TaskTelemetry]" = field(default_factory=list)
     #: monotonic instant of the first run_campaign call sharing this
@@ -185,10 +154,6 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
     The merge function runs in the parent process and consumes the task
     results *in task order* — the same order the serial loops produce —
     so merged results do not depend on worker scheduling.
-
-    The fig7 campaign carries a snapshot task (the shared learning
-    phase) that the per-case tasks fork from via ``needs``/``feed``;
-    its merge skips that result slot.
     """
     if name.startswith("fig6") and name[-1] in ("a", "b", "c"):
         scenario = name[-1]
@@ -206,15 +171,12 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
             activation_count=scale.fig7_activations, seed=seed,
         ))
         labels = tuple(FIG7_CASES)
-        tasks = [CampaignTask(name, "fig7-prefix", {"config": config})]
-        tasks += [
+        tasks = [
             CampaignTask(name, "fig7-case",
-                         {"label": label, "config": config},
-                         needs=(0,), feed="prefix")
+                         {"label": label, "config": config})
             for label in labels
         ]
-        # results[0] is the prefix snapshot, not a case.
-        return tasks, lambda results: dict(zip(labels, results[1:]))
+        return tasks, lambda results: dict(zip(labels, results))
     if name == "tab62":
         tasks = [
             CampaignTask(name, "overhead-load",
@@ -274,23 +236,12 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
 
 def plan_campaign(names: Sequence[str], scale: ExperimentScale, seed: int,
                   ) -> "tuple[list[CampaignTask], dict[str, Callable]]":
-    """Flatten the selected experiments into one task list.
-
-    Per-experiment ``needs`` indices are local to that experiment's
-    task list; flattening rebases them onto campaign-wide positions.
-    """
+    """Flatten the selected experiments into one task list."""
     tasks: "list[CampaignTask]" = []
     merges: "dict[str, Callable]" = {}
     for name in names:
-        experiment_tasks, merge = plan_experiment(name, scale, seed)
-        base = len(tasks)
-        for task in experiment_tasks:
-            if task.needs:
-                task = dataclasses.replace(
-                    task, needs=tuple(base + need for need in task.needs)
-                )
-            tasks.append(task)
-        merges[name] = merge
+        experiment_tasks, merges[name] = plan_experiment(name, scale, seed)
+        tasks += experiment_tasks
     return tasks, merges
 
 
@@ -317,106 +268,25 @@ def _record_task(telemetry: "CampaignTelemetry | None",
         progress(done, total, task)
 
 
-def plan_subtrees(tasks: "list[CampaignTask]",
-                  include: "Sequence[int] | None" = None,
-                  ) -> "list[list[int]]":
-    """Group task indices into dependency-connected subtrees.
+def _execute_item(item: "tuple") -> "tuple[Any, float, float, int, Any]":
+    """Pool target running one task (in-process or inside a worker).
 
-    Every ``needs`` edge joins its two endpoints into the same group;
-    independent tasks become singleton groups.  Each group lists its
-    indices in ascending task-list order — ``needs`` always point to
-    earlier indices, so that order is a valid execution order — and
-    the groups themselves are ordered by their first task, keeping the
-    scatter (and the merges that consume it) deterministic.
-
-    ``include`` restricts planning to a subset of indices (the cache
-    misses of a warm run); edges to excluded tasks are ignored — their
-    results are already resolved and get injected into the subtree.
+    With a cache directory the worker stores its result itself
+    (`ResultCache` writes are atomic and concurrent-safe) under the key
+    the parent already probed, so the miss is not double-counted.
+    Returns ``(result, pickup, elapsed, pid, cache stats or None)``.
     """
-    members = sorted(range(len(tasks)) if include is None else include)
-    member_set = set(members)
-    parent = {index: index for index in members}
-
-    def find(index: int) -> int:
-        root = index
-        while parent[root] != root:
-            root = parent[root]
-        while parent[index] != root:
-            parent[index], index = root, parent[index]
-        return root
-
-    for index in members:
-        for need in tasks[index].needs:
-            if not 0 <= need < index:
-                raise ValueError(
-                    f"subtree scheduling requires dependencies that point "
-                    f"to earlier tasks; task {index} needs {need}")
-            if need in member_set:
-                parent[find(need)] = find(index)
-    groups: "dict[int, list[int]]" = {}
-    for index in members:
-        groups.setdefault(find(index), []).append(index)
-    return sorted(groups.values(), key=lambda group: group[0])
-
-
-def _execute_subtree(item: "tuple") -> "tuple[list, list, Any]":
-    """Pool target running one whole subtree inside a single worker.
-
-    The subtree root's injected parents crossed the process boundary
-    exactly once, in ``item``; every descendant then forks from the
-    *live* result of its parent task — for fig7's prefix that means
-    restoring the worker's own layered snapshot, never a re-pickle of
-    an intermediate world.
-
-    With a cache directory the worker replays hits and stores misses
-    itself (`ResultCache` writes are atomic and concurrent-safe), with
-    parent digests folded into each fingerprint from the *local*
-    results — snapshot-bearing results digest over canonical plain
-    data, so the fingerprints match the parent process's exactly.
-    Keys the parent already probed (and missed) arrive precomputed in
-    ``known_keys`` so the miss is not double-counted.
-    """
-    (indices, subtree_tasks, injected, injected_digests, known_keys,
-     epoch, cache_dir) = item
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    results: "dict[int, Any]" = dict(injected)
-    digests: "dict[int, str]" = dict(injected_digests)
-    meta: "list[tuple[bool, float, float, int]]" = []
-    pid = os.getpid()
-
-    def need_digest(need: int) -> str:
-        if need not in digests:
-            digests[need] = result_digest(results[need])
-        return digests[need]
-
-    for position, index in enumerate(indices):
-        task = subtree_tasks[position]
-        pickup = time.monotonic() - epoch
-        key = None
-        if cache is not None:
-            key = known_keys.get(index)
-            if key is None:
-                parents = tuple(need_digest(need) for need in task.needs)
-                key = task_fingerprint(task, parent_digests=parents)
-                entry = cache.load(key)
-                if entry is not None:
-                    results[index] = entry.result
-                    meta.append((True, pickup, 0.0, pid))
-                    continue
-        run_task = task
-        if task.needs and task.feed is not None:
-            kwargs = dict(task.kwargs)
-            kwargs[task.feed] = results[task.needs[0]]
-            run_task = CampaignTask(task.experiment, task.kind, kwargs)
-        started = time.perf_counter()
-        result = execute_task(run_task)
-        elapsed = time.perf_counter() - started
-        if cache is not None:
-            cache.store(key, task, result, elapsed)
-        results[index] = result
-        meta.append((False, pickup, elapsed, pid))
-    return ([results[index] for index in indices], meta,
-            cache.stats if cache is not None else None)
+    task, key, epoch, cache_dir = item
+    pickup = time.monotonic() - epoch
+    started = time.perf_counter()
+    result = execute_task(task)
+    elapsed = time.perf_counter() - started
+    stats = None
+    if cache_dir is not None:
+        cache = ResultCache(cache_dir)
+        cache.store(key, task, result, elapsed)
+        stats = cache.stats
+    return result, pickup, elapsed, os.getpid(), stats
 
 
 def _merge_cache_stats(into: "Any", delta: "Any") -> None:
@@ -426,31 +296,27 @@ def _merge_cache_stats(into: "Any", delta: "Any") -> None:
         setattr(into, name, getattr(into, name) + getattr(delta, name))
 
 
-def _run_tasks_subtree(
+def _run_tasks(
     tasks: "list[CampaignTask]", jobs: int,
     emit: "Callable[[list[CampaignTask], list], None]",
     telemetry: "CampaignTelemetry | None" = None,
     progress: "Callable[[int, int, CampaignTask], None] | None" = None,
     epoch: "float | None" = None,
     cache: "ResultCache | None" = None,
-) -> None:
-    """Execute tasks as per-worker subtree assignments in one pool.
+) -> int:
+    """Execute tasks in one pool; returns the worker count used.
 
-    With a cache, the parent first replays every hit it can resolve in
-    dependency order (a fully warm run therefore spawns no pool at
-    all); the remaining misses are grouped into subtrees whose
-    already-resolved parents are injected into the work item.  Every
-    subtree of the campaign goes to one pool in plan order; each runs
-    start-to-finish inside one worker, and results scatter back to
-    their campaign indices.
+    With a cache, the parent first replays every hit (a fully warm run
+    therefore spawns no pool at all); each remaining miss is one work
+    item.  Every item of the campaign goes to one pool in plan order,
+    and results scatter back to their campaign indices.
 
-    Plan order keeps each experiment's tasks contiguous and ``needs``
-    never cross an experiment, so experiments resolve in plan order:
-    as soon as the next experiment's tasks have all resolved,
-    ``emit(experiment_tasks, experiment_results)`` receives them in
-    task order — whatever the jobs count — and the runner drops them.
-    With one job, an experiment is emitted before any task of the
-    next one runs.
+    Plan order keeps each experiment's tasks contiguous, so experiments
+    resolve in plan order: as soon as the next experiment's tasks have
+    all resolved, ``emit(experiment_tasks, experiment_results)``
+    receives them in task order — whatever the jobs count — and the
+    runner drops them.  With one job, an experiment is emitted before
+    any task of the next one runs.
     """
     call_started = time.monotonic()
     base = 0.0 if epoch is None else call_started - epoch
@@ -478,75 +344,52 @@ def _run_tasks_subtree(
             results[start:stop] = [None] * (stop - start)
             emit(tasks[start:stop], own)
 
-    resolved_digests: "dict[int, str]" = {}
-    known_keys: "dict[int, str]" = {}
-    pending = set(range(total))
-    if cache is not None:
-        for index, task in enumerate(tasks):
-            if any(need in pending for need in task.needs):
-                continue        # an ancestor missed; must execute
-            parents = tuple(resolved_digests[need] for need in task.needs)
-            key = task_fingerprint(task, parent_digests=parents)
-            entry = cache.load(key)
-            if entry is None:
-                known_keys[index] = key
-                continue
-            resolved_digests[index] = result_digest(entry.result)
-            pending.discard(index)
-            done += 1
-            _record_task(telemetry, progress, task, index, done, total,
-                         cached=True, wall=0.0, wait=0.0,
-                         offset=base + time.monotonic() - call_started,
-                         pid=os.getpid())
-            resolve(index, entry.result)
-    if not pending:
-        return
     cache_dir = str(cache.directory) if cache is not None else None
+    pending: "list[int]" = []
     items = []
-    for indices in plan_subtrees(tasks, include=pending):
-        member_set = set(indices)
-        injected: "dict[int, Any]" = {}
-        injected_digests: "dict[int, str]" = {}
-        for index in indices:
-            for need in tasks[index].needs:
-                if need not in member_set:
-                    injected[need] = results[need]
-                    injected_digests[need] = resolved_digests[need]
-        items.append((indices, [tasks[index] for index in indices],
-                      injected, injected_digests,
-                      {index: known_keys[index] for index in indices
-                       if index in known_keys},
-                      call_started, cache_dir))
+    for index, task in enumerate(tasks):
+        key = None
+        if cache is not None:
+            key = task_fingerprint(task)
+            entry = cache.load(key)
+            if entry is not None:
+                done += 1
+                _record_task(telemetry, progress, task, index, done, total,
+                             cached=True, wall=0.0, wait=0.0,
+                             offset=base + time.monotonic() - call_started,
+                             pid=os.getpid())
+                resolve(index, entry.result)
+                continue
+        pending.append(index)
+        items.append((task, key, call_started, cache_dir))
 
     def consume(outcome_iter: "Any") -> None:
         nonlocal done
-        for item, (sub_results, meta, stats_delta) in zip(items,
-                                                          outcome_iter):
-            indices = item[0]
-            if cache is not None and stats_delta is not None:
+        for index, (result, pickup, elapsed, pid, stats_delta) in zip(
+                pending, outcome_iter):
+            if stats_delta is not None:
                 _merge_cache_stats(cache.stats, stats_delta)
-            for position, index in enumerate(indices):
-                cached, pickup, elapsed, pid = meta[position]
-                done += 1
-                _record_task(telemetry, progress, tasks[index], index,
-                             done, total, cached=cached, wall=elapsed,
-                             wait=pickup, offset=base + pickup, pid=pid)
-                resolve(index, sub_results[position])
+            done += 1
+            _record_task(telemetry, progress, tasks[index], index,
+                         done, total, cached=False, wall=elapsed,
+                         wait=pickup, offset=base + pickup, pid=pid)
+            resolve(index, result)
 
     if jobs <= 1 or len(items) <= 1:
-        consume(map(_execute_subtree, items))
-        return
+        consume(map(_execute_item, items))
+        return 1
     # Imported here: serial and fully warm runs never pay for it.
     from concurrent.futures import ProcessPoolExecutor
 
     # A worker that dies surfaces as BrokenProcessPool from map, never
-    # as a hang; on any failure, subtrees not yet started are dropped.
-    pool = ProcessPoolExecutor(min(jobs, len(items)),
-                               mp_context=_pool_context())
+    # as a hang; on any failure, items not yet started are dropped.
+    workers = min(jobs, len(items))
+    pool = ProcessPoolExecutor(workers, mp_context=_pool_context())
     try:
-        consume(pool.map(_execute_subtree, items))
+        consume(pool.map(_execute_item, items))
     finally:
         pool.shutdown(cancel_futures=True)
+    return workers
 
 
 def run_campaign(names: Sequence[str], scale: ExperimentScale,
@@ -561,11 +404,12 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     """Run the selected experiment campaigns as one campaign.
 
     ``jobs=1`` executes every task in-process, exactly like the
-    original serial loops.  ``jobs=N`` fans the subtrees of *every*
-    selected experiment out over one ``N``-worker
-    :class:`~concurrent.futures.ProcessPoolExecutor`, one subtree per
-    call (tasks have very uneven durations, so greedy scheduling
-    matters, and one pool lets a long experiment overlap the others).
+    original serial loops.  ``jobs=N`` fans the tasks of *every*
+    selected experiment out over one
+    :class:`~concurrent.futures.ProcessPoolExecutor` of at most ``N``
+    workers, one task per call (tasks have very uneven durations, so
+    greedy scheduling matters, and one pool lets a long experiment
+    overlap the others).
     A worker that dies raises
     :class:`~concurrent.futures.process.BrokenProcessPool`.  Either
     way each merge consumes its experiment's results in the fixed task
@@ -588,13 +432,8 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     ``progress`` (called as ``progress(done, total, task)`` after each
     task completes, in the parent process, counting over the whole
     campaign) observe per-task timing without changing the
-    ordered-results contract.
-
-    The fig7 campaign forks its per-case tasks from a shared snapshot
-    task (see :mod:`repro.sim.snapshot`); each connected ``needs``
-    chain runs inside one worker, so the parent snapshot crosses the
-    pool boundary once and descendants fork from live results against
-    the shared world store.
+    ordered-results contract.  ``telemetry.jobs`` records the workers
+    actually used: 1 in-process, else ``min(jobs, tasks to compute)``.
 
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a
@@ -611,7 +450,6 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     tasks, merges = plan_campaign(names, scale, seed)
     epoch: "float | None" = None
     if telemetry is not None:
-        telemetry.jobs = jobs
         if telemetry.epoch is None:
             telemetry.epoch = started
         epoch = telemetry.epoch
@@ -627,8 +465,9 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
         name = experiment_tasks[0].experiment
         deliver(name, merges[name](experiment_results))
 
-    _run_tasks_subtree(tasks, jobs, emit, telemetry, progress, epoch, cache)
+    workers = _run_tasks(tasks, jobs, emit, telemetry, progress, epoch, cache)
     if telemetry is not None:
+        telemetry.jobs = workers
         telemetry.wall_seconds += time.monotonic() - started
     return merged
 

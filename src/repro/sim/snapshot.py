@@ -1,12 +1,12 @@
 """Checkpoint/fork of complete simulation worlds.
 
-Fig7's four bound cases share an identical learning phase, and
-re-simulating it per case is redundant work.  This module lets a
-driver simulate such a shared prefix *once*, capture the complete
-world — engine clock/seq/heap, hypervisor, scheduler, partitions,
-policies/monitors, timers, interrupt controller, trace recorder — and
-fork independent continuations that are **byte-identical** to
-straight-line runs.
+This module lets a driver simulate a shared prefix *once*, capture
+the complete world — engine clock/seq/heap, hypervisor, scheduler,
+partitions, policies/monitors, timers, interrupt controller, trace
+recorder — and fork independent continuations that are
+**byte-identical** to straight-line runs.  No campaign forks a world
+(every task runs straight-line); the tests drive this protocol as the
+determinism contract of every component's snapshot hooks.
 
 Why not ``copy.deepcopy``?  Scheduled events are closures over the old
 world: deep-copying the heap would either duplicate the entire object
@@ -131,19 +131,13 @@ class WorldSnapshot:
 
     ``state`` contains only JSON-able data (dicts with string keys,
     lists, tuples, strings, ints, floats, bools, None), so the
-    snapshot crosses process boundaries (campaign workers) and hashes
-    stably for cache fingerprinting.
+    snapshot pickles and hashes stably.
     """
 
     state: dict
 
     def digest(self) -> str:
-        """Stable SHA-256 over the canonical JSON of the state.
-
-        Folded into the campaign-cache fingerprint of forked subtasks:
-        a child task's cached result is only replayed when the parent
-        snapshot it forked from is byte-identical too.
-        """
+        """Stable SHA-256 over the canonical JSON of the state."""
         payload = json.dumps(self.state, sort_keys=True,
                              separators=(",", ":"), ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -247,7 +241,7 @@ def restore_world(snapshot: WorldSnapshot) -> tuple[Any, dict[str, Any]]:
 
 
 def settle(world: Any, devices: Optional[dict[str, Any]] = None,
-           max_steps: int = 256, store: Any = None) -> WorldSnapshot:
+           max_steps: int = 256) -> WorldSnapshot:
     """Advance the world event by event until a capture succeeds.
 
     A run usually stops inside a hypervisor event chain (interrupts
@@ -255,25 +249,11 @@ def settle(world: Any, devices: Optional[dict[str, Any]] = None,
     handful of events away.  ``max_steps`` bounds the search so a
     world that never quiesces (e.g. one with a guest kernel attached)
     fails loudly instead of running to completion.
-
-    With a ``store`` (a :class:`repro.sim.worldstore.WorldStore`) the
-    successful capture is interned there and a
-    :class:`~repro.sim.worldstore.LayeredSnapshot` — same state, same
-    digest — is returned instead of a flat copy.
     """
-    if store is not None:
-        from repro.sim.worldstore import capture_world_layered
-
-        def _capture():
-            return capture_world_layered(world, devices, store)
-    else:
-        def _capture():
-            return capture_world(world, devices)
-
     last: Optional[SnapshotError] = None
     for _ in range(max_steps):
         try:
-            return _capture()
+            return capture_world(world, devices)
         except SnapshotError as error:
             last = error
             if not world.engine.step():

@@ -23,6 +23,10 @@ A capture is always the full :func:`~repro.sim.snapshot.capture_world`
 audit followed by interning; only :func:`fork_snapshot` (a policy or
 source variant of a captured world) is O(changes).
 
+No campaign path captures or restores a world any more, so nothing in
+``repro`` imports this module; it stays only while the end-to-end
+benchmark's layer tracer still names its functions.
+
 The module stays domain-free like :mod:`repro.sim.snapshot`: the part
 split is structural (top-level scalars, one part per ``world`` sub-key,
 one per device), never hypervisor-specific.
@@ -43,9 +47,6 @@ from repro.sim.snapshot import (
 
 #: Keys of a snapshot ``state`` dict that are stored as their own parts.
 _TOP_SCALARS = ("format", "world_class", "pending")
-
-#: Cap on the capture-event log kept for Perfetto export.
-CAPTURE_LOG_CAP = 4096
 
 
 def canonical_json(value: Any) -> str:
@@ -181,9 +182,6 @@ class WorldStore:
         # layer digest -> whole-state digest (assembly memo)
         self._root_digests: dict[str, str] = {}
         self.stats = WorldStoreStats()
-        #: Capped ``(sim_time, kind, parts_changed, depth)`` capture log
-        #: rendered as a Perfetto track by :mod:`repro.telemetry`.
-        self.capture_log: list[tuple[int, str, int, int]] = []
 
     # -- fragments ----------------------------------------------------
 
@@ -223,7 +221,6 @@ class WorldStore:
         self._layers.clear()
         self._root_digests.clear()
         self._resident_bytes = 0
-        self.capture_log.clear()
 
     # -- layers -------------------------------------------------------
 
@@ -283,13 +280,6 @@ class WorldStore:
         self._root_digests[layer.digest] = root
         return root
 
-    # -- capture log --------------------------------------------------
-
-    def log_capture(self, sim_time: int, kind: str, parts_changed: int,
-                    depth: int) -> None:
-        if len(self.capture_log) < CAPTURE_LOG_CAP:
-            self.capture_log.append((sim_time, kind, parts_changed, depth))
-
 
 def _join_object(items: list[tuple[str, str]]) -> str:
     """Assemble a JSON object from ``(string key, encoded value)`` pairs.
@@ -307,24 +297,11 @@ _DEFAULT_STORE: Optional[WorldStore] = None
 
 
 def default_store() -> WorldStore:
-    """The per-process store that fig7's learning-prefix captures use."""
+    """The per-process store :func:`capture_world_layered` defaults to."""
     global _DEFAULT_STORE
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = WorldStore()
     return _DEFAULT_STORE
-
-
-def reset_default_store() -> None:
-    """Clear and drop the process-global store.
-
-    The next :func:`default_store` call builds a fresh one — campaigns
-    that run back to back in one process use this to release every
-    retained fragment in between.
-    """
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is not None:
-        _DEFAULT_STORE.clear()
-    _DEFAULT_STORE = None
 
 
 def capture_world_layered(world: Any,
@@ -351,7 +328,6 @@ def capture_world_layered(world: Any,
         delta[f"devices.{name}"] = store.put_fragment(value)
     layer = store.make_layer(None, delta)
     store.stats.full_captures += 1
-    store.log_capture(world.engine.now, "full", len(delta), layer.depth)
     return LayeredSnapshot(store, layer)
 
 
@@ -392,14 +368,4 @@ def fork_snapshot(snapshot: LayeredSnapshot,
             delta[key] = digest
     layer = store.make_layer(snapshot.layer, delta)
     store.stats.data_forks += 1
-    # The engine part's shared value gives the fork's simulation time
-    # in O(1) — fragment_value returns the interned object, never
-    # re-decoding, and .state is deliberately not touched (that would
-    # materialize the whole world and defeat the O(changes) fork).
-    engine_digest = mapping.get("world.engine")
-    engine_part = (store.fragment_value(engine_digest)
-                   if engine_digest is not None else None)
-    sim_time = (engine_part.get("now", 0)
-                if isinstance(engine_part, dict) else 0)
-    store.log_capture(sim_time, "fork", len(delta), layer.depth)
     return LayeredSnapshot(store, layer)

@@ -22,7 +22,6 @@ from repro.telemetry.collectors import (
     collect_engine,
     collect_hypervisor,
     collect_store,
-    collect_world_store,
 )
 from repro.telemetry.perfetto import (
     TRACE_FORMAT,
@@ -48,7 +47,6 @@ __all__ = [
     "collect_engine",
     "collect_hypervisor",
     "collect_store",
-    "collect_world_store",
     "export_traced_run",
     "load_chrome_trace",
     "load_metrics_json",

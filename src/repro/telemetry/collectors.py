@@ -22,8 +22,6 @@ Metric-name prefixes group by layer:
 ``cache_`` campaign result cache (hits/misses/invalidations)
 ``campaign_`` campaign runner (task wall times, worker
            utilization, queue wait)
-``sim_world_`` layered world store (layers, fragment dedup,
-           bytes shared, full captures, data forks)
 ``store_`` run-artifact store (artifacts/rows/bytes written,
            artifacts scanned, rows/bytes read, query timings)
 ========== =====================================================
@@ -109,61 +107,6 @@ def collect_engine(registry: MetricsRegistry, engine: Any,
     ).labels(run=run,
              state=("on" if getattr(engine, "idle_skip_enabled", False)
                     else "off")).set(1)
-
-
-def collect_world_store(registry: MetricsRegistry, store: Any,
-                        run: str = "") -> None:
-    """Sample a :class:`~repro.sim.worldstore.WorldStore`.
-
-    The ``sim_world_layers_*`` family exposes the copy-on-write world
-    store's sharing behaviour: how many immutable layers exist, how
-    often a capture or fork deduplicated against an already-interned
-    layer or fragment, and how many bytes the content-addressed
-    fragment store holds versus how many a flat (deep-copy) store
-    would have re-serialized (``bytes_shared``).
-    """
-    labels = {"run": run}
-    stats = store.stats
-
-    def counter(name: str, help_text: str, value: "int | float") -> None:
-        registry.counter(name, help_text, ("run",)).labels(**labels).inc(value)
-
-    registry.gauge(
-        "sim_world_layers",
-        "Immutable copy-on-write layers interned in the world store",
-        ("run",),
-    ).labels(**labels).set(store.layer_count)
-    registry.gauge(
-        "sim_world_fragments",
-        "Distinct content-addressed part fragments interned",
-        ("run",),
-    ).labels(**labels).set(store.fragment_count)
-    counter("sim_world_layers_created_total",
-            "Layers interned by captures and data-level forks",
-            stats.layers_created)
-    counter("sim_world_layer_dedup_hits_total",
-            "Captures/forks that resolved to an already-interned layer",
-            stats.layer_dedup_hits)
-    counter("sim_world_fragment_dedup_hits_total",
-            "Part fragments that were already interned (content hit)",
-            stats.fragment_dedup_hits)
-    counter("sim_world_bytes_stored_total",
-            "Canonical-JSON bytes held by distinct fragments",
-            stats.bytes_stored)
-    counter("sim_world_bytes_shared_total",
-            "Canonical-JSON bytes deduplicated away by fragment sharing",
-            stats.bytes_shared)
-    counter("sim_world_full_captures_total",
-            "Captures that re-serialized the whole world",
-            stats.full_captures)
-    counter("sim_world_data_forks_total",
-            "Forks performed at the data level (no world restore)",
-            stats.data_forks)
-    registry.gauge(
-        "sim_world_resident_bytes",
-        "Canonical-JSON bytes of fragments currently resident in RAM",
-        ("run",),
-    ).labels(**labels).set(store.resident_bytes)
 
 
 def collect_store(registry: MetricsRegistry, write_stats: Any,

@@ -22,11 +22,6 @@ Track layout
   ``SimulationEngine.skip_span_log``) is a ``ph="X"`` span annotated
   with the number of events elided — making the fast-forwarded
   stretches visible next to the semantic trace instants they bracket.
-  A second "World captures" thread renders the layered world store's
-  capture log (see ``WorldStore.capture_log``): one ``ph="i"`` instant
-  per capture/fork at its simulation time, annotated with the capture
-  kind (full/fork), how many parts landed in the child layer, and the
-  resulting layer depth.
 
 Timestamps are microseconds, as the format requires: simulation cycles
 go through :meth:`~repro.sim.clock.Clock.cycles_to_us` when a clock is
@@ -107,8 +102,8 @@ def _metadata(pid: int, name: str, tid: int = 0,
                     "name": "thread_name", "args": {"name": thread_name}})
 
 
-def _event_texts(trace, clock, cpu_segments, campaign, engine,
-                 world_store) -> Iterator[str]:
+def _event_texts(trace, clock, cpu_segments, campaign,
+                 engine) -> Iterator[str]:
     """Yield the JSON text of every event, in file order.
 
     The one event source: :func:`write_chrome_trace` writes these
@@ -174,11 +169,8 @@ def _event_texts(trace, clock, cpu_segments, campaign, engine,
                    + _encode(json_safe(event.data)) + "}")
 
     spans = getattr(engine, "skip_span_log", None) if engine is not None else None
-    captures = (getattr(world_store, "capture_log", None)
-                if world_store is not None else None)
-    if spans or captures:
-        yield _metadata(PID_ENGINE, "Engine")
     if spans:
+        yield _metadata(PID_ENGINE, "Engine")
         yield _metadata(PID_ENGINE, "", 1, "Idle-skip spans")
         for start, end, elided in spans:
             start_us = to_us(start)
@@ -192,25 +184,6 @@ def _event_texts(trace, clock, cpu_segments, campaign, engine,
                 "cat": "idle_skip",
                 "args": {"events_elided": elided,
                          "cycles": end - start},
-            })
-
-    if captures:
-        yield _metadata(PID_ENGINE, "", 2, "World captures")
-        # The log is in wall order; a store shared across worlds may
-        # interleave simulation times, so sort (stably) to keep the
-        # per-track monotonicity invariant the loader validates.
-        for sim_time, kind, parts_changed, depth in sorted(
-                captures, key=lambda entry: entry[0]):
-            yield _encode({
-                "ph": "i",
-                "s": "t",
-                "pid": PID_ENGINE,
-                "tid": 2,
-                "ts": to_us(sim_time),
-                "name": f"capture:{kind}",
-                "cat": "world_store",
-                "args": {"parts_changed": parts_changed,
-                         "layer_depth": depth},
             })
 
     if campaign is not None:
@@ -246,7 +219,6 @@ def chrome_trace_events(
     cpu_segments: Optional[Iterable[Any]] = None,
     campaign: Any = None,
     engine: Any = None,
-    world_store: Any = None,
 ) -> "Iterator[dict]":
     """Generate the ``traceEvents`` of one run, one dict at a time.
 
@@ -270,13 +242,8 @@ def chrome_trace_events(
         A :class:`~repro.sim.engine.SimulationEngine`; its recorded
         idle-skip spans become complete events on the "Engine" track
         (omitted entirely when no span was recorded).
-    world_store:
-        A :class:`~repro.sim.worldstore.WorldStore`; its capture log
-        becomes instants on a "World captures" thread of the "Engine"
-        track (omitted entirely when nothing was logged).
     """
-    for text in _event_texts(trace, clock, cpu_segments, campaign,
-                             engine, world_store):
+    for text in _event_texts(trace, clock, cpu_segments, campaign, engine):
         yield json.loads(text)
 
 
@@ -287,7 +254,6 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
                        cpu_segments: Optional[Iterable[Any]] = None,
                        campaign: Any = None,
                        engine: Any = None,
-                       world_store: Any = None,
                        metadata: Optional[Mapping[str, Any]] = None) -> int:
     """Stream a Chrome trace JSON file; returns the event count.
 
@@ -311,7 +277,7 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
             write = handle.write
             write('{"traceEvents":[')
             for text in _event_texts(trace, clock, cpu_segments, campaign,
-                                     engine, world_store):
+                                     engine):
                 write("," + text if count else text)
                 count += 1
             write('],"displayTimeUnit":"ms","otherData":')

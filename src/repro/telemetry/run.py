@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.experiments.common import PaperSystemConfig, ScenarioResult
-from repro.telemetry.collectors import collect_hypervisor, collect_world_store
+from repro.telemetry.collectors import collect_hypervisor
 from repro.telemetry.perfetto import write_chrome_trace
 from repro.telemetry.registry import MetricsRegistry
 
@@ -114,14 +114,8 @@ def export_traced_run(run: TracedRun,
                       trace_path: "str | None" = None,
                       registry: Optional[MetricsRegistry] = None,
                       campaign: Any = None,
-                      world_store: Any = None,
                       metadata: Optional[dict] = None) -> Optional[int]:
     """Export a traced run: Chrome trace file and/or metrics sampling.
-
-    ``world_store`` (a :class:`~repro.sim.worldstore.WorldStore`, e.g.
-    :func:`~repro.sim.worldstore.default_store`) adds the layered
-    world store's capture log as a Perfetto track and samples its
-    ``sim_world_*`` sharing metrics into the registry.
 
     Returns the number of trace events written (None when no
     ``trace_path`` was given).
@@ -150,12 +144,9 @@ def export_traced_run(run: TracedRun,
             cpu_segments=run.cpu_segments,
             campaign=campaign,
             engine=run.hypervisor.engine,
-            world_store=world_store,
             metadata=meta,
         )
     if registry is not None:
         collect_hypervisor(registry, run.hypervisor,
                            run=f"fig6{run.scenario}")
-        if world_store is not None:
-            collect_world_store(registry, world_store)
     return written

@@ -5,12 +5,12 @@ for every ``--jobs`` count, because per-task seeds are derived
 deterministically and merges consume task results in serial order.
 The identity test runs the full ``all`` campaign at smoke scale twice —
 serial and with a 4-worker pool — and diffs stdout and the exported
-CSVs byte for byte.  The forked fig7 and the sweep campaigns are further
-pinned against the straight-line oracle in ``campaign_oracle.py``,
-cold and cache-warm, and under an injected task failure.  The whole
-``all`` campaign, run as one pool and streamed experiment by
-experiment, is pinned against the same oracle: emission order, task
-conservation, and a failure in a later experiment.
+CSVs byte for byte.  The fig7 and sweep campaigns are further pinned
+against the straight-line oracle in ``campaign_oracle.py``, cold and
+cache-warm.  The whole ``all`` campaign, run as one pool and streamed
+experiment by experiment, is pinned against the same oracle: emission
+order, task conservation, and injected faults at the first task, a
+mid-campaign task and the last task.
 """
 
 import functools
@@ -25,11 +25,7 @@ import pytest
 
 from campaign_oracle import run_straight_line
 from repro.experiments.__main__ import EXPERIMENTS, _render_one, main
-from repro.experiments.cache import (
-    ResultCache,
-    result_digest,
-    task_fingerprint,
-)
+from repro.experiments.cache import ResultCache, task_fingerprint
 from repro.experiments.runner import (
     TASK_FUNCTIONS,
     CampaignTask,
@@ -37,7 +33,6 @@ from repro.experiments.runner import (
     execute_task,
     plan_campaign,
     plan_experiment,
-    plan_subtrees,
     run_campaign,
 )
 from repro.experiments.scale import PAPER, QUICK, SMOKE, resolve_scale
@@ -47,7 +42,7 @@ from repro.experiments.scale import PAPER, QUICK, SMOKE, resolve_scale
 
 EXPECTED_TASK_COUNTS = {
     "fig6a": 3, "fig6b": 3, "fig6c": 3,     # one per interrupt load
-    "fig7": 5,                              # learning prefix + cases a-d
+    "fig7": 4,                              # bound cases a-d
     "tab62": 3,                             # one per interrupt load
     "validation": 2,                        # classic + monitored legs
     "ablation": 3,                          # boost / throttle / depth
@@ -108,70 +103,40 @@ def test_run_campaign_serial_equals_parallel_results():
             == parallel["validation"].interposed_result.latencies_us)
 
 
-# ------------------------------------------------------------ subtrees
-
-def _chain_task(experiment, kind, needs=(), feed=None):
-    return CampaignTask(experiment, kind, {}, needs=tuple(needs), feed=feed)
-
-
-def test_plan_subtrees_groups_dependency_chains():
-    tasks = [
-        _chain_task("a", "root"),                       # 0: chain head
-        _chain_task("a", "child", needs=(0,), feed="snapshot"),   # 1
-        _chain_task("b", "solo"),                       # 2: independent
-        _chain_task("a", "grand", needs=(1,), feed="snapshot"),   # 3
-        _chain_task("c", "root"),                       # 4: chain head
-        _chain_task("c", "child", needs=(4,), feed="snapshot"),   # 5
-    ]
-    assert plan_subtrees(tasks) == [[0, 1, 3], [2], [4, 5]]
-    # include narrows the members but keeps chains together.
-    assert plan_subtrees(tasks, include=[1, 3, 2]) == [[1, 3], [2]]
-
-
-def test_plan_subtrees_rejects_forward_dependencies():
-    tasks = [
-        _chain_task("a", "child", needs=(1,), feed="snapshot"),
-        _chain_task("a", "root"),
-    ]
-    with pytest.raises(ValueError, match="earlier tasks"):
-        plan_subtrees(tasks)
-
-
 # -------------------------------------------------------------- oracle
 
-FORKED = ("fig7", "sweep")
+FIG7_SWEEP = ("fig7", "sweep")
 
 
 @pytest.fixture(scope="module")
 def straight_line():
-    return run_straight_line(FORKED, SMOKE, seed=1)
+    return run_straight_line(FIG7_SWEEP, SMOKE, seed=1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_subtree_schedule_equals_wave_schedule(jobs, tmp_path,
                                                straight_line):
-    """The subtree executor differs from plan (wave) order only in speed.
+    """The pool executor differs from plan (wave) order only in speed.
 
     The reference is the straight-line oracle, which runs the plan in
-    list order.  fig7 carries a ``needs/feed`` chain (the learning
-    prefix), so this exercises a real forked subtree next to sweep's
-    independent points, serial and across a pool; validation has none.
-    The warm re-run uses the other jobs count: cache fingerprints do
-    not depend on it.
+    list order, in-process.  fig7's four cases and sweep's nine points
+    run serial and across a pool.  The warm re-run uses the other jobs
+    count: cache fingerprints do not depend on it.
     """
     validation = run_campaign(("validation",), SMOKE, seed=1, jobs=jobs)
     reference = run_straight_line(("validation",), SMOKE, seed=1)
     assert (validation["validation"].interposed_result.latencies_us
             == reference["validation"].interposed_result.latencies_us)
 
-    tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
+    tasks, _ = plan_campaign(FIG7_SWEEP, SMOKE, seed=1)
     cold_cache = ResultCache(tmp_path / "cache")
-    cold = run_campaign(FORKED, SMOKE, seed=1, jobs=jobs, cache=cold_cache)
+    cold = run_campaign(FIG7_SWEEP, SMOKE, seed=1, jobs=jobs,
+                        cache=cold_cache)
     assert cold_cache.stats.hits == 0
     assert cold_cache.stats.misses == len(tasks)
 
     warm_cache = ResultCache(tmp_path / "cache")
-    warm = run_campaign(FORKED, SMOKE, seed=1, jobs=3 - jobs,
+    warm = run_campaign(FIG7_SWEEP, SMOKE, seed=1, jobs=3 - jobs,
                         cache=warm_cache)
     assert warm_cache.stats.misses == 0
     assert warm_cache.stats.hits == len(tasks)
@@ -187,63 +152,19 @@ def test_subtree_schedule_equals_wave_schedule(jobs, tmp_path,
 
 def test_subtree_schedule_reuses_wave_cache(tmp_path, straight_line):
     """Cache fingerprints are schedule-independent: a cache written by
-    the oracle in plan order, without snapshot forks, is fully warm for
-    the subtree executor (parent digests fold in identically)."""
-    tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
+    the oracle in plan order is fully warm for the pool executor."""
+    tasks, _ = plan_campaign(FIG7_SWEEP, SMOKE, seed=1)
     cache_dir = tmp_path / "cache"
     cold = ResultCache(cache_dir)
-    assert run_straight_line(FORKED, SMOKE, seed=1,
+    assert run_straight_line(FIG7_SWEEP, SMOKE, seed=1,
                              cache=cold) == straight_line
     assert cold.stats.stores == len(tasks)
 
     warm = ResultCache(cache_dir)
-    assert run_campaign(FORKED, SMOKE, seed=1, jobs=2,
+    assert run_campaign(FIG7_SWEEP, SMOKE, seed=1, jobs=2,
                         cache=warm) == straight_line
     assert warm.stats.misses == 0
     assert warm.stats.hits == len(tasks)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_failed_task_is_a_loud_error_never_a_cache_entry(
-        jobs, tmp_path, monkeypatch, straight_line):
-    """A task that raises fails the campaign and leaves no entry behind.
-
-    The fault sits in one fig7 case, mid-subtree; pool workers fork
-    after the patch, so they inherit it.  ``functools.wraps`` keeps the
-    task's fingerprint unchanged, so the re-run after the fault is
-    removed looks up exactly the keys the faulted run would have used.
-    """
-    tasks, _ = plan_campaign(FORKED, SMOKE, seed=1)
-    failing = next(index for index, task in enumerate(tasks)
-                   if task.kind == "fig7-case"
-                   and task.kwargs["label"] == "c")
-    real_case = TASK_FUNCTIONS["fig7-case"]
-
-    @functools.wraps(real_case)
-    def faulty_case(label, *args, **kwargs):
-        if label == "c":
-            raise RuntimeError("injected fig7 fault")
-        return real_case(label, *args, **kwargs)
-
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setitem(TASK_FUNCTIONS, "fig7-case", faulty_case)
-    with pytest.raises(RuntimeError, match="injected fig7 fault"):
-        run_campaign(FORKED, SMOKE, seed=1, jobs=jobs,
-                     cache=ResultCache(cache_dir))
-    monkeypatch.undo()
-
-    (prefix_index,) = tasks[failing].needs
-    prefix = execute_task(tasks[prefix_index])
-    failed_key = task_fingerprint(
-        tasks[failing], parent_digests=(result_digest(prefix),))
-    assert ResultCache(cache_dir).load(failed_key) is None
-
-    rerun_cache = ResultCache(cache_dir)
-    rerun = run_campaign(FORKED, SMOKE, seed=1, jobs=jobs,
-                         cache=rerun_cache)
-    assert rerun_cache.stats.hits + rerun_cache.stats.misses == len(tasks)
-    assert rerun_cache.stats.misses >= 1
-    assert rerun == straight_line
 
 
 # ---------------------------------------------------------- streaming
@@ -256,19 +177,6 @@ def straight_line_all():
 def _rendered(name, merged):
     """One experiment's stdout block: the CLI's byte-identity surface."""
     return _render_one(name, merged, None)
-
-
-def _campaign_keys(tasks):
-    """Every task's cache key, with producer digests from in-process runs."""
-    producers = {need for task in tasks for need in task.needs}
-    digests = {}
-    keys = []
-    for index, task in enumerate(tasks):
-        parents = tuple(digests[need] for need in task.needs)
-        keys.append(task_fingerprint(task, parent_digests=parents))
-        if index in producers:
-            digests[index] = result_digest(execute_task(task))
-    return keys
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -326,59 +234,85 @@ def test_campaign_streams_each_experiment_once_in_order(
             assert computed == cache.stats.misses == 0
 
 
-def test_failure_in_a_later_experiment_keeps_earlier_work(
-        tmp_path, monkeypatch, straight_line_all):
-    """A fault in a later experiment, in the shared pool.
+#: Where a fault is injected into the plan of every experiment: the
+#: first task, fig7 case c mid-campaign, and the last task (design).
+FAULTS = {
+    "first": lambda tasks: 0,
+    "fig7c": lambda tasks: next(
+        index for index, task in enumerate(tasks)
+        if task.kind == "fig7-case" and task.kwargs["label"] == "c"),
+    "last": lambda tasks: len(tasks) - 1,
+}
 
-    One fig7 case raises mid-subtree at ``--jobs 2``.  The campaign
-    raises, every experiment before fig7 was already emitted and none
-    after it, the failed task leaves no cache entry, every task that
-    completed did, and a re-run matches a clean run.
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failed_task_is_a_loud_error_never_a_cache_entry(
+        fault, jobs, tmp_path, monkeypatch, straight_line_all):
+    """A task that raises fails the campaign and keeps its form.
+
+    The sink saw, in plan order, exactly the experiments before the
+    faulted one; every task ``progress`` reported has a cache entry and
+    the faulted task has none; a re-run looks up every planned task
+    once and renders what the oracle renders.  Pool workers fork after
+    the patch, so they inherit it, and ``functools.wraps`` keeps the
+    task's fingerprint unchanged.
     """
     tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, seed=1)
-    failing = next(index for index, task in enumerate(tasks)
-                   if task.kind == "fig7-case"
-                   and task.kwargs["label"] == "c")
-    real_case = TASK_FUNCTIONS["fig7-case"]
+    failing = FAULTS[fault](tasks)
+    target = tasks[failing]
+    real_task = TASK_FUNCTIONS[target.kind]
 
-    @functools.wraps(real_case)
-    def faulty_case(label, *args, **kwargs):
-        if label == "c":
-            raise RuntimeError("injected fig7 fault")
-        return real_case(label, *args, **kwargs)
+    @functools.wraps(real_task)
+    def faulty_task(**kwargs):
+        if kwargs == target.kwargs:
+            raise RuntimeError("injected fault")
+        return real_task(**kwargs)
 
     cache_dir = tmp_path / "cache"
     emitted = []
     completed = []
-    monkeypatch.setitem(TASK_FUNCTIONS, "fig7-case", faulty_case)
-    with pytest.raises(RuntimeError, match="injected fig7 fault"):
+    monkeypatch.setitem(TASK_FUNCTIONS, target.kind, faulty_task)
+    with pytest.raises(RuntimeError, match="injected fault"):
         run_campaign(
-            EXPERIMENTS, SMOKE, seed=1, jobs=2, cache=ResultCache(cache_dir),
+            EXPERIMENTS, SMOKE, seed=1, jobs=jobs,
+            cache=ResultCache(cache_dir),
             progress=lambda done, total, task: completed.append(
                 tasks.index(task)),
-            sink=lambda name, merged: emitted.append(name))
+            sink=lambda name, merged: emitted.append((name, merged)))
     monkeypatch.undo()
 
-    assert emitted == list(EXPERIMENTS[:EXPERIMENTS.index("fig7")])
-    # The failed task's subtree ran in one worker up to the fault:
-    # the prefix and cases a-b completed there.
-    (prefix,) = tasks[failing].needs
-    completed += range(prefix, failing)
-    keys = _campaign_keys(tasks)
+    assert [name for name, _ in emitted] == list(
+        EXPERIMENTS[:EXPERIMENTS.index(target.experiment)])
+    for name, merged in emitted:
+        assert (_rendered(name, merged)
+                == _rendered(name, straight_line_all[name]))
     cache = ResultCache(cache_dir)
-    assert cache.load(keys[failing]) is None
     assert failing not in completed
+    assert cache.load(task_fingerprint(target)) is None
     for index in completed:
-        assert cache.load(keys[index]) is not None, tasks[index]
+        assert cache.load(task_fingerprint(tasks[index])) is not None
 
     rerun_cache = ResultCache(cache_dir)
-    rerun = run_campaign(EXPERIMENTS, SMOKE, seed=1, jobs=2,
+    rerun = run_campaign(EXPERIMENTS, SMOKE, seed=1, jobs=jobs,
                          cache=rerun_cache)
+    assert rerun_cache.stats.hits + rerun_cache.stats.misses == len(tasks)
     assert rerun_cache.stats.hits >= len(completed)
     assert rerun_cache.stats.misses >= 1
     for name in EXPERIMENTS:
         assert (_rendered(name, rerun[name])
                 == _rendered(name, straight_line_all[name]))
+
+
+def test_telemetry_records_the_workers_actually_used():
+    """``jobs`` is the worker count used, not the count requested."""
+    in_process = CampaignTelemetry()
+    run_campaign(("design",), SMOKE, seed=1, jobs=4, telemetry=in_process)
+    assert in_process.jobs == 1
+    pooled = CampaignTelemetry()
+    run_campaign(("fig7",), SMOKE, seed=1, jobs=8, telemetry=pooled)
+    assert pooled.jobs == 4
+    assert len({task.worker_pid for task in pooled.tasks}) <= 4
 
 
 def test_dead_worker_is_a_loud_error_never_a_hang(tmp_path, monkeypatch):

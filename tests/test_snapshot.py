@@ -4,15 +4,10 @@ The non-negotiable invariant of :mod:`repro.sim.snapshot` is that a
 continuation forked from a captured world produces *exactly* the
 results of the straight-line run it branched off — latency records,
 trace stream, statistics, CSV exports, everything.  These tests pin
-that invariant at every layer it is used:
-
-* the raw capture/restore protocol at arbitrary quiescent points
-  (hypothesis drives the fork point and the policy);
-* the fig7 shared learning-phase prefix, the only world a campaign
-  forks;
-* the campaign runner's forked subtrees (serial and parallel), checked
-  against the straight-line oracle in ``campaign_oracle.py``, and the
-  result cache's parent-digest fingerprinting.
+that invariant on the raw capture/restore protocol at arbitrary
+quiescent points (hypothesis drives the fork point and the policy).
+No campaign forks a world: the fig7 cases run straight-line, and
+their cache replay is pinned here too.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from campaign_oracle import run_straight_line
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import (
     MonitoredInterposing,
@@ -35,14 +29,7 @@ from repro.experiments.common import (
     run_irq_scenario,
     run_irq_scenario_from,
 )
-from repro.experiments.fig7 import (
-    FIG7_CASES,
-    Fig7Config,
-    run_fig7,
-    run_fig7_case,
-    run_fig7_prefix,
-)
-from repro.experiments.runner import plan_campaign, run_campaign
+from repro.experiments.runner import run_campaign
 from repro.experiments.scale import resolve_scale
 from repro.sim.snapshot import (
     SnapshotError,
@@ -50,7 +37,6 @@ from repro.sim.snapshot import (
     restore_world,
     settle,
 )
-from repro.workloads.automotive import AutomotiveTraceConfig
 from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
 
 SMOKE = resolve_scale(quick=False, smoke=True)
@@ -177,53 +163,6 @@ def test_capture_refuses_unclaimed_pending_events():
         capture_world(hv, devices={})
 
 
-# ------------------------------------------------------------- fig7
-
-def fig7_asdict(results) -> dict:
-    return {label: dataclasses.asdict(case)
-            for label, case in results.items()}
-
-
-def test_fig7_shared_prefix_matches_straight_line(tmp_path):
-    config = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=1,
-    ))
-    forked = run_fig7(config)
-    straight = {label: run_fig7_case(label, config) for label in FIG7_CASES}
-    assert fig7_asdict(forked) == fig7_asdict(straight)
-    # The exported CSV artifacts are byte-identical too.
-    from repro.metrics.export import write_series_csv
-    for label in forked:
-        a = tmp_path / f"fork_{label}.csv"
-        b = tmp_path / f"straight_{label}.csv"
-        write_series_csv(a, forked[label].series_us, column="avg_latency_us")
-        write_series_csv(b, straight[label].series_us,
-                         column="avg_latency_us")
-        assert a.read_bytes() == b.read_bytes()
-
-
-def test_fig7_case_rejects_mismatched_prefix():
-    config = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=1,
-    ))
-    other = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=2,
-    ))
-    prefix = run_fig7_prefix(config)
-    assert prefix.snapshot is not None
-    with pytest.raises(ValueError):
-        run_fig7_case("a", other, prefix=prefix)
-
-
-def test_fig7_prefix_digest_distinguishes_fallback():
-    config = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=1,
-    ))
-    prefix = run_fig7_prefix(config)
-    fallback = dataclasses.replace(prefix, snapshot=None)
-    assert prefix.digest() != fallback.digest()
-
-
 # ---------------------------------------------------------- campaigns
 
 def campaign_asdict(merged) -> dict:
@@ -239,26 +178,6 @@ def campaign_asdict(merged) -> dict:
     return {name: convert(value) for name, value in merged.items()}
 
 
-def test_campaign_shared_prefix_is_byte_identical_across_modes():
-    names = ("fig7", "sweep")
-    forked_serial = run_campaign(names, SMOKE, seed=1, jobs=1)
-    straight = run_straight_line(names, SMOKE, seed=1)
-    forked_parallel = run_campaign(names, SMOKE, seed=1, jobs=2)
-    assert (campaign_asdict(forked_serial)
-            == campaign_asdict(straight)
-            == campaign_asdict(forked_parallel))
-
-
-def test_campaign_plan_rebases_needs_across_experiments():
-    # fig7 comes second, so its needs must be rebased past sweep's tasks.
-    tasks, _ = plan_campaign(("sweep", "fig7"), SMOKE, seed=1)
-    assert any(task.needs for task in tasks)
-    for index, task in enumerate(tasks):
-        for need in task.needs:
-            assert need < index
-            assert tasks[need].experiment == task.experiment
-
-
 def test_cached_campaign_replays_forked_tasks(tmp_path):
     from repro.experiments.cache import ResultCache
 
@@ -267,22 +186,9 @@ def test_cached_campaign_replays_forked_tasks(tmp_path):
     cold_stats = (cache.stats.hits, cache.stats.misses)
     warm = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache)
     assert campaign_asdict(cold) == campaign_asdict(warm)
-    assert cold_stats == (0, 5)          # prefix + four cases computed
-    assert cache.stats.hits == 5         # all five replayed warm
-    assert cache.stats.misses == 5
-
-
-def test_forked_task_fingerprint_folds_parent_digest():
-    from repro.experiments.cache import task_fingerprint
-    from repro.experiments.runner import CampaignTask
-
-    task = CampaignTask("fig7", "fig7-case", {"label": "a"},
-                        needs=(0,), feed="prefix")
-    plain = task_fingerprint(task)
-    with_parent = task_fingerprint(task, parent_digests=("d1",))
-    other_parent = task_fingerprint(task, parent_digests=("d2",))
-    assert plain != with_parent
-    assert with_parent != other_parent
+    assert cold_stats == (0, 4)          # four cases computed
+    assert cache.stats.hits == 4         # all four replayed warm
+    assert cache.stats.misses == 4
 
 
 # -------------------------------------------------- warm-world devices

@@ -128,12 +128,11 @@ def test_layered_capture_midrun_with_trace_matches_flat():
     hv.start()
     timer.arm_next()
     hv.run_until_irq_count(7)
-    store = WorldStore()
-    layered = settle(hv, {timer.name: timer}, store=store)
+    # settle steps to a quiescent point; a layered capture of the very
+    # same world must agree with it byte for byte.
+    flat = settle(hv, {timer.name: timer})
+    layered = capture_world_layered(hv, {timer.name: timer}, WorldStore())
     assert isinstance(layered, LayeredSnapshot)
-    # settle stepped to a quiescent point; the flat capture of the very
-    # same world must agree byte for byte.
-    flat = capture_world(hv, {timer.name: timer})
     assert layered.digest() == flat.digest()
 
 
