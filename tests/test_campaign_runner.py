@@ -245,18 +245,16 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("fault", FAULTS)
-def test_failed_task_is_a_loud_error_never_a_cache_entry(
-        fault, jobs, tmp_path, monkeypatch, straight_line_all):
-    """A task that raises fails the campaign and keeps its form.
+def _assert_fault_keeps_campaign_form(fault, jobs, cache_dir, monkeypatch,
+                                      oracle):
+    """Fault one task of the whole campaign and check what it leaves.
 
-    The sink saw, in plan order, exactly the experiments before the
-    faulted one; every task ``progress`` reported has a cache entry and
-    the faulted task has none; a re-run looks up every planned task
-    once and renders what the oracle renders.  Pool workers fork after
-    the patch, so they inherit it, and ``functools.wraps`` keeps the
-    task's fingerprint unchanged.
+    The campaign raises; the sink saw, in plan order, exactly the
+    experiments before the faulted one; every task ``progress`` reported
+    has a cache entry and the faulted task has none; a re-run looks up
+    every planned task once and renders what the oracle renders.  Pool
+    workers fork after the patch, so they inherit it, and
+    ``functools.wraps`` keeps the task's fingerprint unchanged.
     """
     tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, seed=1)
     failing = FAULTS[fault](tasks)
@@ -269,7 +267,6 @@ def test_failed_task_is_a_loud_error_never_a_cache_entry(
             raise RuntimeError("injected fault")
         return real_task(**kwargs)
 
-    cache_dir = tmp_path / "cache"
     emitted = []
     completed = []
     monkeypatch.setitem(TASK_FUNCTIONS, target.kind, faulty_task)
@@ -285,8 +282,7 @@ def test_failed_task_is_a_loud_error_never_a_cache_entry(
     assert [name for name, _ in emitted] == list(
         EXPERIMENTS[:EXPERIMENTS.index(target.experiment)])
     for name, merged in emitted:
-        assert (_rendered(name, merged)
-                == _rendered(name, straight_line_all[name]))
+        assert _rendered(name, merged) == _rendered(name, oracle[name])
     cache = ResultCache(cache_dir)
     assert failing not in completed
     assert cache.load(task_fingerprint(target)) is None
@@ -300,8 +296,36 @@ def test_failed_task_is_a_loud_error_never_a_cache_entry(
     assert rerun_cache.stats.hits >= len(completed)
     assert rerun_cache.stats.misses >= 1
     for name in EXPERIMENTS:
-        assert (_rendered(name, rerun[name])
-                == _rendered(name, straight_line_all[name]))
+        assert _rendered(name, rerun[name]) == _rendered(name, oracle[name])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_task_is_a_loud_error_never_a_cache_entry(
+        jobs, tmp_path, monkeypatch, straight_line_all):
+    """A fault in fig7 case c, mid-campaign, fails it and keeps its form."""
+    _assert_fault_keeps_campaign_form(
+        "fig7c", jobs, tmp_path / "cache", monkeypatch, straight_line_all)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failure_in_the_first_task_emits_nothing(
+        jobs, tmp_path, monkeypatch, straight_line_all):
+    """A fault in the campaign's first task: no experiment is emitted."""
+    _assert_fault_keeps_campaign_form(
+        "first", jobs, tmp_path / "cache", monkeypatch, straight_line_all)
+
+
+def test_failure_in_a_later_experiment_keeps_earlier_work(
+        tmp_path, monkeypatch, straight_line_all):
+    """A fault in the last task (design), at one and two jobs.
+
+    Every experiment before design was emitted and cached, so the
+    re-run recomputes only what the fault stopped.
+    """
+    for jobs in (1, 2):
+        _assert_fault_keeps_campaign_form(
+            "last", jobs, tmp_path / f"cache-{jobs}", monkeypatch,
+            straight_line_all)
 
 
 def test_telemetry_records_the_workers_actually_used():
