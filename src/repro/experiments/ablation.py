@@ -25,6 +25,7 @@ from repro.core.independence import DminInterferenceBound
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import MonitoredInterposing, NeverInterpose
 from repro.experiments.common import (
+    LatencyColumnData,
     PaperSystemConfig,
     ScenarioResult,
     ScenarioSummary,
@@ -165,7 +166,7 @@ def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
     from repro.metrics.stats import summarize
     latencies = hv_throttled.latency_columns.latencies_us_array(clock)
     throttled = ScenarioSummary(
-        records=hv_throttled.latency_records,
+        columns=LatencyColumnData.of(hv_throttled.latency_columns),
         latencies_us=latencies,
         summary=summarize(latencies),
         mode_counts={m.value: c for m, c in hv_throttled.mode_counts().items()},
@@ -294,11 +295,11 @@ def render_throttle_ablation(result: ThrottleAblationResult) -> str:
         ["throttled source (R&D)",
          f"{result.throttled.avg_latency_us:.0f}",
          result.suppressed_irqs,
-         len(result.throttled.records)],
+         len(result.throttled.latencies_us)],
         ["monitored interposing (paper)",
          f"{result.monitored.avg_latency_us:.0f}",
          0,
-         len(result.monitored.records)],
+         len(result.monitored.latencies_us)],
     ]
     return render_table(
         ["mechanism", "avg latency (us)", "IRQs suppressed", "IRQs served"],

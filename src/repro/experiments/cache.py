@@ -144,6 +144,26 @@ def _in_package(name: str, root_package: str) -> bool:
     return name == root_package or name.startswith(root_package + ".")
 
 
+#: The fields that hold statement lists.  Imports are statements, so
+#: they can only sit in these lists, never inside an expression.
+_STATEMENT_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
+
+
+def _statements(tree: ast.AST) -> "list[ast.AST]":
+    """``tree`` and every node in its statement lists, recursively:
+    statements, except handlers and match cases, but no expression."""
+    found: "list[ast.AST]" = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        for name in _STATEMENT_FIELDS:
+            children = getattr(node, name, None)
+            if isinstance(children, list):
+                stack.extend(children)
+    return found
+
+
 def _module_info(name: str,
                  root_package: str) -> "tuple[str, frozenset] | None":
     """(content hash, package-local imports) of one module, memoized."""
@@ -164,7 +184,7 @@ def _module_info(name: str,
             except SyntaxError:
                 tree = None
             if tree is not None:
-                for node in ast.walk(tree):
+                for node in _statements(tree):
                     if isinstance(node, ast.Import):
                         for alias in node.names:
                             if _in_package(alias.name, root_package):

@@ -20,7 +20,11 @@ from typing import Sequence
 
 from repro.core.policy import HandlingMode, InterposingPolicy
 from repro.hypervisor.config import CostModel, HypervisorConfig, SlotConfig
-from repro.hypervisor.hypervisor import Hypervisor, LatencyRecord
+from repro.hypervisor.hypervisor import (
+    Hypervisor,
+    LatencyColumns,
+    LatencyRecord,
+)
 from repro.hypervisor.irq import IrqSource
 from repro.hypervisor.partition import Partition
 from repro.metrics.stats import LatencySummary, summarize
@@ -117,6 +121,35 @@ class PaperSystemConfig:
 
 
 @dataclass
+class LatencyColumnData:
+    """The latency columns of one run, as task results carry them.
+
+    The fields are exactly :meth:`LatencyColumns.column_data`: parallel
+    ``array`` columns in completion order, modes coded in
+    :class:`HandlingMode` declaration order, plus the interned source
+    table.  Arrays pickle as their raw bytes and compare by value, so a
+    result carrying them crosses process lines and the result cache
+    with no per-IRQ object, and dataclass ``==`` still compares runs.
+    """
+
+    source_ids: array
+    seqs: array
+    arrivals: array
+    completions: array
+    modes: array
+    cuts: array
+    source_names: list[str]
+
+    @classmethod
+    def of(cls, columns: LatencyColumns) -> "LatencyColumnData":
+        return cls(**columns.column_data())
+
+    def records(self) -> list[LatencyRecord]:
+        """Materialize one :class:`LatencyRecord` per row (not a hot path)."""
+        return LatencyColumns.from_column_data(vars(self)).records()
+
+
+@dataclass
 class ScenarioSummary:
     """The picklable essence of one scenario run.
 
@@ -132,18 +165,25 @@ class ScenarioSummary:
     handles — and task kwargs must stay canonicalizable dataclasses /
     primitives so their content fingerprint is stable.
 
-    ``latencies_us`` is a columnar ``array('d')`` (cheap to pickle,
-    summarize and merge); it compares elementwise against other arrays,
-    so summary-vs-summary equality still works, but code comparing it
-    against a plain list must wrap one side.
+    The per-IRQ data travels as columns: ``columns`` holds the raw
+    latency arrays (:class:`LatencyColumnData`) and ``latencies_us`` the
+    derived ``array('d')`` (cheap to pickle, summarize and merge).  Both
+    compare elementwise, so summary-vs-summary equality still works,
+    but code comparing ``latencies_us`` against a plain list must wrap
+    one side.  :attr:`records` materializes the classic record list on
+    demand for tests, examples and API users.
     """
 
-    records: list[LatencyRecord]
+    columns: LatencyColumnData
     latencies_us: "array | list[float]"
     summary: LatencySummary
     mode_counts: dict[str, int]
     context_switch_counts: dict[str, int]
     total_context_switches: int = 0
+
+    @property
+    def records(self) -> list[LatencyRecord]:
+        return self.columns.records()
 
     @property
     def avg_latency_us(self) -> float:
@@ -165,15 +205,20 @@ class ScenarioResult:
     """Everything a benchmark or test needs from one scenario run.
 
     ``latencies_us`` is the columnar ``array('d')`` form (completion
-    order, same floats as ``hv.latencies_us()``).
+    order, same floats as ``hv.latencies_us()``); ``columns`` the raw
+    latency columns it derives from.
     """
 
-    records: list[LatencyRecord]
+    columns: LatencyColumnData
     latencies_us: "array | list[float]"
     summary: LatencySummary
     mode_counts: dict[str, int]
     context_switch_counts: dict[str, int]
     hypervisor: Hypervisor
+
+    @property
+    def records(self) -> list[LatencyRecord]:
+        return self.columns.records()
 
     @property
     def avg_latency_us(self) -> float:
@@ -192,7 +237,7 @@ class ScenarioResult:
     def lightweight(self) -> ScenarioSummary:
         """Strip the hypervisor so the result can cross process lines."""
         return ScenarioSummary(
-            records=self.records,
+            columns=self.columns,
             latencies_us=self.latencies_us,
             summary=self.summary,
             mode_counts=self.mode_counts,
@@ -218,7 +263,6 @@ def finish_irq_scenario(hv: Hypervisor, system: PaperSystemConfig,
     if completed < expected:
         # Drain any stragglers still waiting for their home slot.
         hv.run_until(hv.engine.now + 2 * clock.us_to_cycles(system.tdma_cycle_us))
-    records = hv.latency_records
     # Columnar: one array('d') straight off the latency columns, with
     # the same per-element cycles_to_us conversion as the record path.
     latencies = hv.latency_columns.latencies_us_array(clock)
@@ -230,7 +274,7 @@ def finish_irq_scenario(hv: Hypervisor, system: PaperSystemConfig,
         for reason, count in hv.context_switches.counts.items()
     }
     return ScenarioResult(
-        records=records,
+        columns=LatencyColumnData.of(hv.latency_columns),
         latencies_us=latencies,
         summary=summarize(latencies),
         mode_counts=mode_counts,

@@ -143,7 +143,7 @@ def run_dmin_sweep_point(multiplier: float,
         MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
         intervals,
     )
-    total = len(run.records) or 1
+    total = len(run.latencies_us) or 1
     return DminSweepPoint(
         dmin_us=clock.cycles_to_us(dmin),
         interference_budget_fraction=c_bh_eff / dmin,

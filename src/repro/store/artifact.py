@@ -90,6 +90,10 @@ TRACE_SCHEMA = (
 _CHUNK_LATENCY = 0
 _CHUNK_TRACE = 1
 
+#: Handling-mode strings by mode code: ``LatencyColumns`` codes modes
+#: in ``HandlingMode`` declaration order.
+_MODE_VALUES = tuple(mode.value for mode in HandlingMode)
+
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
@@ -218,36 +222,52 @@ class ArtifactWriter:
 
     # ------------------------------------------------------- append
 
-    def append_summary(self, leg: str, records: Sequence[LatencyRecord],
+    def append_summary(self, leg: str, columns: Any,
                        latencies_us: Sequence[float]) -> int:
-        """Append one scenario summary's rows under the ``leg`` label.
+        """Append one scenario's latency columns under the ``leg`` label.
 
-        ``latencies_us`` must align 1:1 with ``records`` (both are in
-        completion order); the µs floats are stored verbatim so the
+        ``columns`` carries the :meth:`LatencyColumns.column_data
+        <repro.hypervisor.hypervisor.LatencyColumns.column_data>` arrays
+        as attributes (as :class:`repro.experiments.common.LatencyColumnData`
+        does).  ``latencies_us`` must align 1:1 with its rows (both are
+        in completion order); the µs floats are stored verbatim so the
         round trip is bit-exact.
         """
-        records = list(records)
-        if len(records) != len(latencies_us):
+        rows = len(columns.seqs)
+        if rows != len(latencies_us):
             raise ArtifactError(
-                f"{self.path.name}: leg {leg!r} has {len(records)} records "
+                f"{self.path.name}: leg {leg!r} has {rows} records "
                 f"but {len(latencies_us)} latency values"
             )
-        leg_id = self._interner.intern(leg)
-        columns = {name: array(code) for name, code in LATENCY_SCHEMA}
         intern = self._interner.intern
-        for record, latency_us in zip(records, latencies_us):
-            columns["leg"].append(leg_id)
-            columns["source"].append(intern(record.source))
-            columns["seq"].append(record.seq)
-            columns["arrival"].append(record.arrival)
-            columns["completed"].append(record.completed_at)
-            columns["mode"].append(intern(record.mode.value))
-            columns["cut"].append(1 if record.enforced_cut else 0)
-            columns["latency_us"].append(latency_us)
-        self._write_chunk(_CHUNK_LATENCY, len(records),
-                          [columns[name] for name, _ in LATENCY_SCHEMA])
-        self._latency_rows += len(records)
-        return len(records)
+        leg_id = intern(leg)
+        # Intern in row order: each row's source, then its mode, at
+        # their first appearance.  The string table, and so the artifact
+        # bytes, must not depend on whether rows arrive as columns or
+        # one at a time.
+        source_ids, modes = columns.source_ids, columns.modes
+        firsts = sorted(
+            [(source_ids.index(sid), 0, sid) for sid in set(source_ids)]
+            + [(modes.index(code), 1, code) for code in set(modes)])
+        source_map: "dict[int, int]" = {}
+        mode_map: "dict[int, int]" = {}
+        for _, is_mode, code in firsts:
+            if is_mode:
+                mode_map[code] = intern(_MODE_VALUES[code])
+            else:
+                source_map[code] = intern(columns.source_names[code])
+        self._write_chunk(_CHUNK_LATENCY, rows, [
+            array("i", [leg_id]) * rows,
+            array("i", map(source_map.__getitem__, source_ids)),
+            columns.seqs,
+            columns.arrivals,
+            columns.completions,
+            array("i", map(mode_map.__getitem__, modes)),
+            columns.cuts,
+            array("d", latencies_us),
+        ])
+        self._latency_rows += rows
+        return rows
 
     def append_trace(self, events: Iterable[TraceEvent]) -> int:
         """Append trace events as columnar rows (time/kind/data)."""

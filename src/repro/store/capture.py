@@ -7,8 +7,8 @@ creating an import cycle.
 
 Capture walks each task result recursively (dataclasses, dicts,
 lists/tuples) for ``ScenarioSummary``-shaped legs — anything carrying
-``records`` + ``latencies_us`` + ``summary`` — and persists every leg's
-latency rows into one :class:`~repro.store.artifact.ArtifactWriter`
+latency ``columns`` + ``latencies_us`` + ``summary`` — and writes every
+leg's columns straight into one :class:`~repro.store.artifact.ArtifactWriter`
 per task, labelled by its path in the result ("monitored", "boosted",
 "scenario", ...).  Tasks whose results hold no latency rows (snapshot
 prefixes, context-switch comparisons, the design point) are skipped
@@ -43,7 +43,7 @@ INDEX_NAME = "index.json"
 
 
 def _is_summary(value: Any) -> bool:
-    return (hasattr(value, "records") and hasattr(value, "latencies_us")
+    return (hasattr(value, "columns") and hasattr(value, "latencies_us")
             and hasattr(value, "summary"))
 
 
@@ -222,7 +222,7 @@ class CampaignStoreWriter:
         rows = 0
         with ArtifactWriter(self.directory / name, metadata) as writer:
             for leg, summary in legs:
-                rows += writer.append_summary(leg, summary.records,
+                rows += writer.append_summary(leg, summary.columns,
                                               summary.latencies_us)
         entry["artifact"] = name
         entry["rows"] = rows
@@ -256,7 +256,7 @@ class CampaignStoreWriter:
         result = run.result
         rows = 0
         with ArtifactWriter(self.directory / name, metadata) as writer:
-            rows += writer.append_summary("scenario", result.records,
+            rows += writer.append_summary("scenario", result.columns,
                                           result.latencies_us)
             trace_rows = writer.append_trace(run.trace.events)
         self._entries.append({
@@ -312,11 +312,14 @@ def artifact_from_hypervisor(hv: Any, path: "str | os.PathLike[str]",
     The round-trip building block the property tests pin: the stored
     µs column is exactly ``latency_columns.latencies_us_array(clock)``.
     """
+    # Deferred: importing repro.experiments imports every experiment.
+    from repro.experiments.common import LatencyColumnData
+
     columns = hv.latency_columns
-    records = columns.records()
     latencies = columns.latencies_us_array(hv.clock)
     with ArtifactWriter(path, metadata) as writer:
-        rows = writer.append_summary("scenario", records, latencies)
+        rows = writer.append_summary("scenario",
+                                     LatencyColumnData.of(columns), latencies)
         if include_trace and len(hv.trace):
             writer.append_trace(hv.trace.events)
     return rows

@@ -11,12 +11,17 @@ The load-bearing guarantees:
   entries land atomically.
 """
 
+import ast
+import hashlib
+import importlib.util
 import json
 import pickle
+import sys
 import textwrap
 
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments.__main__ import EXPERIMENTS, main
 from repro.experiments.cache import (
     CACHE_FORMAT,
@@ -28,6 +33,7 @@ from repro.experiments.cache import (
     task_fingerprint,
 )
 from repro.experiments.runner import (
+    TASK_FUNCTIONS,
     CampaignTask,
     plan_campaign,
     run_campaign,
@@ -121,6 +127,11 @@ def fake_package(tmp_path, monkeypatch):
         unrelated="OTHER = 1\n",
     )
     monkeypatch.syspath_prepend(str(tmp_path))
+    # An earlier test's fpdemo would make find_spec resolve submodules
+    # in that test's directory.
+    for name in [name for name in sys.modules
+                 if name == "fpdemo" or name.startswith("fpdemo.")]:
+        monkeypatch.delitem(sys.modules, name)
     clear_source_caches()
     yield tmp_path
     clear_source_caches()
@@ -153,6 +164,85 @@ def test_task_fingerprint_covers_task_module_source():
     clear_source_caches()
     assert source_fingerprint("repro.experiments.design") == fingerprint
     assert task_fingerprint(task) == task_fingerprint(task)
+
+
+def _walk_fingerprint(module_name, root_package="repro"):
+    """Oracle: the source closure hash found with a full ``ast.walk``."""
+
+    def origin(name):
+        try:
+            spec = importlib.util.find_spec(name)
+        except (ImportError, AttributeError, ValueError):
+            return None
+        if spec is None or spec.origin is None \
+                or not spec.origin.endswith(".py"):
+            return None
+        return spec.origin
+
+    def local(name):
+        return name == root_package or name.startswith(root_package + ".")
+
+    seen, stack, entries = set(), [module_name], []
+    while stack:
+        name = stack.pop()
+        if name in seen or origin(name) is None:
+            continue
+        seen.add(name)
+        with open(origin(name), "rb") as handle:
+            source = handle.read()
+        entries.append((name, hashlib.sha256(source).hexdigest()))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                stack.extend(alias.name for alias in node.names
+                             if local(alias.name))
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module and local(node.module)):
+                stack.append(node.module)
+                stack.extend(f"{node.module}.{alias.name}"
+                             for alias in node.names)
+    payload = hashlib.sha256()
+    for name, digest in sorted(entries):
+        payload.update(f"{name}\0{digest}\n".encode())
+    return payload.hexdigest()
+
+
+def test_source_fingerprint_matches_full_ast_walk():
+    """Walking statement lists finds every import a full walk finds."""
+    clear_source_caches()
+    for module in sorted({f.__module__ for f in TASK_FUNCTIONS.values()}):
+        assert source_fingerprint(module) == _walk_fingerprint(module), \
+            module
+
+
+def test_source_fingerprint_finds_imports_in_every_statement_list(
+        fake_package):
+    """Imports under try/except/else/finally, match cases and nested
+    blocks all enter the closure, as a full walk finds them."""
+    _write_package(fake_package, a="""
+        try:
+            import fpdemo.b
+        except ImportError:
+            import fpdemo.c
+        else:
+            import fpdemo.d
+        finally:
+            import fpdemo.e
+        match 1:
+            case 1:
+                import fpdemo.f
+        def g():
+            if True:
+                pass
+            else:
+                from fpdemo.unrelated import OTHER
+        """, **{name: "X = 1\n" for name in "bcdef"})
+    clear_source_caches()
+    fingerprint = source_fingerprint("fpdemo.a", root_package="fpdemo")
+    assert fingerprint == _walk_fingerprint("fpdemo.a", "fpdemo")
+    _write_package(fake_package, unrelated="OTHER = 2\n")
+    clear_source_caches()
+    assert source_fingerprint("fpdemo.a", root_package="fpdemo") \
+        != fingerprint
 
 
 # ---------------------------------------------------------- the cache
@@ -221,6 +311,45 @@ def test_campaign_cold_warm_and_uncached_results_identical(tmp_path):
                 == plain["validation"].interposed_result.latencies_us)
         assert (result["validation"].classic_measured_max_us
                 == plain["validation"].classic_measured_max_us)
+
+
+def test_task_results_pickle_no_boxed_records(tmp_path):
+    """Results carry latency columns, never one object per IRQ."""
+    run_campaign(EXPERIMENTS, SMOKE, seed=1, jobs=1,
+                 cache=ResultCache(tmp_path / "cache"))
+    tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, 1)
+    entries = sorted((tmp_path / "cache").glob("*/*.pkl"))
+    assert len(entries) == len({task_fingerprint(task) for task in tasks})
+    for entry in entries:
+        assert b"LatencyRecord" not in entry.read_bytes(), entry.name
+
+
+def test_cache_filled_before_a_common_edit_replays_as_misses(tmp_path,
+                                                             capsys):
+    """``repro.experiments.common`` defines the result types, and every
+    task that returns latency data has it in its source closure: entries
+    written while it read differently (a stand-in digest here) are
+    misses, and the run renders what the filling run rendered.  Only
+    ``design``, whose result holds no latency data, replays."""
+    argv = ["all", "--smoke", "--jobs", "1", "--cache-stats",
+            "--cache-dir", str(tmp_path / "cache")]
+    tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, 1)
+    assert [task.kind for task in tasks].count("design") == 1
+    clear_source_caches()
+    _, imports = cache_module._module_info("repro.experiments.common",
+                                           "repro")
+    cache_module._MODULE_INFO_CACHE["repro.experiments.common"] = (
+        "0" * 64, imports)
+    try:
+        assert main(argv) == 0
+    finally:
+        clear_source_caches()
+    filled = capsys.readouterr()
+    assert f"[cache] hits=0 misses={len(tasks)} " in filled.err
+    assert main(argv) == 0
+    replayed = capsys.readouterr()
+    assert f"[cache] hits=1 misses={len(tasks) - 1} " in replayed.err
+    assert replayed.out == filled.out
 
 
 def test_campaign_partial_warm_runs_only_misses(tmp_path):

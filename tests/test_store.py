@@ -16,14 +16,17 @@ ISSUE pins:
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_system, run_system, us
 from repro.core.policy import HandlingMode
-from repro.hypervisor.hypervisor import LatencyRecord
+from repro.experiments.common import LatencyColumnData
+from repro.hypervisor.hypervisor import LatencyColumns, LatencyRecord
 from repro.metrics.stats import summarize
 from repro.sim.trace import TraceEvent, TraceKind
 from repro.store import (
@@ -36,6 +39,7 @@ from repro.store import (
     extract_summaries,
     task_metadata,
 )
+from repro.store.artifact import _CHUNK_LATENCY, LATENCY_SCHEMA
 from repro.store.capture import INDEX_NAME
 
 
@@ -46,6 +50,19 @@ def sample_records():
         LatencyRecord("irq", 2, 200000, 220000, HandlingMode.INTERPOSED,
                       True),
     ]
+
+
+def columns_of(records):
+    """The latency columns a run that completed ``records`` carries."""
+    columns = LatencyColumns()
+    for record in records:
+        columns.append(record.source, record.seq, record.arrival,
+                       record.completed_at, record.mode, record.enforced_cut)
+    return LatencyColumnData.of(columns)
+
+
+def sample_columns():
+    return columns_of(sample_records())
 
 
 def sample_latencies():
@@ -62,7 +79,7 @@ def sample_trace_events():
 
 def write_sample(path, metadata=None, trace=False):
     with ArtifactWriter(path, metadata or {"experiment": "x"}) as writer:
-        writer.append_summary("scenario", sample_records(),
+        writer.append_summary("scenario", sample_columns(),
                               sample_latencies())
         if trace:
             writer.append_trace(sample_trace_events())
@@ -105,9 +122,10 @@ class TestArtifactRoundTrip:
     def test_multiple_legs_and_chunks(self, tmp_path):
         path = tmp_path / "m.rpart"
         with ArtifactWriter(path) as writer:
-            writer.append_summary("monitored", sample_records(),
+            writer.append_summary("monitored", sample_columns(),
                                   sample_latencies())
-            writer.append_summary("boosted", sample_records()[:1], [7.5])
+            writer.append_summary(
+                "boosted", columns_of(sample_records()[:1]), [7.5])
         artifact = RunArtifact.read(path)
         assert artifact.legs() == ["monitored", "boosted"]
         assert artifact.latency_rows == 4
@@ -116,23 +134,92 @@ class TestArtifactRoundTrip:
     def test_empty_artifact(self, tmp_path):
         path = tmp_path / "e.rpart"
         with ArtifactWriter(path) as writer:
-            writer.append_summary("scenario", [], [])
+            writer.append_summary("scenario", columns_of([]), [])
         artifact = RunArtifact.read(path)
         assert artifact.latency_rows == 0
         assert list(artifact.latencies_us()) == []
+
+
+class _PerRecordWriter(ArtifactWriter):
+    """The row-at-a-time ``append_summary`` over boxed records: the
+    byte-level oracle of the columnar writer."""
+
+    def append_summary(self, leg, records, latencies_us):
+        leg_id = self._interner.intern(leg)
+        columns = {name: array(code) for name, code in LATENCY_SCHEMA}
+        intern = self._interner.intern
+        for record, latency_us in zip(records, latencies_us):
+            columns["leg"].append(leg_id)
+            columns["source"].append(intern(record.source))
+            columns["seq"].append(record.seq)
+            columns["arrival"].append(record.arrival)
+            columns["completed"].append(record.completed_at)
+            columns["mode"].append(intern(record.mode.value))
+            columns["cut"].append(1 if record.enforced_cut else 0)
+            columns["latency_us"].append(latency_us)
+        self._write_chunk(_CHUNK_LATENCY, len(records),
+                          [columns[name] for name, _ in LATENCY_SCHEMA])
+        self._latency_rows += len(records)
+        return len(records)
+
+
+_rows = st.lists(
+    st.tuples(st.sampled_from(["irq", "uart", "delayed"]),
+              st.sampled_from(list(HandlingMode)), st.booleans()),
+    max_size=12)
+
+#: Two sources and all three modes interleaved so that a source's first
+#: row comes after a mode's first row, plus enforced cuts; and a second
+#: leg that meets one known and one new source.
+_INTERLEAVED = (
+    [("uart", HandlingMode.DELAYED, False),
+     ("uart", HandlingMode.DELAYED, True),
+     ("irq", HandlingMode.INTERPOSED, True),
+     ("uart", HandlingMode.DIRECT, False),
+     ("irq", HandlingMode.DELAYED, True),
+     ("irq", HandlingMode.DIRECT, False)],
+    [("spi", HandlingMode.DIRECT, True),
+     ("irq", HandlingMode.INTERPOSED, False)],
+)
+
+
+class TestColumnarWriter:
+    @settings(deadline=None, max_examples=40)
+    @given(legs=st.lists(_rows, min_size=1, max_size=3))
+    @example(legs=list(_INTERLEAVED))
+    def test_columns_write_the_per_record_bytes(self, tmp_path_factory,
+                                                legs):
+        directory = tmp_path_factory.mktemp("columnar")
+        meta = {"experiment": "x"}
+        with ArtifactWriter(directory / "columns.rpart", meta) as columnar, \
+                _PerRecordWriter(directory / "records.rpart", meta) as oracle:
+            for index, rows in enumerate(legs):
+                records = [
+                    LatencyRecord(source, seq, 10 * seq, 10 * seq + 7 + seq,
+                                  mode, cut)
+                    for seq, (source, mode, cut) in enumerate(rows)
+                ]
+                latencies = [0.5 * seq for seq in range(len(rows))]
+                leg = f"leg{index}"
+                assert (columnar.append_summary(leg, columns_of(records),
+                                                latencies)
+                        == oracle.append_summary(leg, records, latencies))
+        assert ((directory / "columns.rpart").read_bytes()
+                == (directory / "records.rpart").read_bytes())
 
 
 class TestWriterValidation:
     def test_length_mismatch_raises(self, tmp_path):
         writer = ArtifactWriter(tmp_path / "bad.rpart")
         with pytest.raises(ArtifactError, match="2 records but 1"):
-            writer.append_summary("scenario", sample_records()[:2], [1.0])
+            writer.append_summary(
+                "scenario", columns_of(sample_records()[:2]), [1.0])
         writer.abort()
 
     def test_abort_leaves_no_file(self, tmp_path):
         path = tmp_path / "gone.rpart"
         writer = ArtifactWriter(path)
-        writer.append_summary("scenario", sample_records(),
+        writer.append_summary("scenario", sample_columns(),
                               sample_latencies())
         writer.abort()
         assert not path.exists()
@@ -142,7 +229,7 @@ class TestWriterValidation:
         path = tmp_path / "gone.rpart"
         with pytest.raises(RuntimeError):
             with ArtifactWriter(path) as writer:
-                writer.append_summary("scenario", sample_records(),
+                writer.append_summary("scenario", sample_columns(),
                                       sample_latencies())
                 raise RuntimeError("boom")
         assert not path.exists()
@@ -151,7 +238,7 @@ class TestWriterValidation:
     def test_no_partial_file_visible_before_close(self, tmp_path):
         path = tmp_path / "atomic.rpart"
         writer = ArtifactWriter(path)
-        writer.append_summary("scenario", sample_records(),
+        writer.append_summary("scenario", sample_columns(),
                               sample_latencies())
         assert not path.exists()
         writer.close()
@@ -197,11 +284,11 @@ class TestReadErrors:
 
 
 class FakeSummary(SimpleNamespace):
-    """Duck-typed ScenarioSummary: records + latencies_us + summary."""
+    """Duck-typed ScenarioSummary: columns + latencies_us + summary."""
 
 
 def fake_summary():
-    return FakeSummary(records=sample_records(),
+    return FakeSummary(columns=sample_columns(),
                        latencies_us=sample_latencies(), summary=object())
 
 
@@ -359,7 +446,8 @@ def build_store(directory, specs):
         ]
         name = f"task-{index:04d}.rpart"
         with ArtifactWriter(directory / name, meta) as writer:
-            writer.append_summary("scenario", records, latencies)
+            writer.append_summary("scenario", columns_of(records),
+                                  latencies)
         entries.append({
             "experiment": meta.get("experiment", "validation"),
             "kind": meta.get("kind", "validation-classic"),

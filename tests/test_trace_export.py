@@ -11,12 +11,14 @@ nothing dropped, nothing invented).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter as TallyCounter
 
 import pytest
 
 from repro.metrics.timeline import lane_of
+from repro.sim.engine import resolve_idle_skip
 from repro.sim.trace import TraceKind, TraceRecorder
 from repro.telemetry import (
     chrome_trace_events,
@@ -29,6 +31,7 @@ from repro.telemetry.perfetto import (
     KIND_FAMILIES,
     PID_CAMPAIGN,
     PID_CPU,
+    PID_ENGINE,
     PID_TRACE,
     write_chrome_trace as write_trace,
 )
@@ -172,6 +175,20 @@ GOLDEN_CAMPAIGN_MASKED_SHA256 = (
     "1dc5eb3835c16dc75a5224b29c94ad581bf551d3f266f51fd315b641e3fda0e8"
 )
 
+#: The same two documents in canonical JSON with the idle-skip process
+#: (pid 4) removed.  Skipping may change nothing but its own track, so
+#: these hold with the idle-skip on and off.
+GOLDEN_TRACE_SANS_SKIP_SHA256 = (
+    "06805e092068a2b5044eb57a70c4211df287c48109eae8fca4c7772656d1fa45"
+)
+GOLDEN_CAMPAIGN_MASKED_SANS_SKIP_SHA256 = (
+    "4bd3c59b19d826becea131e0f5230d0dbe3280fb87e4ba1d9423e796b45def08"
+)
+
+#: Events on the idle-skip track of that replay with the skip on: its
+#: process and thread names plus one span per skip.
+GOLDEN_IDLE_SKIP_EVENTS = 70
+
 
 def _golden_campaign():
     """Five tasks on two workers with arbitrary wall-clock fields."""
@@ -190,29 +207,45 @@ def _golden_campaign():
     return CampaignTelemetry(jobs=2, wall_seconds=1.0, tasks=tasks)
 
 
-def test_trace_bytes_match_golden(replay, tmp_path):
-    import hashlib
+def _canonical_sha256(document):
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+
+def _check_idle_skip_track(document, count, full_count, sans_skip_sha256):
+    """Pin the document without its idle-skip track on both legs, and
+    the track itself: the golden count with the skip on, none off.
+    Returns whether the skip is on (the full-document pins hold)."""
+    kept = [event for event in document["traceEvents"]
+            if event["pid"] != PID_ENGINE]
+    skip_events = len(document["traceEvents"]) - len(kept)
+    assert _canonical_sha256(dict(document, traceEvents=kept)) \
+        == sans_skip_sha256
+    skip_on = resolve_idle_skip(None)
+    assert skip_events == (GOLDEN_IDLE_SKIP_EVENTS if skip_on else 0)
+    assert count == full_count - GOLDEN_IDLE_SKIP_EVENTS + skip_events
+    return skip_on
+
+
+def test_trace_bytes_match_golden(replay, tmp_path):
     path = tmp_path / "trace.json"
     count = write_chrome_trace(path, replay.trace, clock=replay.clock,
                                cpu_segments=replay.cpu_segments,
                                engine=replay.hypervisor.engine)
-    assert count == 2592
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_TRACE_SHA256
+    if _check_idle_skip_track(load_chrome_trace(path), count, 2592,
+                              GOLDEN_TRACE_SANS_SKIP_SHA256):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_TRACE_SHA256
 
 
 def test_campaign_trace_matches_golden_with_wall_clock_masked(replay,
                                                               tmp_path):
-    import hashlib
-
     from repro.telemetry import export_traced_run
 
     path = tmp_path / "trace.json"
     count = export_traced_run(replay, trace_path=str(path),
                               campaign=_golden_campaign(),
                               metadata={"scale": "smoke", "jobs": 2})
-    assert count == 2600
     document = load_chrome_trace(path)
     spans = 0
     for event in document["traceEvents"]:
@@ -221,9 +254,9 @@ def test_campaign_trace_matches_golden_with_wall_clock_masked(replay,
             event["args"]["queue_wait_seconds"] = 0
             spans += 1
     assert spans == 5
-    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_CAMPAIGN_MASKED_SHA256
+    if _check_idle_skip_track(document, count, 2600,
+                              GOLDEN_CAMPAIGN_MASKED_SANS_SKIP_SHA256):
+        assert _canonical_sha256(document) == GOLDEN_CAMPAIGN_MASKED_SHA256
 
 
 class _FailingCampaign:
