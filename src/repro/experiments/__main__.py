@@ -168,44 +168,59 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
     )
 
 
-def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
-                      store=None) -> None:
-    """Serve ``--trace-out`` / ``--metrics-json``.
+def _start_traced_tail(args, *, scale, jobs: int, store):
+    """Start what ``--trace-out`` / ``--metrics-json`` need but the campaign.
 
     Campaign workers run with tracing disabled, so the Chrome trace and
     the reconciled hypervisor counters come from a deterministic traced
     replay of one representative fig6b cell at this run's scale and
-    seed (see :mod:`repro.telemetry.run`); cache and campaign-runner
-    metrics are sampled from the run itself.
+    seed (see :mod:`repro.telemetry.run`).  It depends on nothing the
+    campaign computes, so with ``jobs > 1`` it runs in its own worker
+    process alongside the campaign; at ``--jobs 1`` it runs in-process
+    after it.
     """
-    from repro.telemetry import (
-        MetricsRegistry,
-        collect_cache,
-        collect_campaign,
-        export_traced_run,
-        run_traced_fig6,
-    )
+    from repro.telemetry.perfetto import new_trace_fragment
+    from repro.telemetry.run import TracedTailJob
 
-    registry = MetricsRegistry() if args.metrics_json is not None else None
-    replay = run_traced_fig6(irqs=scale.fig6_irqs_per_load, seed=args.seed)
+    tail_store = None
     if store is not None:
-        # The replay is the one in-process run with tracing enabled, so
-        # it is the one artifact that carries trace columns; rendered
-        # through the exporter, they give the same instants as the
-        # live trace written below.
-        store.write_traced_run(replay)
-    written = export_traced_run(
-        replay,
-        trace_path=args.trace_out,
-        registry=registry,
-        campaign=telemetry,
-        metadata={"scale": scale.name, "jobs": jobs},
-    )
+        from repro.store import CampaignStoreWriter
+
+        # The replay's own writer on the same directory, merged into
+        # the campaign's after the campaign (see _export_telemetry).
+        tail_store = CampaignStoreWriter(store.directory, store.campaign_meta)
+    fragment = (new_trace_fragment(args.trace_out)
+                if args.trace_out is not None else None)
+    return TracedTailJob(jobs > 1, irqs=scale.fig6_irqs_per_load,
+                         seed=args.seed, fragment=fragment,
+                         store=tail_store,
+                         metrics=args.metrics_json is not None)
+
+
+def _export_telemetry(args, tail, *, scale, jobs: int, cache, telemetry,
+                      store=None) -> None:
+    """Serve ``--trace-out`` / ``--metrics-json`` from the traced tail.
+
+    ``tail`` is the :class:`repro.telemetry.run.TracedTail` of the
+    replay; the campaign's spans finish its trace fragment, and cache,
+    campaign-runner and store metrics are sampled from the run itself.
+    """
+    if store is not None:
+        # After the campaign's entries, as a serial write would be.
+        store.merge(tail.store)
     if args.trace_out is not None:
+        from repro.telemetry.perfetto import finish_chrome_trace
+
+        written = finish_chrome_trace(
+            tail.fragment, args.trace_out, tail.events, campaign=telemetry,
+            metadata=dict(tail.metadata, scale=scale.name, jobs=jobs))
         print(f"[trace] {written} events -> {args.trace_out} "
               f"(traced fig6b replay, scale={scale.name}, "
               f"seed={args.seed})", file=sys.stderr)
+    registry = tail.registry
     if registry is not None:
+        from repro.telemetry import collect_cache, collect_campaign
+
         if cache is not None:
             collect_cache(registry, cache.stats)
         if telemetry is not None:
@@ -218,7 +233,7 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
             "scale": scale.name,
             "seed": args.seed,
             "jobs": jobs,
-            "traced_replay": f"fig6{replay.scenario}",
+            "traced_replay": tail.scenario,
         })
         print(f"[metrics] snapshot -> {args.metrics_json}", file=sys.stderr)
 
@@ -348,22 +363,32 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"[{name}] {experiment_seconds[name]:.1f}s "
               f"(scale={scale.name}, jobs={jobs})", file=sys.stderr)
 
-    run_campaign(names, scale, seed=args.seed, jobs=jobs, cache=cache,
-                 telemetry=telemetry, progress=progress, store=store,
-                 sink=emit)
-
-    if args.cache_stats and cache is not None:
-        print(f"[cache] {cache.stats.render()} dir={cache.directory}",
-              file=sys.stderr)
-
-    if args.export is not None:
-        _write_manifest(args.export, names=names, scale=scale, args=args,
-                        jobs=jobs, experiment_seconds=experiment_seconds,
-                        cache=cache)
-
+    tail = None
     if args.metrics_json is not None or args.trace_out is not None:
-        _export_telemetry(args, scale=scale, jobs=jobs, cache=cache,
-                          telemetry=telemetry, store=store)
+        tail = _start_traced_tail(args, scale=scale, jobs=jobs, store=store)
+    try:
+        run_campaign(names, scale, seed=args.seed, jobs=jobs, cache=cache,
+                     telemetry=telemetry, progress=progress, store=store,
+                     sink=emit)
+
+        if args.cache_stats and cache is not None:
+            print(f"[cache] {cache.stats.render()} dir={cache.directory}",
+                  file=sys.stderr)
+
+        if args.export is not None:
+            _write_manifest(args.export, names=names, scale=scale,
+                            args=args, jobs=jobs,
+                            experiment_seconds=experiment_seconds,
+                            cache=cache)
+
+        if tail is not None:
+            _export_telemetry(args, tail.result(), scale=scale, jobs=jobs,
+                              cache=cache, telemetry=telemetry, store=store)
+    except BaseException:
+        # Stop a tail still running and drop its trace fragment.
+        if tail is not None:
+            tail.cancel()
+        raise
 
     if store is not None:
         stats = store.finalize()

@@ -235,8 +235,13 @@ class ScenarioResult:
         return self.mode_counts.get(mode.value, 0) / total
 
     def lightweight(self) -> ScenarioSummary:
-        """Strip the hypervisor so the result can cross process lines."""
-        return ScenarioSummary(
+        """Strip the hypervisor so the result can cross process lines.
+
+        The hypervisor is released (:meth:`Hypervisor.release`) once
+        its last field is read, so it is freed as soon as this result
+        is, not at the cyclic collector's next pass.
+        """
+        summary = ScenarioSummary(
             columns=self.columns,
             latencies_us=self.latencies_us,
             summary=self.summary,
@@ -244,6 +249,8 @@ class ScenarioResult:
             context_switch_counts=self.context_switch_counts,
             total_context_switches=self.hypervisor.context_switches.total,
         )
+        self.hypervisor.release()
+        return summary
 
 
 def finish_irq_scenario(hv: Hypervisor, system: PaperSystemConfig,

@@ -391,6 +391,19 @@ class Hypervisor:
 
         self.intc.set_dispatcher(self._irq_entry)
 
+    def release(self) -> None:
+        """Let a finished hypervisor be freed by reference counting.
+
+        The interrupt controller's dispatcher and the pending
+        ``tdma-boundary`` event hold bound methods of this object, so
+        without this it is cyclic garbage that only the cyclic
+        collector frees.  The hypervisor cannot run afterwards.
+        """
+        self.intc.set_dispatcher(None)
+        self.engine.discard_pending()
+        self._boundary_handle = None
+        self._boundary_callback = None
+
     # ------------------------------------------------------------------
     # System construction
     # ------------------------------------------------------------------

@@ -348,6 +348,15 @@ class SimulationEngine:
         heapify(heap)
         self._compactions += 1
 
+    def discard_pending(self) -> None:
+        """Drop every pending event, and the callbacks it holds.
+
+        For a finished run whose owner wants its objects freed: a
+        pending callback bound to the owner keeps it alive in a cycle.
+        """
+        self._heap.clear()
+        self._pending = 0
+
     # -- dispatch (hot) ------------------------------------------------
 
     def run(self, max_events: Optional[int] = None, *, _pop=heappop) -> int:

@@ -56,8 +56,9 @@ class InterruptController:
     def num_lines(self) -> int:
         return self._num_lines
 
-    def set_dispatcher(self, dispatcher: Callable[[int], None]) -> None:
-        """Install the CPU IRQ entry point."""
+    def set_dispatcher(self,
+                       dispatcher: Optional[Callable[[int], None]]) -> None:
+        """Install the CPU IRQ entry point (``None`` delivers nothing)."""
         self._dispatcher = dispatcher
 
     # ------------------------------------------------------------------

@@ -102,6 +102,10 @@ class ArtifactError(ValueError):
     """A malformed, truncated or corrupt run artifact."""
 
 
+#: JSON scalar types :func:`json_safe` passes through by exact type.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def json_safe(value: Any) -> Any:
     """Coerce a trace-event data value into something JSON can carry.
 
@@ -110,14 +114,42 @@ def json_safe(value: Any) -> Any:
     this form, and the Perfetto exporter renders instant args through
     the same function, so a live and a persisted event give the same
     Chrome trace bytes.
+
+    A plain dict of ``str`` keys and exact JSON scalar values — the
+    shape of every event the hypervisor records — is already JSON-safe
+    and is returned as it is, without a copy.
     """
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str or type(item) not in _SCALAR_TYPES:
+                break
+        else:
+            return value
+    return _json_safe_tree(value)
+
+
+def _json_safe_tree(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [json_safe(item) for item in value]
+        return [_json_safe_tree(item) for item in value]
     if isinstance(value, Mapping):
-        return {str(key): json_safe(item) for key, item in value.items()}
+        return {str(key): _json_safe_tree(item)
+                for key, item in value.items()}
     return repr(value)
+
+
+#: Compact JSON, one value per ``encode`` call (the C encoder runs).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode_trace_data(events: Iterable[TraceEvent]) -> "list[str]":
+    """The canonical JSON of each event's data, in event order.
+
+    One text per event serves both the ``.rpart`` trace columns and
+    the Chrome trace instants, so a traced run encodes its args once.
+    """
+    return [_encode(json_safe(event.data)) for event in events]
 
 
 class _Interner:
@@ -140,17 +172,28 @@ class _Interner:
 
 def trace_events_to_columns(events: Iterable[TraceEvent],
                             interner: Optional[_Interner] = None,
+                            payloads: Optional[Sequence[str]] = None,
                             ) -> "tuple[dict[str, array], _Interner]":
-    """Pack trace events into the columnar form (time/kind/data ids)."""
+    """Pack trace events into the columnar form (time/kind/data ids).
+
+    ``payloads`` is :func:`encode_trace_data` of the same events, when
+    the caller already has it.
+    """
     interner = interner or _Interner()
+    events = list(events)
+    if payloads is None:
+        payloads = encode_trace_data(events)
+    elif len(payloads) != len(events):
+        raise ArtifactError(f"{len(payloads)} encoded payloads for "
+                            f"{len(events)} trace events")
+    intern = interner.intern
     times = array("q")
     kinds = array("i")
     blobs = array("i")
-    for event in events:
+    for event, payload in zip(events, payloads):
         times.append(event.time)
-        kinds.append(interner.intern(event.kind.value))
-        payload = json.dumps(json_safe(event.data), separators=(",", ":"))
-        blobs.append(interner.intern(payload))
+        kinds.append(intern(event.kind.value))
+        blobs.append(intern(payload))
     return {"time": times, "kind": kinds, "data": blobs}, interner
 
 
@@ -269,9 +312,15 @@ class ArtifactWriter:
         self._latency_rows += rows
         return rows
 
-    def append_trace(self, events: Iterable[TraceEvent]) -> int:
-        """Append trace events as columnar rows (time/kind/data)."""
-        columns, _ = trace_events_to_columns(events, self._interner)
+    def append_trace(self, events: Iterable[TraceEvent],
+                     payloads: Optional[Sequence[str]] = None) -> int:
+        """Append trace events as columnar rows (time/kind/data).
+
+        ``payloads`` optionally carries the events' already-encoded
+        data (see :func:`encode_trace_data`).
+        """
+        columns, _ = trace_events_to_columns(events, self._interner,
+                                             payloads)
         rows = len(columns["time"])
         self._write_chunk(_CHUNK_TRACE, rows,
                           [columns[name] for name, _ in TRACE_SCHEMA])

@@ -31,7 +31,7 @@ import tempfile
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.store.artifact import ARTIFACT_SUFFIX, ArtifactWriter
 
@@ -237,12 +237,15 @@ class CampaignStoreWriter:
 
     def write_traced_run(self, run: Any,
                          name: str = "traced-run" + ARTIFACT_SUFFIX,
+                         payloads: "Optional[Sequence[str]]" = None,
                          ) -> Optional[str]:
         """Persist a traced replay (latency + trace columns) if traced.
 
         ``run`` is a :class:`repro.telemetry.run.TracedRun`; its
         recorder holds the full event stream of the replayed fig6
         cell, which lands as trace columns next to the latency rows.
+        ``payloads`` optionally carries the events' encoded data
+        (:func:`repro.store.artifact.encode_trace_data`).
         """
         started = time.perf_counter()
         metadata = dict(self.campaign_meta)
@@ -258,7 +261,7 @@ class CampaignStoreWriter:
         with ArtifactWriter(self.directory / name, metadata) as writer:
             rows += writer.append_summary("scenario", result.columns,
                                           result.latencies_us)
-            trace_rows = writer.append_trace(run.trace.events)
+            trace_rows = writer.append_trace(run.trace.events, payloads)
         self._entries.append({
             "experiment": metadata["experiment"],
             "kind": "traced-replay",
@@ -275,6 +278,19 @@ class CampaignStoreWriter:
         self.stats.bytes_written += (self.directory / name).stat().st_size
         self.stats.write_seconds += time.perf_counter() - started
         return name
+
+    def merge(self, other: "CampaignStoreWriter") -> None:
+        """Append ``other``'s index entries and fold in its write stats.
+
+        ``other`` wrote into the same directory, possibly in another
+        process; merging it puts its entries where this writer's own
+        writes at this point would have put them.
+        """
+        self._entries += other._entries
+        for spec in fields(StoreWriteStats):
+            setattr(self.stats, spec.name,
+                    getattr(self.stats, spec.name)
+                    + getattr(other.stats, spec.name))
 
     # ------------------------------------------------------ finalize
 

@@ -33,7 +33,14 @@ segment / task order, so timestamps are monotone within every track.
 The file is streamed: :func:`write_chrome_trace` encodes and writes
 one event at a time, so memory stays flat however long the trace is.
 A hypervisor-trace instant is its kind's cached text around the
-timestamp and the JSON of its args, with no per-event dict.
+timestamp and the JSON of its args, and a CPU segment its lane's
+cached text around its two numbers, with no per-event dict.
+
+A trace is written in two halves: :func:`write_trace_fragment` writes
+the run's own events (pids 1, 2 and 4) into a fragment next to the
+target, and :func:`finish_chrome_trace` appends the campaign's spans
+(pid 3, always last) and the footer, then renames the fragment onto
+the target.  The CLI runs the first half beside the campaign.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Iterable, Iterator, Mapping, Optional
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.metrics.timeline import lane_of
 from repro.sim.trace import TraceKind, TraceRecorder
@@ -49,6 +56,9 @@ from repro.store.artifact import json_safe
 
 #: Identifies traces written by :func:`write_chrome_trace`.
 TRACE_FORMAT = "repro-chrome-trace-v1"
+
+#: Suffix of the temp fragment a trace is written into before it lands.
+FRAGMENT_SUFFIX = ".fragment"
 
 #: Process ids of the four track groups.
 PID_CPU = 1
@@ -102,12 +112,14 @@ def _metadata(pid: int, name: str, tid: int = 0,
                     "name": "thread_name", "args": {"name": thread_name}})
 
 
-def _event_texts(trace, clock, cpu_segments, campaign,
-                 engine) -> Iterator[str]:
-    """Yield the JSON text of every event, in file order.
+def _run_texts(trace, clock, cpu_segments, engine,
+               payloads: "Optional[Sequence[str]]" = None) -> Iterator[str]:
+    """Yield the JSON text of every event of one simulated run.
 
-    The one event source: :func:`write_chrome_trace` writes these
-    texts and :func:`chrome_trace_events` decodes them.
+    CPU lanes, hypervisor-trace instants and idle-skip spans, in file
+    order.  ``payloads`` optionally holds each trace event's encoded
+    args (:func:`~repro.store.artifact.encode_trace_data`), shared with
+    the ``.rpart`` writer.
     """
     to_us = (clock.cycles_to_us if clock is not None
              else lambda cycles: cycles)
@@ -125,17 +137,25 @@ def _event_texts(trace, clock, cpu_segments, campaign,
         yield _metadata(PID_CPU, "Simulation CPU")
         for lane, tid in lanes.items():
             yield _metadata(PID_CPU, "", tid, lane)
+        # Like an instant, a segment is cached text around its two
+        # numbers: the head per category, the tail per (label,
+        # category) pair.
+        heads = {
+            category: f'{{"ph":"X","pid":{PID_CPU},"tid":{tid},"ts":'
+            for category, tid in category_tids.items()
+        }
+        tails: "dict[tuple[str, str], str]" = {}
         for segment in segments:
+            category = segment.category
+            key = (segment.label, category)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = (
+                    f',"name":{_encode(segment.label or category)},'
+                    f'"cat":{_encode(category)}}}')
             start_us = to_us(segment.start)
-            yield _encode({
-                "ph": "X",
-                "pid": PID_CPU,
-                "tid": category_tids[segment.category],
-                "ts": start_us,
-                "dur": to_us(segment.end) - start_us,
-                "name": segment.label or segment.category,
-                "cat": segment.category,
-            })
+            yield (heads[category] + repr(start_us) + ',"dur":'
+                   + repr(to_us(segment.end) - start_us) + tail)
 
     if trace is not None:
         used = {KIND_FAMILIES.get(kind, "Other")
@@ -149,11 +169,13 @@ def _event_texts(trace, clock, cpu_segments, campaign,
         yield _metadata(PID_TRACE, "Hypervisor trace")
         for family, tid in family_tids.items():
             yield _metadata(PID_TRACE, "", tid, family)
+        if payloads is None:
+            payloads = (_encode(json_safe(event.data)) for event in trace)
         # An instant is its kind's cached text around the timestamp and
         # args: the same bytes ``_encode`` gives the equivalent dict
         # (``repr`` spells a finite float or an int as JSON does).
         templates: "dict[TraceKind, tuple[str, str]]" = {}
-        for event in trace:
+        for event, args in zip(trace, payloads):
             kind = event.kind
             template = templates.get(kind)
             if template is None:
@@ -165,8 +187,7 @@ def _event_texts(trace, clock, cpu_segments, campaign,
                     f'"cat":{_encode(family)},"args":',
                 )
             head, middle = template
-            yield (head + repr(to_us(event.time)) + middle
-                   + _encode(json_safe(event.data)) + "}")
+            yield head + repr(to_us(event.time)) + middle + args + "}"
 
     spans = getattr(engine, "skip_span_log", None) if engine is not None else None
     if spans:
@@ -186,30 +207,41 @@ def _event_texts(trace, clock, cpu_segments, campaign,
                          "cycles": end - start},
             })
 
-    if campaign is not None:
-        workers: "dict[int, int]" = {}
-        for task in campaign.tasks:
-            if task.worker_pid not in workers:
-                workers[task.worker_pid] = len(workers) + 1
-        yield _metadata(PID_CAMPAIGN, "Campaign")
-        for pid, tid in workers.items():
-            yield _metadata(PID_CAMPAIGN, "", tid, f"worker {pid}")
-        for task in campaign.tasks:
-            yield _encode({
-                "ph": "X",
-                "pid": PID_CAMPAIGN,
-                "tid": workers[task.worker_pid],
-                "ts": round(task.started_offset_seconds * 1e6, 3),
-                "dur": round(task.wall_seconds * 1e6, 3),
-                "name": f"{task.experiment}/{task.kind}[{task.index}]",
-                "cat": "campaign_task",
-                "args": {
-                    "experiment": task.experiment,
-                    "kind": task.kind,
-                    "cached": task.cached,
-                    "queue_wait_seconds": round(task.queue_wait_seconds, 6),
-                },
-            })
+
+def _campaign_texts(campaign) -> Iterator[str]:
+    """Yield the JSON text of every campaign event: they come last."""
+    if campaign is None:
+        return
+    workers: "dict[int, int]" = {}
+    for task in campaign.tasks:
+        if task.worker_pid not in workers:
+            workers[task.worker_pid] = len(workers) + 1
+    yield _metadata(PID_CAMPAIGN, "Campaign")
+    for pid, tid in workers.items():
+        yield _metadata(PID_CAMPAIGN, "", tid, f"worker {pid}")
+    for task in campaign.tasks:
+        yield _encode({
+            "ph": "X",
+            "pid": PID_CAMPAIGN,
+            "tid": workers[task.worker_pid],
+            "ts": round(task.started_offset_seconds * 1e6, 3),
+            "dur": round(task.wall_seconds * 1e6, 3),
+            "name": f"{task.experiment}/{task.kind}[{task.index}]",
+            "cat": "campaign_task",
+            "args": {
+                "experiment": task.experiment,
+                "kind": task.kind,
+                "cached": task.cached,
+                "queue_wait_seconds": round(task.queue_wait_seconds, 6),
+            },
+        })
+
+
+def _event_texts(trace, clock, cpu_segments, campaign,
+                 engine) -> Iterator[str]:
+    """Yield the JSON text of every event, in file order."""
+    yield from _run_texts(trace, clock, cpu_segments, engine)
+    yield from _campaign_texts(campaign)
 
 
 def chrome_trace_events(
@@ -261,34 +293,98 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
     with run metadata under ``otherData``.  Events are written one at
     a time as they are generated, so neither the event list nor the
     document string is ever held in memory.  The write is atomic
-    (temp file + ``os.replace``): a failure mid-stream removes the
-    partial temp file and leaves any existing ``path`` untouched.
+    (temp fragment + ``os.replace``): a failure mid-stream removes the
+    fragment and leaves any existing ``path`` untouched.
+
+    It is :func:`write_trace_fragment` followed by
+    :func:`finish_chrome_trace`, the two halves the CLI runs apart so
+    the run's events can be written while the campaign still runs.
     """
-    other: "dict[str, Any]" = {"format": TRACE_FORMAT}
-    if metadata:
-        other.update(json_safe(metadata))
+    fragment = new_trace_fragment(path)
+    try:
+        count = write_trace_fragment(fragment, trace, clock=clock,
+                                     cpu_segments=cpu_segments,
+                                     engine=engine)
+    except BaseException:
+        discard_trace_fragment(fragment)
+        raise
+    return finish_chrome_trace(fragment, path, count, campaign=campaign,
+                               metadata=metadata)
+
+
+def new_trace_fragment(path: "str | os.PathLike[str]") -> str:
+    """Create an empty fragment file next to the trace ``path``.
+
+    The fragment becomes the trace itself by an ``os.replace`` in
+    :func:`finish_chrome_trace`, so it lives in the target's directory.
+    """
     target = os.fspath(path)
     directory = os.path.dirname(target) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    count = 0
+    fd, name = tempfile.mkstemp(dir=directory,
+                                prefix=os.path.basename(target) + ".",
+                                suffix=FRAGMENT_SUFFIX)
+    os.close(fd)
+    return name
+
+
+def discard_trace_fragment(fragment: str) -> None:
+    """Remove a fragment that will not become a trace."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        os.unlink(fragment)
+    except OSError:
+        pass
+
+
+def write_trace_fragment(fragment: str,
+                         trace: Optional[TraceRecorder] = None,
+                         *,
+                         clock: Any = None,
+                         cpu_segments: Optional[Iterable[Any]] = None,
+                         engine: Any = None,
+                         payloads: "Optional[Sequence[str]]" = None) -> int:
+    """Write the head of a trace and one run's events to ``fragment``.
+
+    The fragment holds ``{"traceEvents":[`` and the CPU-lane, trace
+    instant and idle-skip events, everything that does not depend on
+    the campaign.  Returns the number of events written.
+    """
+    count = 0
+    with open(fragment, "w", encoding="utf-8") as handle:
+        write = handle.write
+        write('{"traceEvents":[')
+        for text in _run_texts(trace, clock, cpu_segments, engine,
+                               payloads):
+            write("," + text if count else text)
+            count += 1
+    return count
+
+
+def finish_chrome_trace(fragment: str, path: "str | os.PathLike[str]",
+                        count: int, *, campaign: Any = None,
+                        metadata: Optional[Mapping[str, Any]] = None) -> int:
+    """Append the campaign's events and the footer, then land the trace.
+
+    ``fragment`` is a :func:`write_trace_fragment` output holding
+    ``count`` events; it is renamed onto ``path`` atomically.  On any
+    failure the fragment is removed and ``path`` is left untouched.
+    Returns the trace's total event count.
+    """
+    try:
+        other: "dict[str, Any]" = {"format": TRACE_FORMAT}
+        if metadata:
+            other.update(json_safe(metadata))
+        with open(fragment, "a", encoding="utf-8") as handle:
             write = handle.write
-            write('{"traceEvents":[')
-            for text in _event_texts(trace, clock, cpu_segments, campaign,
-                                     engine):
+            for text in _campaign_texts(campaign):
                 write("," + text if count else text)
                 count += 1
             write('],"displayTimeUnit":"ms","otherData":')
             write(_encode(other))
             write("}\n")
-        os.replace(tmp_name, target)
+        os.replace(fragment, os.fspath(path))
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        discard_trace_fragment(fragment)
         raise
     return count
 

@@ -15,16 +15,35 @@ only on (scale, seed), exactly as the campaign's own fig6b task does,
 so the exported trace faithfully shows what the campaign simulated —
 and its recorder counts reconcile exactly with the collected
 hypervisor metrics, which the acceptance test pins.
+
+Because the replay depends only on (scale, seed), the CLI starts it
+before the campaign: :class:`TracedTailJob` runs
+:func:`run_traced_tail` — the replay, its ``.rpart`` artifact and
+every trace event that does not depend on the campaign — in a
+one-worker fork process while the campaign runs, or in-process after
+it at ``--jobs 1``.  The worker hands back only small data (see
+:class:`TracedTail`); the trace stays on disk as a fragment that
+:func:`~repro.telemetry.perfetto.finish_chrome_trace` completes with
+the campaign's spans.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
+import traceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.experiments.common import PaperSystemConfig, ScenarioResult
+from repro.store.artifact import encode_trace_data
 from repro.telemetry.collectors import collect_hypervisor
-from repro.telemetry.perfetto import write_chrome_trace
+from repro.telemetry.perfetto import (
+    discard_trace_fragment,
+    write_chrome_trace,
+    write_trace_fragment,
+)
 from repro.telemetry.registry import MetricsRegistry
 
 #: Scenario the traced replay runs (see module docstring).
@@ -128,13 +147,7 @@ def export_traced_run(run: TracedRun,
     """
     written = None
     if trace_path is not None:
-        meta = {
-            "scenario": f"fig6{run.scenario}",
-            "load": run.load,
-            "seed": run.seed,
-            "recorded_events": len(run.trace),
-            "dropped_events": run.trace.dropped,
-        }
+        meta = _trace_metadata(run)
         if metadata:
             meta.update(metadata)
         written = write_chrome_trace(
@@ -150,3 +163,172 @@ def export_traced_run(run: TracedRun,
         collect_hypervisor(registry, run.hypervisor,
                            run=f"fig6{run.scenario}")
     return written
+
+
+def _trace_metadata(run: TracedRun) -> "dict[str, Any]":
+    """The ``otherData`` fields a traced run contributes to its trace."""
+    return {
+        "scenario": f"fig6{run.scenario}",
+        "load": run.load,
+        "seed": run.seed,
+        "recorded_events": len(run.trace),
+        "dropped_events": run.trace.dropped,
+    }
+
+
+@dataclass
+class TracedTail:
+    """What :func:`run_traced_tail` hands back: small data only.
+
+    The trace itself stays in the ``fragment`` file: pickling the
+    recorder and the CPU segments across a process line would cost
+    more than the replay.
+    """
+
+    scenario: str
+    #: Trace fragment path, and the events written into it.
+    fragment: Optional[str]
+    events: int
+    #: The replay's ``otherData`` fields (see :func:`export_traced_run`).
+    metadata: "dict[str, Any]"
+    #: The replay's ``hv_*`` metrics, when metrics were asked for.
+    registry: Optional[MetricsRegistry]
+    #: The writer that stored the replay's artifact, for
+    #: :meth:`~repro.store.capture.CampaignStoreWriter.merge`.
+    store: Any
+
+
+def run_traced_tail(irqs: int, seed: int, *,
+                    fragment: Optional[str] = None,
+                    store: Any = None,
+                    metrics: bool = False) -> TracedTail:
+    """Everything ``--trace-out`` / ``--metrics-json`` need but the campaign.
+
+    Replays the traced fig6b cell (:func:`run_traced_fig6`), stores it
+    through ``store`` (a
+    :class:`~repro.store.capture.CampaignStoreWriter` of its own),
+    writes its events into ``fragment``
+    (:func:`~repro.telemetry.perfetto.write_trace_fragment`) and
+    samples its hypervisor metrics.  Each event's args are encoded once,
+    for both the store and the fragment.
+    """
+    run = run_traced_fig6(irqs=irqs, seed=seed)
+    payloads = (encode_trace_data(run.trace)
+                if store is not None or fragment is not None else None)
+    if store is not None:
+        store.write_traced_run(run, payloads=payloads)
+    events = 0
+    if fragment is not None:
+        events = write_trace_fragment(
+            fragment, run.trace, clock=run.clock,
+            cpu_segments=run.cpu_segments, engine=run.hypervisor.engine,
+            payloads=payloads)
+    registry = None
+    if metrics:
+        registry = MetricsRegistry()
+        collect_hypervisor(registry, run.hypervisor,
+                           run=f"fig6{run.scenario}")
+    return TracedTail(scenario=f"fig6{run.scenario}", fragment=fragment,
+                      events=events, metadata=_trace_metadata(run),
+                      registry=registry, store=store)
+
+
+#: How long a cancelled tail worker may take to unwind before it is
+#: killed outright.
+_TERMINATE_GRACE_SECONDS = 5.0
+
+
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an error raised in the tail worker."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _exit_on_terminate(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
+def _tail_worker(connection: Any, kwargs: "dict[str, Any]") -> None:
+    """Body of the tail's worker process: run, send back the outcome."""
+    # terminate() from the parent unwinds the tail like an error, so
+    # the store's temp artifact is removed on the way out.
+    signal.signal(signal.SIGTERM, _exit_on_terminate)
+    try:
+        outcome = (run_traced_tail(**kwargs), None, None)
+    except Exception as error:
+        outcome = (None, error, traceback.format_exc())
+    try:
+        connection.send(outcome)
+    except Exception as failure:
+        # The outcome does not pickle: send the error as text instead.
+        error = outcome[1] if outcome[1] is not None else failure
+        connection.send((None, RuntimeError(repr(error)), outcome[2]))
+    finally:
+        connection.close()
+
+
+class TracedTailJob:
+    """One CLI run's traced tail, started before its campaign.
+
+    With ``background`` the tail runs in a one-worker fork process
+    while the campaign runs; otherwise :meth:`result` runs it
+    in-process.  Either way :func:`run_traced_tail` does the work.  The
+    job owns the trace fragment: :meth:`cancel` stops the tail and
+    removes it, and the caller calls it whenever the run fails, the
+    tail included.  A worker that dies without an answer raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`, as a dead
+    campaign worker does.
+    """
+
+    def __init__(self, background: bool, **kwargs: Any):
+        self._kwargs = kwargs
+        self._process = None
+        self._connection = None
+        if background:
+            # fork is cheapest and inherits the imported modules (the
+            # job starts before the campaign's pool, so the process has
+            # no other threads yet); fall back to the platform default
+            # where fork is unavailable.
+            context = (multiprocessing.get_context("fork")
+                       if "fork" in multiprocessing.get_all_start_methods()
+                       else multiprocessing.get_context())
+            self._connection, sender = context.Pipe(duplex=False)
+            self._process = context.Process(
+                target=_tail_worker, args=(sender, kwargs),
+                name="traced-tail", daemon=True)
+            self._process.start()
+            sender.close()
+
+    def result(self) -> TracedTail:
+        """Wait for the tail and return what it hands back.
+
+        Raises what the tail raised; the caller then calls
+        :meth:`cancel`, as it does when anything else fails first.
+        """
+        if self._process is None:
+            return run_traced_tail(**self._kwargs)
+        try:
+            tail, error, remote = self._connection.recv()
+        except EOFError:
+            self._process.join()
+            raise BrokenProcessPool(
+                "the traced-tail worker died without an answer (exit "
+                f"code {self._process.exitcode})") from None
+        self._process.join()
+        if error is not None:
+            raise error from _RemoteTraceback(remote)
+        return tail
+
+    def cancel(self) -> None:
+        """Stop the tail if it still runs and remove its fragment."""
+        if self._process is not None:
+            self._process.terminate()
+            self._process.join(_TERMINATE_GRACE_SECONDS)
+            if self._process.is_alive():
+                self._process.kill()
+                self._process.join()
+            self._connection.close()
+        fragment = self._kwargs.get("fragment")
+        if fragment is not None:
+            discard_trace_fragment(fragment)

@@ -229,3 +229,36 @@ class TestSweeps:
         dmin = run_dmin_sweep(irq_count=100, dmin_multipliers=(1.0, 2.0))
         assert "T_TDMA" in render_cycle_sweep(cycle)
         assert "d_min" in render_dmin_sweep(dmin)
+
+
+@pytest.mark.parametrize("idle_skip", ["1", "0"])
+def test_lightweight_frees_the_hypervisor_without_the_cyclic_gc(
+        idle_skip, monkeypatch):
+    """After ``lightweight()`` a finished hypervisor is freed by reference
+    counting alone: nothing it owns points back at it any more."""
+    import gc
+    import weakref
+
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing
+    from repro.experiments.common import run_irq_scenario
+    from repro.sim.engine import ENV_IDLE_SKIP
+    from repro.workloads.synthetic import exponential_interarrivals
+
+    monkeypatch.setenv(ENV_IDLE_SKIP, idle_skip)
+    system = PaperSystemConfig()
+    dmin = system.clock().us_to_cycles(1_000)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_irq_scenario(
+            system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
+            exponential_interarrivals(200, dmin, seed=3))
+        alive = weakref.ref(result.hypervisor)
+        summary = result.lightweight()
+        del result
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(summary.latencies_us) == 200

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from enum import Enum, IntEnum
 from types import SimpleNamespace
 
 import pytest
@@ -656,3 +657,76 @@ class TestStoreTelemetry:
         assert value("store_rows_written_total") == 40
         assert value("store_bytes_written_total") == 1234
         assert value("store_tasks_skipped_total") == 1
+
+
+# ------------------------------------------------------------ json_safe
+
+def _json_safe_oracle(value):
+    """The recursive coercion ``json_safe`` must agree with."""
+    from collections.abc import Mapping
+
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_json_safe_oracle(item) for item in value]
+    if isinstance(value, Mapping):
+        return {str(key): _json_safe_oracle(item)
+                for key, item in value.items()}
+    return repr(value)
+
+
+class _Colour(Enum):
+    RED = "red"
+    BLUE = 2
+
+
+class _Line(IntEnum):
+    TIMER = 0
+    CAN = 5
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+            | st.sampled_from(list(_Colour)) | st.sampled_from(list(_Line)))
+_keys = (st.text() | st.integers() | st.booleans()
+         | st.sampled_from(list(_Line)))
+_values = st.recursive(
+    _scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_keys, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_values | st.dictionaries(st.text(), _scalars, max_size=6))
+@example(value={"line": 5, "ok": True, "x": float("nan"), "n": None})
+@example(value={"line": _Line.CAN})
+@example(value={_Line.CAN: 1})
+@example(value={True: "x", 2: None})
+def test_json_safe_fast_path_matches_recursive_oracle(value):
+    """Flat scalar dicts take the exact-type fast path; everything else
+    the recursion.  Either way the JSON text equals the oracle's."""
+    from repro.store.artifact import json_safe
+
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    assert encode(json_safe(value)) == encode(_json_safe_oracle(value))
+
+
+def test_merge_appends_entries_and_folds_stats(tmp_path):
+    """A writer merged into another lands its entries after the other's
+    and adds its write counters to the other's."""
+    directory = tmp_path / "store"
+    store = CampaignStoreWriter(directory, {"scale": "smoke"})
+    store.write_task(fake_task(), fake_summary(), 0)
+    other = CampaignStoreWriter(directory, {"scale": "smoke"})
+    other.write_task(fake_task(kind="design"), {"answer": 42}, 1)
+    other.write_task(fake_task(), fake_summary(), 2)
+    before = store.stats.as_dict()
+    store.merge(other)
+    stats = store.finalize()
+    assert stats.artifacts_written == before["artifacts_written"] + 1
+    assert stats.rows_written == 6
+    assert stats.skipped_tasks == 1
+    index = json.loads((directory / INDEX_NAME).read_text())
+    assert [entry["task_index"] for entry in index["tasks"]] == [0, 1, 2]

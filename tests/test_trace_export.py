@@ -383,3 +383,156 @@ def test_cli_progress_flag(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "[fig6a] task 1/3 done (fig6-load)" in err
     assert "[fig6a] task 3/3 done (fig6-load)" in err
+
+
+# ---------------------------------------------------- the traced tail
+
+def _run_capture(directory, jobs, *extra):
+    """``fig6 --smoke`` with every capture output, into ``directory``."""
+    from repro.experiments.__main__ import main
+
+    return main(["fig6", "--smoke", "--no-cache", "--jobs", str(jobs),
+                 "--trace-out", str(directory / "trace.json"),
+                 "--metrics-json", str(directory / "metrics.json"),
+                 "--store", str(directory / "store"), *extra])
+
+
+def _campaign_masked_sha256(path):
+    """The trace's canonical sha with everything that records how the
+    campaign was scheduled masked: pid-3 wall-clock fields and worker
+    tracks, and the jobs count."""
+    document = load_chrome_trace(path)
+    kept = []
+    for event in document["traceEvents"]:
+        if event["pid"] == PID_CAMPAIGN:
+            if event["ph"] == "M" and event["name"] == "thread_name":
+                continue
+            if event["ph"] == "X":
+                event["ts"] = event["dur"] = event["tid"] = 0
+                event["args"]["queue_wait_seconds"] = 0
+        kept.append(event)
+    document["otherData"]["jobs"] = 0
+    return _canonical_sha256(dict(document, traceEvents=kept))
+
+
+def _hv_metrics(path):
+    metrics = load_metrics_json(path)["metrics"]
+    return {name: series for name, series in metrics.items()
+            if name.startswith("hv_")}
+
+
+def _leftovers(directory):
+    return sorted(path.name for path in directory.iterdir()
+                  if path.name.endswith((".fragment", ".tmp")))
+
+
+def test_traced_tail_is_the_same_in_process_and_alongside_the_campaign(
+        tmp_path, monkeypatch):
+    """At ``--jobs 2`` the tail runs in its own worker during the
+    campaign, at ``--jobs 1`` in-process after it: same trace, same
+    ``traced-run.rpart`` bytes, same ``hv_*`` metrics."""
+    monkeypatch.chdir(tmp_path)
+    runs = {}
+    for jobs in (1, 2):
+        directory = tmp_path / f"jobs-{jobs}"
+        directory.mkdir()
+        assert _run_capture(directory, jobs) == 0
+        assert _leftovers(directory) == []
+        runs[jobs] = directory
+    one, two = runs[1], runs[2]
+    assert _campaign_masked_sha256(one / "trace.json") \
+        == _campaign_masked_sha256(two / "trace.json")
+    # Up to the campaign's spans, the trace is byte for byte the one
+    # write_chrome_trace gives an independent replay.
+    from repro.experiments.scale import SMOKE
+
+    replay = run_traced_fig6(irqs=SMOKE.fig6_irqs_per_load, seed=1)
+    reference = tmp_path / "reference.json"
+    write_chrome_trace(reference, replay.trace, clock=replay.clock,
+                       cpu_segments=replay.cpu_segments,
+                       engine=replay.hypervisor.engine)
+    head = reference.read_bytes()
+    head = head[:head.rindex(b'],"displayTimeUnit"')] + b","
+    assert (two / "trace.json").read_bytes().startswith(head)
+    assert (one / "store" / "traced-run.rpart").read_bytes() \
+        == (two / "store" / "traced-run.rpart").read_bytes()
+    assert _hv_metrics(one / "metrics.json") \
+        == _hv_metrics(two / "metrics.json")
+    # The replay's index entry comes after every campaign task's.
+    index = json.loads((two / "store" / "index.json").read_text())
+    assert [task["kind"] for task in index["tasks"]][-1] == "traced-replay"
+    assert index["stats"]["artifacts_written"] == 10
+
+
+@pytest.mark.parametrize("fault, jobs", [("error", 1), ("error", 2),
+                                         ("crash", 2)])
+def test_tail_fault_is_a_loud_error_and_leaves_no_trace(
+        fault, jobs, tmp_path, monkeypatch):
+    """A tail that fails (or whose worker dies) while writing its trace
+    fragment fails the run, and leaves no trace, fragment or temp file."""
+    import os
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.telemetry.perfetto as perfetto
+
+    parent = os.getpid()
+    real_lane_of = perfetto.lane_of
+
+    def faulty_lane_of(category):
+        # Called while the fragment is open and partly written.
+        if fault == "crash" and os.getpid() != parent:
+            os._exit(3)
+        if fault == "error":
+            raise RuntimeError("injected tail fault")
+        return real_lane_of(category)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(perfetto, "lane_of", faulty_lane_of)
+    expected = RuntimeError if fault == "error" else BrokenProcessPool
+    with pytest.raises(expected):
+        _run_capture(tmp_path, jobs)
+    assert not (tmp_path / "trace.json").exists()
+    assert _leftovers(tmp_path) == []
+
+
+def test_failing_campaign_stops_the_running_tail_promptly(tmp_path,
+                                                          monkeypatch):
+    """A campaign task that fails while the tail still runs ends the
+    run at once: the tail worker is stopped and its fragment removed."""
+    import functools
+    import multiprocessing
+    import signal
+    import time
+
+    import repro.telemetry.run as run
+    from repro.experiments.runner import TASK_FUNCTIONS
+
+    def slow_replay(**kwargs):
+        time.sleep(60)
+
+    real_task = TASK_FUNCTIONS["fig6-load"]
+
+    @functools.wraps(real_task)
+    def failing_task(**kwargs):
+        raise RuntimeError("injected campaign fault")
+
+    def hung(signum, frame):
+        raise TimeoutError("the run waited for the traced tail")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(run, "run_traced_fig6", slow_replay)
+    monkeypatch.setitem(TASK_FUNCTIONS, "fig6-load", failing_task)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    started = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="injected campaign fault"):
+            _run_capture(tmp_path, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 20
+    assert not any(child.name == "traced-tail"
+                   for child in multiprocessing.active_children())
+    assert not (tmp_path / "trace.json").exists()
+    assert _leftovers(tmp_path) == []
