@@ -21,33 +21,12 @@ The package provides:
 
 Quickstart: see ``examples/quickstart.py`` for a complete runnable
 scenario.
+
+The names below resolve on first use (see :mod:`repro._lazy`), so
+importing one subpackage does not import the others.
 """
 
-from repro.core import (
-    DeltaLearner,
-    DeltaMinusMonitor,
-    DminInterferenceBound,
-    HandlingMode,
-    InterferenceKind,
-    InterferenceLedger,
-    MonitoredInterposing,
-    NeverInterpose,
-    SelfLearningInterposing,
-    verify_sufficient_independence,
-)
-from repro.guestos import GuestKernel, GuestTask
-from repro.hypervisor import (
-    CostModel,
-    Hypervisor,
-    HypervisorConfig,
-    IpcRouter,
-    IrqSource,
-    LatencyRecord,
-    Partition,
-    SlotConfig,
-    TdmaScheduler,
-)
-from repro.sim import Clock, IntervalSequenceTimer, SimulationEngine
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -78,3 +57,15 @@ __all__ = [
     "SimulationEngine",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "core": ("DeltaLearner", "DeltaMinusMonitor", "DminInterferenceBound",
+             "HandlingMode", "InterferenceKind", "InterferenceLedger",
+             "MonitoredInterposing", "NeverInterpose",
+             "SelfLearningInterposing", "verify_sufficient_independence"),
+    "guestos": ("GuestKernel", "GuestTask"),
+    "hypervisor": ("CostModel", "Hypervisor", "HypervisorConfig", "IpcRouter",
+                   "IrqSource", "LatencyRecord", "Partition", "SlotConfig",
+                   "TdmaScheduler"),
+    "sim": ("Clock", "IntervalSequenceTimer", "SimulationEngine"),
+})

@@ -5,61 +5,12 @@ Run from the command line::
     python -m repro.experiments fig6a
     python -m repro.experiments fig7 --quick
     python -m repro.experiments all
+
+The runners resolve on first use (see :mod:`repro._lazy`), so the
+``query`` subcommand never imports the simulator.
 """
 
-from repro.experiments.ablation import (
-    BoostAblationResult,
-    DepthAblationResult,
-    ThrottleAblationResult,
-    render_boost_ablation,
-    render_depth_ablation,
-    render_throttle_ablation,
-    run_boost_ablation,
-    run_depth_ablation,
-    run_throttle_ablation,
-)
-from repro.experiments.design import DesignResult, render_design, run_design
-from repro.experiments.common import (
-    PaperSystemConfig,
-    ScenarioResult,
-    run_irq_scenario,
-)
-from repro.experiments.fig6 import (
-    Fig6Config,
-    Fig6Result,
-    PAPER_REFERENCE as FIG6_PAPER_REFERENCE,
-    render_fig6,
-    run_all_fig6,
-    run_fig6,
-)
-from repro.experiments.fig7 import (
-    FIG7_CASES,
-    Fig7CaseResult,
-    Fig7Config,
-    PAPER_REFERENCE as FIG7_PAPER_REFERENCE,
-    render_fig7,
-    run_fig7,
-    run_fig7_case,
-)
-from repro.experiments.overhead import (
-    ContextSwitchComparison,
-    OverheadResult,
-    render_overhead,
-    run_overhead,
-)
-from repro.experiments.sweep import (
-    CycleSweepPoint,
-    DminSweepPoint,
-    render_cycle_sweep,
-    render_dmin_sweep,
-    run_cycle_sweep,
-    run_dmin_sweep,
-)
-from repro.experiments.validation import (
-    ValidationResult,
-    render_validation,
-    run_validation,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BoostAblationResult",
@@ -104,3 +55,24 @@ __all__ = [
     "render_validation",
     "run_validation",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ablation": ("BoostAblationResult", "DepthAblationResult",
+                 "ThrottleAblationResult", "render_boost_ablation",
+                 "render_depth_ablation", "render_throttle_ablation",
+                 "run_boost_ablation", "run_depth_ablation",
+                 "run_throttle_ablation"),
+    "design": ("DesignResult", "render_design", "run_design"),
+    "common": ("PaperSystemConfig", "ScenarioResult", "run_irq_scenario"),
+    "fig6": ("Fig6Config", "Fig6Result",
+             ("FIG6_PAPER_REFERENCE", "PAPER_REFERENCE"), "render_fig6",
+             "run_all_fig6", "run_fig6"),
+    "fig7": ("FIG7_CASES", "Fig7CaseResult", "Fig7Config",
+             ("FIG7_PAPER_REFERENCE", "PAPER_REFERENCE"), "render_fig7",
+             "run_fig7", "run_fig7_case"),
+    "overhead": ("ContextSwitchComparison", "OverheadResult",
+                 "render_overhead", "run_overhead"),
+    "sweep": ("CycleSweepPoint", "DminSweepPoint", "render_cycle_sweep",
+              "render_dmin_sweep", "run_cycle_sweep", "run_dmin_sweep"),
+    "validation": ("ValidationResult", "render_validation", "run_validation"),
+})

@@ -52,22 +52,6 @@ import os
 import sys
 import time
 
-from repro.experiments.ablation import (
-    render_boost_ablation,
-    render_depth_ablation,
-    render_throttle_ablation,
-)
-from repro.experiments.cache import ResultCache, default_cache_dir
-from repro.experiments.design import render_design
-from repro.experiments.fig6 import render_fig6
-from repro.experiments.fig7 import render_fig7
-from repro.experiments.overhead import render_overhead
-from repro.experiments.runner import CampaignTelemetry, run_campaign
-from repro.experiments.scale import resolve_scale
-from repro.sim.engine import ENV_IDLE_SKIP
-from repro.experiments.sweep import render_cycle_sweep, render_dmin_sweep
-from repro.experiments.validation import render_validation
-
 EXPERIMENTS = ("fig6a", "fig6b", "fig6c", "fig7", "tab62",
                "validation", "ablation", "sweep", "design")
 
@@ -78,28 +62,60 @@ ALIASES = {
 }
 
 
+def run_campaign(names, scale, **kwargs):
+    """Run the campaign of ``names``: :func:`repro.experiments.runner.run_campaign`.
+
+    The runner imports every experiment and the simulator, so it is
+    imported here, on the first call, rather than with this module: the
+    ``query`` subcommand never calls it.  :func:`main` calls the
+    campaign through this module attribute, so a caller can rebind it
+    to wrap every campaign the CLI runs.
+    """
+    from repro.experiments.runner import run_campaign as run
+
+    return run(names, scale, **kwargs)
+
+
 def _render_one(name: str, result, export_dir: "str | None") -> str:
     """Render one experiment's merged campaign result."""
     if name.startswith("fig6"):
+        from repro.experiments.fig6 import render_fig6
+
         if export_dir is not None:
             _export_fig6(export_dir, name, result)
         return render_fig6(result)
     if name == "fig7":
+        from repro.experiments.fig7 import render_fig7
+
         if export_dir is not None:
             _export_fig7(export_dir, result)
         return render_fig7(result)
     if name == "tab62":
+        from repro.experiments.overhead import render_overhead
+
         return render_overhead(result)
     if name == "validation":
+        from repro.experiments.validation import render_validation
+
         return render_validation(result)
     if name == "ablation":
+        from repro.experiments.ablation import (
+            render_boost_ablation,
+            render_depth_ablation,
+            render_throttle_ablation,
+        )
+
         boost, throttle, depth = result
         return (render_boost_ablation(boost) + "\n\n"
                 + render_throttle_ablation(throttle) + "\n\n"
                 + render_depth_ablation(depth))
     if name == "design":
+        from repro.experiments.design import render_design
+
         return render_design(result)
     if name == "sweep":
+        from repro.experiments.sweep import render_cycle_sweep, render_dmin_sweep
+
         cycle, dmin = result
         return render_cycle_sweep(cycle) + "\n\n" + render_dmin_sweep(dmin)
     raise ValueError(f"unknown experiment {name!r}")
@@ -247,6 +263,11 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.store.cli import main as query_main
 
         return query_main(arguments[1:])
+    from repro.experiments.cache import ResultCache, default_cache_dir
+    from repro.experiments.runner import CampaignTelemetry
+    from repro.experiments.scale import resolve_scale
+    from repro.sim.engine import ENV_IDLE_SKIP
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the paper's tables and figures.",

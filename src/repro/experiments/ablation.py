@@ -175,6 +175,7 @@ def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
         },
         total_context_switches=hv_throttled.context_switches.total,
     )
+    hv_throttled.release()
 
     monitored = run_irq_scenario(
         system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),

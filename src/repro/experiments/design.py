@@ -134,7 +134,7 @@ def run_design(irq_count: int = 600, c_bh_us: float = 40.0,
          for name, *_ in VICTIM_TASKS_US),
         default=0,
     )
-    return DesignResult(
+    result = DesignResult(
         analytic_min_dmin_us=clock.cycles_to_us(dmin),
         analytic_schedulable_at_min=report.schedulable,
         simulated_misses_at_min=kernel.total_deadline_misses(),
@@ -143,6 +143,9 @@ def run_design(irq_count: int = 600, c_bh_us: float = 40.0,
         victim_task=critical.task.name,
         windows_opened=hv.stats.windows_opened,
     )
+    hv.release()
+    kernel.detach()
+    return result
 
 
 def render_design(result: DesignResult) -> str:

@@ -104,8 +104,8 @@ def run_overhead_load(load_index: int,
     )
     return ContextSwitchComparison(
         load=load,
-        switches_without=baseline.hypervisor.context_switches.total,
-        switches_with=monitored.hypervisor.context_switches.total,
+        switches_without=baseline.lightweight().total_context_switches,
+        switches_with=monitored.lightweight().total_context_switches,
     )
 
 

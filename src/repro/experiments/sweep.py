@@ -75,12 +75,13 @@ def run_cycle_sweep_point(scale: float,
     interposed_bound = interposed_irq_latency(
         model, c_th, c_bh, costs=base.costs
     )
-    classic_run = run_irq_scenario(system_scaled, NeverInterpose(), intervals)
+    classic_run = run_irq_scenario(
+        system_scaled, NeverInterpose(), intervals).lightweight()
     interposed_run = run_irq_scenario(
         system_scaled,
         MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
         intervals,
-    )
+    ).lightweight()
     return CycleSweepPoint(
         scale=scale,
         tdma_cycle_us=system_scaled.tdma_cycle_us,
@@ -142,7 +143,7 @@ def run_dmin_sweep_point(multiplier: float,
         system,
         MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
         intervals,
-    )
+    ).lightweight()
     total = len(run.latencies_us) or 1
     return DminSweepPoint(
         dmin_us=clock.cycles_to_us(dmin),

@@ -95,6 +95,17 @@ class GuestKernel:
                                 self._make_release(task),
                                 label=f"release-{task.name}")
 
+    def detach(self) -> None:
+        """Drop the wiring of a finished simulation.
+
+        ``notify`` is usually a closure over the hypervisor whose
+        partition runs this kernel, so an attached kernel and that
+        hypervisor form a reference cycle.  The statistics stay
+        readable; the kernel cannot run or be attached again.
+        """
+        self._engine = None
+        self._notify = None
+
     def release_task(self, name: str) -> GuestJob:
         """Release one job of a sporadic task (e.g. from a bottom
         handler processing the IRQ that activates it)."""

@@ -1,33 +1,12 @@
 """Measurement post-processing: histograms (Fig. 6), running averages
-and summaries (Fig. 7), and text report rendering."""
+and summaries (Fig. 7), and text report rendering.
 
-from repro.metrics.export import (
-    read_records_json,
-    write_histogram_csv,
-    write_latency_csv,
-    write_records_json,
-    write_series_csv,
-)
-from repro.metrics.histogram import HistogramBin, LatencyHistogram, fig6_histogram
-from repro.metrics.report import (
-    render_mode_breakdown,
-    render_series,
-    render_table,
-)
-from repro.metrics.stats import (
-    LatencySummary,
-    improvement_factor,
-    percentile,
-    running_average,
-    summarize,
-)
-from repro.metrics.timeline import (
-    TimelineMark,
-    lane_of,
-    occupancy_by_lane,
-    render_gantt,
-    segments_between,
-)
+The names resolve on first use (see :mod:`repro._lazy`): ``stats`` and
+``report`` import nothing of the simulator, ``export`` and
+``timeline`` do.
+"""
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "read_records_json",
@@ -52,3 +31,14 @@ __all__ = [
     "render_gantt",
     "segments_between",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "export": ("read_records_json", "write_histogram_csv",
+               "write_latency_csv", "write_records_json", "write_series_csv"),
+    "histogram": ("HistogramBin", "LatencyHistogram", "fig6_histogram"),
+    "report": ("render_mode_breakdown", "render_series", "render_table"),
+    "stats": ("LatencySummary", "improvement_factor", "percentile",
+              "running_average", "summarize"),
+    "timeline": ("TimelineMark", "lane_of", "occupancy_by_lane",
+                 "render_gantt", "segments_between"),
+})

@@ -61,13 +61,43 @@ class LatencyHistogram:
         self._counts[index] += 1
 
     def add_all(self, values: Iterable[float]) -> None:
-        # One bound-method lookup for the whole (possibly columnar)
-        # sample.  Deliberately NOT bulk-summed: self._sum must
-        # accumulate in per-value order so histogram totals stay
-        # bit-identical to the one-at-a-time path.
-        add = self.add
-        for value in values:
-            add(value)
+        """:meth:`add` each value, in one loop over local accumulators.
+
+        Deliberately NOT bulk-summed: ``_sum`` accumulates in per-value
+        order so histogram totals stay bit-identical to the
+        one-at-a-time path.  A value :meth:`add` raises on (NaN) leaves
+        the same state behind as it would there.
+        """
+        low, high, width = self.low, self.high, self.bin_width
+        last = self._num_bins - 1
+        counts = self._counts
+        total, running, vmax, vmin = (self._total, self._sum, self._max,
+                                      self._min)
+        underflow, overflow = self._underflow, self._overflow
+        try:
+            for value in values:
+                total += 1
+                running += value
+                if vmax is None:
+                    vmax = vmin = value
+                else:
+                    # max()/min() keep the current extreme unless the
+                    # value compares strictly beyond it (also for NaN).
+                    if value > vmax:
+                        vmax = value
+                    if value < vmin:
+                        vmin = value
+                if value < low:
+                    underflow += 1
+                elif value >= high:
+                    overflow += 1
+                else:
+                    index = int((value - low) / width)
+                    counts[index if index < last else last] += 1
+        finally:
+            self._total, self._sum, self._max, self._min = (total, running,
+                                                            vmax, vmin)
+            self._underflow, self._overflow = underflow, overflow
 
     @property
     def total(self) -> int:

@@ -58,8 +58,6 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
 
 def summarize(values: Sequence[float]) -> LatencySummary:
     """Compute a :class:`LatencySummary` of a latency sample."""
-    if not values:
-        raise ValueError("cannot summarize an empty sample")
     if isinstance(values, array) and values.typecode == "d":
         # Columnar fast path: the elements are already C doubles, so a
         # single sort suffices — the float() boxing pass below would
@@ -67,6 +65,17 @@ def summarize(values: Sequence[float]) -> LatencySummary:
         ordered = sorted(values)
     else:
         ordered = sorted(float(v) for v in values)
+    return summarize_sorted(ordered)
+
+
+def summarize_sorted(ordered: Sequence[float]) -> LatencySummary:
+    """:func:`summarize` of a sample already sorted ascending as floats.
+
+    For callers that need the sorted sample themselves (for further
+    percentiles), so it is sorted once.
+    """
+    if not ordered:
+        raise ValueError("cannot summarize an empty sample")
     count = len(ordered)
     mean = sum(ordered) / count
     variance = sum((v - mean) ** 2 for v in ordered) / count

@@ -12,33 +12,13 @@ across every scenario at every load bound" is one call against
 persisted artifacts, not a re-run.  The ``python -m repro.experiments
 query`` subcommand (:mod:`~repro.store.cli`) exposes the same queries
 as tables or JSON.
+
+Reading a store imports nothing of the simulator: the names below
+resolve on first use (see :mod:`repro._lazy`), and the store modules
+import simulator types only inside the functions that build them.
 """
 
-from repro.store.artifact import (
-    ARTIFACT_SUFFIX,
-    FORMAT_VERSION,
-    ArtifactError,
-    ArtifactWriter,
-    RunArtifact,
-    trace_events_from_columns,
-    trace_events_to_columns,
-)
-from repro.store.capture import (
-    CampaignStoreWriter,
-    StoreWriteStats,
-    artifact_from_hypervisor,
-    campaign_metadata,
-    extract_summaries,
-    task_metadata,
-)
-from repro.store.runstore import (
-    AggregateResult,
-    ArtifactRef,
-    DiffResult,
-    GroupDelta,
-    RunStore,
-    StoreQueryStats,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ARTIFACT_SUFFIX",
@@ -61,3 +41,14 @@ __all__ = [
     "trace_events_from_columns",
     "trace_events_to_columns",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "artifact": ("ARTIFACT_SUFFIX", "FORMAT_VERSION", "ArtifactError",
+                 "ArtifactWriter", "RunArtifact", "trace_events_from_columns",
+                 "trace_events_to_columns"),
+    "capture": ("CampaignStoreWriter", "StoreWriteStats",
+                "artifact_from_hypervisor", "campaign_metadata",
+                "extract_summaries", "task_metadata"),
+    "runstore": ("AggregateResult", "ArtifactRef", "DiffResult", "GroupDelta",
+                 "RunStore", "StoreQueryStats"),
+})

@@ -51,11 +51,13 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
-from repro.core.policy import HandlingMode
-from repro.hypervisor.hypervisor import LatencyRecord
-from repro.sim.trace import TraceEvent, TraceKind, TraceRecorder
+if TYPE_CHECKING:
+    # Reading an artifact needs none of the simulator; the functions
+    # that build these types import them when called.
+    from repro.hypervisor.hypervisor import LatencyRecord
+    from repro.sim.trace import TraceEvent, TraceRecorder
 
 #: First eight bytes of every artifact.
 MAGIC = b"RPRSTOR1"
@@ -89,10 +91,6 @@ TRACE_SCHEMA = (
 
 _CHUNK_LATENCY = 0
 _CHUNK_TRACE = 1
-
-#: Handling-mode strings by mode code: ``LatencyColumns`` codes modes
-#: in ``HandlingMode`` declaration order.
-_MODE_VALUES = tuple(mode.value for mode in HandlingMode)
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -201,6 +199,8 @@ def trace_events_from_columns(columns: "Mapping[str, array]",
                               strings: Sequence[str],
                               ) -> "list[TraceEvent]":
     """Rebuild :class:`TraceEvent` objects from stored trace columns."""
+    from repro.sim.trace import TraceEvent, TraceKind
+
     return [
         TraceEvent(time, TraceKind(strings[kind]),
                    json.loads(strings[blob]))
@@ -276,6 +276,8 @@ class ArtifactWriter:
         in completion order); the µs floats are stored verbatim so the
         round trip is bit-exact.
         """
+        from repro.core.policy import HandlingMode
+
         rows = len(columns.seqs)
         if rows != len(latencies_us):
             raise ArtifactError(
@@ -292,11 +294,14 @@ class ArtifactWriter:
         firsts = sorted(
             [(source_ids.index(sid), 0, sid) for sid in set(source_ids)]
             + [(modes.index(code), 1, code) for code in set(modes)])
+        # ``LatencyColumns`` codes modes in ``HandlingMode`` declaration
+        # order.
+        mode_values = [mode.value for mode in HandlingMode]
         source_map: "dict[int, int]" = {}
         mode_map: "dict[int, int]" = {}
         for _, is_mode, code in firsts:
             if is_mode:
-                mode_map[code] = intern(_MODE_VALUES[code])
+                mode_map[code] = intern(mode_values[code])
             else:
                 source_map[code] = intern(columns.source_names[code])
         self._write_chunk(_CHUNK_LATENCY, rows, [
@@ -537,6 +542,9 @@ class RunArtifact:
     def latency_records(self, leg: Optional[str] = None,
                         ) -> "list[LatencyRecord]":
         """Materialize stored rows as classic :class:`LatencyRecord`."""
+        from repro.core.policy import HandlingMode
+        from repro.hypervisor.hypervisor import LatencyRecord
+
         strings = self.strings
         mask = self._row_mask(leg, None, None)
         columns = self.latency
@@ -560,6 +568,8 @@ class RunArtifact:
 
     def trace_recorder(self) -> TraceRecorder:
         """An enabled recorder holding the stored trace stream."""
+        from repro.sim.trace import TraceRecorder
+
         return TraceRecorder.from_events(self.trace_events())
 
 

@@ -2,8 +2,11 @@
 
 The campaign runner stays store-agnostic — it duck-calls
 ``store.write_task(task, result, index)`` on whatever object the CLI
-hands it, so this module may import experiment modules freely without
-creating an import cycle.
+hands it, so this module may import experiment modules without
+creating an import cycle.  It imports them, and the simulator they
+pull in, only inside the functions that need them: ``runstore``
+imports this module for :data:`INDEX_NAME`, and a store query must
+not load the simulator.
 
 Capture walks each task result recursively (dataclasses, dicts,
 lists/tuples) for ``ScenarioSummary``-shaped legs — anything carrying
@@ -328,7 +331,7 @@ def artifact_from_hypervisor(hv: Any, path: "str | os.PathLike[str]",
     The round-trip building block the property tests pin: the stored
     µs column is exactly ``latency_columns.latencies_us_array(clock)``.
     """
-    # Deferred: importing repro.experiments imports every experiment.
+    # Deferred: the experiments' common module imports the simulator.
     from repro.experiments.common import LatencyColumnData
 
     columns = hv.latency_columns

@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.metrics.stats import LatencySummary, percentile, summarize
+from repro.metrics.stats import (
+    LatencySummary,
+    percentile,
+    summarize,
+    summarize_sorted,
+)
 from repro.store.artifact import ARTIFACT_SUFFIX, RunArtifact
 from repro.store.capture import INDEX_NAME
 
@@ -269,8 +274,9 @@ class RunStore:
 
         ``percentiles`` are given as percent values (99.9 means the
         p99.9); the standard eight-number summary always comes from
-        :func:`repro.metrics.stats.summarize` so its values are
-        bit-identical to a live-run summary of the same sample.
+        :func:`repro.metrics.stats.summarize_sorted` (the tail of
+        ``summarize``) so its values are bit-identical to a live-run
+        summary of the same sample, and the sample is sorted once.
         """
         started = time.perf_counter()
         self.stats.queries += 1
@@ -279,13 +285,10 @@ class RunStore:
         if not merged:
             result = AggregateResult(0, None, {}, len(refs))
         else:
-            summary = summarize(merged)
-            extra: "dict[str, float]" = {}
-            if percentiles:
-                ordered = sorted(merged)
-                for percent in percentiles:
-                    extra[f"p{percent:g}"] = percentile(
-                        ordered, percent / 100.0)
+            ordered = sorted(merged)
+            summary = summarize_sorted(ordered)
+            extra = {f"p{percent:g}": percentile(ordered, percent / 100.0)
+                     for percent in percentiles}
             result = AggregateResult(len(merged), summary, extra, len(refs))
         self.stats.query_seconds += time.perf_counter() - started
         return result

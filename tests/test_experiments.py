@@ -19,6 +19,7 @@ from repro.experiments.fig7 import (
     run_fig7,
 )
 from repro.experiments.overhead import render_overhead, run_overhead
+from repro.experiments.runner import TASK_FUNCTIONS
 from repro.experiments.sweep import (
     render_cycle_sweep,
     render_dmin_sweep,
@@ -262,3 +263,47 @@ def test_lightweight_frees_the_hypervisor_without_the_cyclic_gc(
         if enabled:
             gc.enable()
     assert len(summary.latencies_us) == 200
+
+
+def _first_smoke_task(kind):
+    from repro.experiments.__main__ import EXPERIMENTS
+    from repro.experiments.runner import plan_campaign
+    from repro.experiments.scale import SMOKE
+
+    tasks, _ = plan_campaign(EXPERIMENTS, SMOKE, seed=1)
+    return next(task for task in tasks if task.kind == kind)
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_FUNCTIONS))
+def test_campaign_tasks_leave_no_hypervisor_to_the_cyclic_gc(kind,
+                                                             monkeypatch):
+    """Every task kind frees the hypervisors it builds by reference
+    counting alone, so a campaign's peak memory follows its live data
+    rather than the cyclic collector's timing."""
+    import gc
+    import weakref
+
+    from repro.experiments.runner import execute_task
+    from repro.hypervisor.hypervisor import Hypervisor
+
+    task = _first_smoke_task(kind)
+    built = []
+    init = Hypervisor.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(Hypervisor, "__init__", tracking_init)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = execute_task(task)
+        del result
+        alive = sum(ref() is not None for ref in built)
+    finally:
+        if enabled:
+            gc.enable()
+    assert built, f"{kind} built no hypervisor"
+    assert alive == 0, f"{alive} of {len(built)} hypervisors of {kind} " \
+                       f"survive their task's result"

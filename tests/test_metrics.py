@@ -1,6 +1,10 @@
 """Tests for histograms, statistics and report rendering."""
 
+import math
+from array import array
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.metrics.histogram import LatencyHistogram, fig6_histogram
 from repro.metrics.report import (
@@ -80,6 +84,67 @@ class TestHistogram:
             LatencyHistogram(10, 10, 1)
         with pytest.raises(ValueError):
             LatencyHistogram(0, 10, 0)
+
+
+#: Histogram ranges for the add_all oracle; (0, 3.5, 0.7) has a value
+#: below ``high`` whose bin index rounds past the last bin.
+_RANGES = [(0.0, 100.0, 25.0), (10.0, 100.0, 10.0), (0.0, 3.5, 0.7),
+           (-50.0, 50.0, 7.0)]
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 3.5,
+            math.nextafter(3.5, -math.inf), 100.0, 10.0, -50.0, 50.0]
+
+
+def _histogram_state(histogram):
+    # repr keeps -0.0 apart from 0.0 and compares NaN with itself.
+    return (histogram.counts(), histogram.total, histogram.underflow,
+            histogram.overflow, repr(histogram._sum), repr(histogram._max),
+            repr(histogram._min))
+
+
+def _fill(bounds, values, bulk):
+    histogram = LatencyHistogram(*bounds)
+    raised = False
+    try:
+        if bulk:
+            histogram.add_all(values)
+        else:
+            for value in values:
+                histogram.add(value)
+    except ValueError:
+        raised = True
+    return raised, _histogram_state(histogram)
+
+
+@settings(deadline=None, max_examples=200)
+@given(bounds=st.sampled_from(_RANGES),
+       values=st.lists(st.one_of(
+           st.floats(), st.floats(min_value=-60.0, max_value=110.0),
+           st.sampled_from(_SPECIAL))),
+       columnar=st.booleans(), prefill=st.booleans())
+@example(bounds=_RANGES[0], values=[0.0, -0.0, 5.0, -0.0], columnar=False,
+         prefill=False)
+@example(bounds=_RANGES[0], values=[-0.0, 0.0], columnar=True,
+         prefill=False)
+@example(bounds=_RANGES[2], values=[1.0, math.nan, 2.0], columnar=False,
+         prefill=True)
+def test_add_all_matches_per_value_add(bounds, values, columnar, prefill):
+    """``add_all`` leaves exactly the state of one ``add`` per value, in
+    order: bins, under/overflow, the bit pattern of the running sum and
+    the extremes, and the state at a NaN that raises."""
+    if prefill:
+        values = [1.0, -1.0] + values
+    sample = array("d", values) if columnar else values
+    assert _fill(bounds, sample, bulk=True) == _fill(bounds, values,
+                                                     bulk=False)
+
+
+def test_add_all_clamps_into_the_last_bin():
+    value = math.nextafter(3.5, -math.inf)
+    histogram = LatencyHistogram(0.0, 3.5, 0.7)
+    assert int((value - 0.0) / 0.7) == len(histogram.counts())
+    histogram.add_all([value])
+    assert histogram.counts()[-1] == 1 and histogram.overflow == 0
 
 
 class TestStats:
