@@ -25,13 +25,19 @@ class SwitchReason(enum.Enum):
     INTERPOSE_ENTER = "interpose_enter"
     INTERPOSE_EXIT = "interpose_exit"
 
+    def __init__(self, value: str):
+        # Declaration-order position: the counters are a list indexed
+        # by it, because hashing an Enum member runs Python-level code
+        # and the slot-switch path counts one switch per boundary.
+        self.index = len(type(self)._member_names_)
+
 
 class ContextSwitchModel:
     """Fixed-cost context switch accounting."""
 
     def __init__(self, costs: CostModel):
         self._cost_cycles = costs.context_switch_cycles()
-        self._counts: Dict[SwitchReason, int] = {reason: 0 for reason in SwitchReason}
+        self._counts = [0] * len(SwitchReason)
 
     @property
     def cost_cycles(self) -> int:
@@ -40,26 +46,26 @@ class ContextSwitchModel:
 
     def switch(self, reason: SwitchReason) -> int:
         """Record one context switch; returns its cycle cost."""
-        self._counts[reason] += 1
+        self._counts[reason.index] += 1
         return self._cost_cycles
 
     def record_batch(self, reason: SwitchReason, count: int) -> None:
         """Record ``count`` switches at once (idle-skip bulk accounting)."""
         if count < 0:
             raise ValueError(f"switch count must be >= 0, got {count}")
-        self._counts[reason] += count
+        self._counts[reason.index] += count
 
     def count(self, reason: SwitchReason) -> int:
-        return self._counts[reason]
+        return self._counts[reason.index]
 
     @property
     def total(self) -> int:
         """Total number of context switches performed."""
-        return sum(self._counts.values())
+        return sum(self._counts)
 
     @property
     def counts(self) -> Dict[SwitchReason, int]:
-        return dict(self._counts)
+        return dict(zip(SwitchReason, self._counts))
 
     @property
     def total_cycles(self) -> int:
@@ -68,9 +74,8 @@ class ContextSwitchModel:
 
     def snapshot_state(self) -> dict:
         """Plain-data counts (see :mod:`repro.sim.snapshot`)."""
-        return {reason.value: count for reason, count in self._counts.items()}
+        return {reason.value: count
+                for reason, count in zip(SwitchReason, self._counts)}
 
     def restore_state(self, state: dict) -> None:
-        self._counts = {
-            reason: state.get(reason.value, 0) for reason in SwitchReason
-        }
+        self._counts = [state.get(reason.value, 0) for reason in SwitchReason]

@@ -86,6 +86,9 @@ class LatencyRecord:
 #: Stable mode numbering for the columnar store (enum declaration order).
 _MODES = tuple(HandlingMode)
 _MODE_CODE = {mode: code for code, mode in enumerate(_MODES)}
+_DIRECT = _MODE_CODE[HandlingMode.DIRECT]
+_INTERPOSED = _MODE_CODE[HandlingMode.INTERPOSED]
+_DELAYED = _MODE_CODE[HandlingMode.DELAYED]
 
 
 class LatencyColumns:
@@ -126,6 +129,17 @@ class LatencyColumns:
 
     def append(self, source: str, seq: int, arrival: int, completed_at: int,
                mode: HandlingMode, enforced_cut: bool) -> None:
+        self.append_code(source, seq, arrival, completed_at, _MODE_CODE[mode],
+                         enforced_cut)
+
+    def append_code(self, source: str, seq: int, arrival: int,
+                    completed_at: int, mode_code: int,
+                    enforced_cut: bool) -> None:
+        """:meth:`append` with the mode as its ``_MODES`` index.
+
+        The completion path classifies by code, so it appends without
+        hashing a :class:`HandlingMode` member per IRQ.
+        """
         sid = self._source_index.get(source)
         if sid is None:
             sid = len(self._source_names)
@@ -136,7 +150,7 @@ class LatencyColumns:
         self._seqs.append(seq)
         self._arrivals.append(arrival)
         self._completions.append(completed_at)
-        self._modes.append(_MODE_CODE[mode])
+        self._modes.append(mode_code)
         self._cuts.append(enforced_cut)
         self._source_counts[sid] += 1
 
@@ -242,8 +256,8 @@ class LatencyColumns:
         for sid, seq, arrival, completed_at, mode, cut in zip(
                 data["source_ids"], data["seqs"], data["arrivals"],
                 data["completions"], data["modes"], data["cuts"]):
-            columns.append(names[sid], seq, arrival, completed_at,
-                           _MODES[mode], bool(cut))
+            columns.append_code(names[sid], seq, arrival, completed_at,
+                                mode, bool(cut))
         return columns
 
     def mode_counts(self, source: Optional[str] = None) -> dict[HandlingMode, int]:
@@ -642,7 +656,9 @@ class Hypervisor:
         seq = self._irq_seq[source.name]
         self._irq_seq[source.name] = seq + 1
         self.stats.top_handler_starts += 1
-        self.trace.emit(t0, TraceKind.TOP_HANDLER_START, source=source.name, seq=seq)
+        if self.trace.enabled:
+            self.trace.emit(t0, TraceKind.TOP_HANDLER_START,
+                            source=source.name, seq=seq)
         event = IrqEvent(source=source, seq=seq, arrival=t0,
                          bh_remaining=source.actual_bottom_cycles(seq))
         c_th = source.top_handler_cycles
@@ -659,8 +675,10 @@ class Hypervisor:
                 # the request is suppressed before it becomes an event.
                 self.stats.irqs_throttled += 1
                 self.stats.top_handler_ends += 1
-                self.trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
-                                source=source.name, seq=seq, mode="throttled")
+                if self.trace.enabled:
+                    self.trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
+                                    source=source.name, seq=seq,
+                                    mode="throttled")
                 self._resume()
                 return
             source.policy.observe_arrival(t0)
@@ -678,15 +696,17 @@ class Hypervisor:
                 if subscriber.irq_queue.head() is event:
                     self._complete_event(event, subscriber)
                 self.stats.top_handler_ends += 1
-                self.trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
-                                source=source.name, seq=seq, mode="empty")
+                if self.trace.enabled:
+                    self.trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
+                                    source=source.name, seq=seq, mode="empty")
                 self._resume()
                 return
             if source.subscriber == host:
                 event.mode = HandlingMode.DIRECT
                 self.stats.top_handler_ends += 1
-                self.trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
-                                source=source.name, seq=seq, mode="direct")
+                if self.trace.enabled:
+                    self.trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
+                                    source=source.name, seq=seq, mode="direct")
                 self._resume()
             else:
                 self._foreign_decision(source, event, subscriber, t0, host)
@@ -715,27 +735,33 @@ class Hypervisor:
                           subscriber: Partition, t0: int) -> None:
         structurally_possible = self._window is None
         allowed = structurally_possible and source.policy.request_interpose(t0)
-        now = self.engine.now
+        trace = self.trace
         if allowed:
             event.mode = HandlingMode.INTERPOSED
             self.stats.monitor_accepts += 1
             self.stats.top_handler_ends += 1
-            self.trace.emit(now, TraceKind.MONITOR_ACCEPT,
-                            source=source.name, seq=event.seq)
-            self.trace.emit(now, TraceKind.TOP_HANDLER_END,
-                            source=source.name, seq=event.seq, mode="interposed")
+            if trace.enabled:
+                now = self.engine.now
+                trace.emit(now, TraceKind.MONITOR_ACCEPT,
+                           source=source.name, seq=event.seq)
+                trace.emit(now, TraceKind.TOP_HANDLER_END,
+                           source=source.name, seq=event.seq,
+                           mode="interposed")
             self._begin_interpose(source, event, subscriber)
             return
         event.mode = HandlingMode.DELAYED
+        tracing = trace.enabled
         if structurally_possible:
             self.stats.monitor_denies += 1
-            self.trace.emit(now, TraceKind.MONITOR_DENY,
-                            source=source.name, seq=event.seq)
+            if tracing:
+                trace.emit(self.engine.now, TraceKind.MONITOR_DENY,
+                           source=source.name, seq=event.seq)
         else:
             self.stats.structural_denials += 1
         self.stats.top_handler_ends += 1
-        self.trace.emit(now, TraceKind.TOP_HANDLER_END,
-                        source=source.name, seq=event.seq, mode="delayed")
+        if tracing:
+            trace.emit(self.engine.now, TraceKind.TOP_HANDLER_END,
+                       source=source.name, seq=event.seq, mode="delayed")
         self._resume()
 
     # ------------------------------------------------------------------
@@ -757,11 +783,12 @@ class Hypervisor:
         overhead = c_sched + c_ctx
         start = self.engine.now
         self.stats.windows_opened += 1
-        self.trace.emit(start, TraceKind.INTERPOSE_START,
-                        source=source.name, seq=event.seq,
-                        subscriber=subscriber.name, host=host)
-        self.trace.emit(start, TraceKind.CONTEXT_SWITCH,
-                        reason=SwitchReason.INTERPOSE_ENTER.value)
+        if self.trace.enabled:
+            self.trace.emit(start, TraceKind.INTERPOSE_START,
+                            source=source.name, seq=event.seq,
+                            subscriber=subscriber.name, host=host)
+            self.trace.emit(start, TraceKind.CONTEXT_SWITCH,
+                            reason=SwitchReason.INTERPOSE_ENTER.value)
 
         def entered() -> None:
             self.cpu.charge_overhead(overhead)
@@ -798,15 +825,17 @@ class Hypervisor:
             label=f"bh-interposed:{head.source.name}#{head.seq}",
             remaining=run_for,
             on_complete=self._window_exec_done,
-            category=f"bh:{window.subscriber.name}",
+            category=window.subscriber.bh_category,
             owner=window,
         )
         window.active_event = head
         window.current_execution = execution
         self.stats.bottom_handler_starts += 1
-        self.trace.emit(self.engine.now, TraceKind.BOTTOM_HANDLER_START,
-                        source=head.source.name, seq=head.seq,
-                        mode="home-deferred" if window.pseudo else "interposed")
+        if self.trace.enabled:
+            self.trace.emit(self.engine.now, TraceKind.BOTTOM_HANDLER_START,
+                            source=head.source.name, seq=head.seq,
+                            mode="home-deferred" if window.pseudo
+                            else "interposed")
         self.cpu.assign(execution)
 
     def _window_exec_done(self) -> None:
@@ -822,10 +851,11 @@ class Hypervisor:
         # Budget exhausted with work left: enforcement cuts the handler.
         event.enforced_cut = True
         self.stats.budget_exhausted += 1
-        self.trace.emit(self.engine.now,
-                        TraceKind.BOTTOM_HANDLER_BUDGET_EXHAUSTED,
-                        source=event.source.name, seq=event.seq,
-                        remaining=event.bh_remaining)
+        if self.trace.enabled:
+            self.trace.emit(self.engine.now,
+                            TraceKind.BOTTOM_HANDLER_BUDGET_EXHAUSTED,
+                            source=event.source.name, seq=event.seq,
+                            remaining=event.bh_remaining)
         self._close_window()
 
     def _close_window(self) -> None:
@@ -847,8 +877,9 @@ class Hypervisor:
         trigger = window.trigger
         c_ctx = self.context_switches.switch(SwitchReason.INTERPOSE_EXIT)
         start = self.engine.now
-        self.trace.emit(start, TraceKind.CONTEXT_SWITCH,
-                        reason=SwitchReason.INTERPOSE_EXIT.value)
+        if self.trace.enabled:
+            self.trace.emit(start, TraceKind.CONTEXT_SWITCH,
+                            reason=SwitchReason.INTERPOSE_EXIT.value)
 
         def exited() -> None:
             self.cpu.charge_overhead(c_ctx)
@@ -856,8 +887,9 @@ class Hypervisor:
                                       trigger.source,
                                       InterferenceKind.INTERPOSED_BH)
             self.stats.interpose_ends += 1
-            self.trace.emit(self.engine.now, TraceKind.INTERPOSE_END,
-                            source=trigger.source.name, seq=trigger.seq)
+            if self.trace.enabled:
+                self.trace.emit(self.engine.now, TraceKind.INTERPOSE_END,
+                                source=trigger.source.name, seq=trigger.seq)
             self._window = None
             if self._deferred_slot_switch:
                 self._deferred_slot_switch = False
@@ -874,6 +906,8 @@ class Hypervisor:
 
     def _slot_switch(self) -> None:
         now = self.engine.now
+        trace = self.trace
+        tracing = trace.enabled
         if self._window is not None:
             # The host slot ended while a foreign bottom handler was
             # interposed: suspend the window.  Any unfinished remainder
@@ -891,23 +925,26 @@ class Hypervisor:
                 else:
                     event.enforced_cut = True
                     self.stats.bottom_handler_preemptions += 1
-                    self.trace.emit(now, TraceKind.BOTTOM_HANDLER_PREEMPTED,
-                                    source=event.source.name, seq=event.seq,
-                                    remaining=event.bh_remaining,
-                                    reason="slot_boundary")
+                    if tracing:
+                        trace.emit(now, TraceKind.BOTTOM_HANDLER_PREEMPTED,
+                                   source=event.source.name, seq=event.seq,
+                                   remaining=event.bh_remaining,
+                                   reason="slot_boundary")
             self.stats.interpose_ends += 1
-            self.trace.emit(now, TraceKind.INTERPOSE_END,
-                            source=window.trigger.source.name,
-                            seq=window.trigger.seq, suspended=True)
+            if tracing:
+                trace.emit(now, TraceKind.INTERPOSE_END,
+                           source=window.trigger.source.name,
+                           seq=window.trigger.seq, suspended=True)
             self._window = None
         previous = self.scheduler.current_owner
         slot = self.scheduler.advance(now)
         self.stats.slot_switches += 1
-        self.trace.emit(now, TraceKind.SLOT_SWITCH,
-                        previous=previous, next=slot.partition)
         c_ctx = self.context_switches.switch(SwitchReason.SLOT)
-        self.trace.emit(now, TraceKind.CONTEXT_SWITCH,
-                        reason=SwitchReason.SLOT.value)
+        if tracing:
+            trace.emit(now, TraceKind.SLOT_SWITCH,
+                       previous=previous, next=slot.partition)
+            trace.emit(now, TraceKind.CONTEXT_SWITCH,
+                       reason=SwitchReason.SLOT.value)
 
         def switched() -> None:
             self.cpu.charge_overhead(c_ctx)
@@ -1031,7 +1068,8 @@ class Hypervisor:
         stats = self.stats
         switches = self.context_switches
         partitions = self._partitions
-        slow = trace.enabled or cpu.segments is not None
+        tracing = trace.enabled
+        slow = tracing or cpu.segments is not None
         n_slots = len(scheduler.slots)
         cycle = scheduler.cycle_length
         boundaries = 0
@@ -1067,11 +1105,12 @@ class Hypervisor:
             intc.account_slot_deliveries(line, time=t_b)
             slot = scheduler.advance()
             stats.slot_switches += 1
-            trace.emit(t_b, TraceKind.SLOT_SWITCH,
-                       previous=previous, next=slot.partition)
             switches.switch(SwitchReason.SLOT)
-            trace.emit(t_b, TraceKind.CONTEXT_SWITCH,
-                       reason=SwitchReason.SLOT.value)
+            if tracing:
+                trace.emit(t_b, TraceKind.SLOT_SWITCH,
+                           previous=previous, next=slot.partition)
+                trace.emit(t_b, TraceKind.CONTEXT_SWITCH,
+                           reason=SwitchReason.SLOT.value)
             t_s = t_b + c_ctx
             cpu.skip_overhead(c_ctx, t_s)
             partition = partitions[slot.partition]
@@ -1079,12 +1118,12 @@ class Hypervisor:
             boundaries += 1
             t_next = scheduler.next_boundary()
             if partition.busy_background:
-                category = f"task:{partition.name}"
-                label = f"background:{partition.name}"
+                category = partition.task_category
+                label = partition.background_label
             else:
-                trace.emit(t_s, TraceKind.IDLE, partition=partition.name)
-                category = f"idle:{partition.name}"
-                label = f"idle:{partition.name}"
+                if tracing:
+                    trace.emit(t_s, TraceKind.IDLE, partition=partition.name)
+                category = label = partition.idle_category
             if t_next + c_ctx > limit:
                 break
             cpu.skip_stint(category, label, t_s, t_next)
@@ -1119,9 +1158,9 @@ class Hypervisor:
         for slot in self.scheduler.slots:
             partition = self._partitions[slot.partition]
             if partition.busy_background:
-                category = f"task:{partition.name}"
+                category = partition.task_category
             else:
-                category = f"idle:{partition.name}"
+                category = partition.idle_category
             consumed[category] = (
                 consumed.get(category, 0) + slot.length_cycles - c_ctx
             )
@@ -1155,29 +1194,32 @@ class Hypervisor:
             return
         if partition.busy_background:
             self.cpu.assign(Execution(
-                label=f"background:{partition.name}",
+                label=partition.background_label,
                 remaining=None,
-                category=f"task:{partition.name}",
+                category=partition.task_category,
             ))
             return
-        self.trace.emit(self.engine.now, TraceKind.IDLE, partition=partition.name)
+        if self.trace.enabled:
+            self.trace.emit(self.engine.now, TraceKind.IDLE,
+                            partition=partition.name)
         self.cpu.assign(Execution(
-            label=f"idle:{partition.name}",
+            label=partition.idle_category,
             remaining=None,
-            category=f"idle:{partition.name}",
+            category=partition.idle_category,
         ))
 
     def _start_home_bottom_handler(self, partition: Partition,
                                    event: IrqEvent) -> None:
         self.stats.bottom_handler_starts += 1
-        self.trace.emit(self.engine.now, TraceKind.BOTTOM_HANDLER_START,
-                        source=event.source.name, seq=event.seq,
-                        mode="home")
+        if self.trace.enabled:
+            self.trace.emit(self.engine.now, TraceKind.BOTTOM_HANDLER_START,
+                            source=event.source.name, seq=event.seq,
+                            mode="home")
         execution = Execution(
             label=f"bh:{event.source.name}#{event.seq}",
             remaining=event.bh_remaining,
             on_complete=lambda: self._home_bh_done(partition, event),
-            category=f"bh:{partition.name}",
+            category=partition.bh_category,
             owner=event,
         )
         self.cpu.assign(execution)
@@ -1190,9 +1232,10 @@ class Hypervisor:
     def _start_guest_job(self, partition: Partition, job: GuestJob) -> None:
         if job.first_start is None:
             job.first_start = self.engine.now
-            self.trace.emit(self.engine.now, TraceKind.TASK_START,
-                            partition=partition.name, task=job.task.name,
-                            seq=job.seq)
+            if self.trace.enabled:
+                self.trace.emit(self.engine.now, TraceKind.TASK_START,
+                                partition=partition.name, task=job.task.name,
+                                seq=job.seq)
         on_complete = None
         if job.remaining is not None:
             on_complete = lambda: self._guest_job_done(partition, job)
@@ -1200,7 +1243,7 @@ class Hypervisor:
             label=f"job:{job.task.name}#{job.seq}",
             remaining=job.remaining,
             on_complete=on_complete,
-            category=f"task:{partition.name}",
+            category=partition.task_category,
             owner=job,
         )
         self.cpu.assign(execution)
@@ -1209,13 +1252,15 @@ class Hypervisor:
         job.remaining = 0
         now = self.engine.now
         partition.guest.job_finished(job, now)
-        self.trace.emit(now, TraceKind.TASK_END, partition=partition.name,
-                        task=job.task.name, seq=job.seq)
-        if job.missed_deadline:
-            self.trace.emit(now, TraceKind.DEADLINE_MISS,
-                            partition=partition.name, task=job.task.name,
-                            seq=job.seq,
-                            overrun=now - job.absolute_deadline)
+        trace = self.trace
+        if trace.enabled:
+            trace.emit(now, TraceKind.TASK_END, partition=partition.name,
+                       task=job.task.name, seq=job.seq)
+            if job.missed_deadline:
+                trace.emit(now, TraceKind.DEADLINE_MISS,
+                           partition=partition.name, task=job.task.name,
+                           seq=job.seq,
+                           overrun=now - job.absolute_deadline)
         self._dispatch(partition)
 
     def _notify_work(self, partition_name: str) -> None:
@@ -1294,48 +1339,43 @@ class Hypervisor:
         now = self.engine.now
         event.completed_at = now
         partition.bottom_handlers_completed += 1
-        foreign_window = (
-            in_window
-            and self._window is not None
-            and not self._window.pseudo
-        )
-        mode = self._final_mode(event, foreign_window)
+        # Classify the IRQ by where its bottom handler completed.  The
+        # Fig. 6 histograms cluster IRQs by their effective handling
+        # path: *interposed* if the bottom handler finished inside a
+        # foreign-slot window (regardless of which arrival triggered
+        # the window), *direct* if it arrived during the subscriber's
+        # own slot and completed there, and *delayed* otherwise
+        # (including interposed executions that enforcement cut short).
+        window = self._window
+        if in_window and window is not None and not window.pseudo:
+            code = _INTERPOSED
+        elif event.mode is HandlingMode.DIRECT:
+            code = _DIRECT
+        else:
+            code = _DELAYED
+        mode = _MODES[code]
         event.mode = mode
         self.stats.bottom_handler_ends += 1
-        self.trace.emit(now, TraceKind.BOTTOM_HANDLER_END,
-                        source=event.source.name, seq=event.seq,
-                        mode=mode.value, latency=event.latency)
-        source_name = event.source.name
-        self.latency_columns.append(source_name, event.seq, event.arrival,
-                                    now, mode, event.enforced_cut)
+        source = event.source
+        source_name = source.name
+        if self.trace.enabled:
+            self.trace.emit(now, TraceKind.BOTTOM_HANDLER_END,
+                            source=source_name, seq=event.seq,
+                            mode=mode.value, latency=event.latency)
+        self.latency_columns.append_code(source_name, event.seq,
+                                         event.arrival, now, code,
+                                         event.enforced_cut)
         watcher = self._completion_watcher
         if watcher is not None:
             watcher(source_name)
-        if event.source.activates_task is not None:
+        if source.activates_task is not None:
             if partition.guest is None:
                 raise RuntimeError(
-                    f"IRQ source {event.source.name!r} activates task "
-                    f"{event.source.activates_task!r} but partition "
+                    f"IRQ source {source_name!r} activates task "
+                    f"{source.activates_task!r} but partition "
                     f"{partition.name!r} has no guest kernel"
                 )
-            partition.guest.release_task(event.source.activates_task)
-
-    @staticmethod
-    def _final_mode(event: IrqEvent, in_window: bool) -> HandlingMode:
-        """Classify an IRQ by where its bottom handler completed.
-
-        The Fig. 6 histograms cluster IRQs by their effective handling
-        path: *interposed* if the bottom handler finished inside a
-        foreign-slot window (regardless of which arrival triggered the
-        window), *direct* if it arrived during the subscriber's own
-        slot and completed there, and *delayed* otherwise (including
-        interposed executions that enforcement cut short).
-        """
-        if in_window:
-            return HandlingMode.INTERPOSED
-        if event.mode is HandlingMode.DIRECT:
-            return HandlingMode.DIRECT
-        return HandlingMode.DELAYED
+            partition.guest.release_task(source.activates_task)
 
     def _record_interference(self, start: int, end: int,
                              source: IrqSource, kind: InterferenceKind) -> None:

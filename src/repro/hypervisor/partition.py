@@ -45,6 +45,12 @@ class Partition:
         self.busy_background = busy_background
         self.irq_queue = IrqQueue(capacity=irq_queue_capacity)
         self.mailbox: list = []
+        # CPU accounting categories and labels the hypervisor charges
+        # this partition's work to, built once rather than per dispatch.
+        self.task_category = f"task:{name}"
+        self.idle_category = f"idle:{name}"
+        self.bh_category = f"bh:{name}"
+        self.background_label = f"background:{name}"
 
         # Statistics maintained by the hypervisor:
         self.bottom_handlers_completed = 0

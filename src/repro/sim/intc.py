@@ -74,16 +74,17 @@ class InterruptController:
         """
         self._check_line(line)
         self._raise_counts[line] += 1
+        trace = self._trace
         if self._pending[line]:
             self._coalesced_counts[line] += 1
-            if self._trace is not None:
-                self._trace.emit(self._engine.now, TraceKind.IRQ_COALESCED, line=line)
+            if trace is not None and trace.enabled:
+                trace.emit(self._engine.now, TraceKind.IRQ_COALESCED, line=line)
             return
         self._pending[line] = True
         if self._enabled[line]:
             self._live += 1
-        if self._trace is not None:
-            self._trace.emit(self._engine.now, TraceKind.IRQ_RAISED, line=line)
+        if trace is not None and trace.enabled:
+            trace.emit(self._engine.now, TraceKind.IRQ_RAISED, line=line)
         self._maybe_deliver()
 
     # ------------------------------------------------------------------
@@ -171,8 +172,9 @@ class InterruptController:
         self._check_line(line)
         self._raise_counts[line] += count
         self._delivered_counts[line] += count
-        if time is not None and self._trace is not None:
-            self._trace.emit(time, TraceKind.IRQ_RAISED, line=line)
+        trace = self._trace
+        if time is not None and trace is not None and trace.enabled:
+            trace.emit(time, TraceKind.IRQ_RAISED, line=line)
 
     # ------------------------------------------------------------------
     # Statistics

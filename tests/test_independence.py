@@ -16,6 +16,7 @@ from repro.core.independence import (
     classify_independence,
     verify_sufficient_independence,
 )
+from ledger_oracle import ListLedger
 
 
 class TestInterval:
@@ -183,3 +184,54 @@ def test_property_eq14_monotone_and_superlinear(dmin, cost, width):
     assert bound.max_interference(width) >= bound.max_interference(max(0, width - 1))
     # never below the fluid rate
     assert bound.max_interference(width) >= math.floor(width / dmin) * cost
+
+
+_VICTIMS = ("P1", "P2", "HK")
+_KIND_SETS = st.one_of(
+    st.none(), st.sets(st.sampled_from(list(InterferenceKind))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 10_000), st.integers(0, 500),
+                  st.sampled_from(_VICTIMS), st.sampled_from(("irq0", "irq1")),
+                  st.sampled_from(list(InterferenceKind))),
+        max_size=30,
+    ),
+    victim=st.sampled_from(_VICTIMS),
+    kinds=_KIND_SETS,
+    window=st.tuples(st.integers(0, 11_000), st.integers(0, 11_000)),
+    width=st.integers(1, 5_000),
+)
+def test_columnar_ledger_matches_the_interval_list_oracle(
+        rows, victim, kinds, window, width):
+    """Every reader of the columnar ledger equals the object-list oracle."""
+    ledger, oracle = InterferenceLedger(), ListLedger()
+    for start, length, name, source, kind in rows:
+        ledger.record(start, start + length, name, source, kind)
+        oracle.record(start, start + length, name, source, kind)
+    assert ledger.intervals == oracle.intervals
+    assert ledger.for_victim(victim) == oracle.for_victim(victim)
+    assert (ledger.for_victim(victim, kinds)
+            == oracle.for_victim(victim, kinds))
+    assert ledger.total(victim, kinds=kinds) == oracle.total(victim, kinds=kinds)
+    window_start, window_end = sorted(window)
+    assert (ledger.total(victim, window_start, window_end, kinds)
+            == oracle.total(victim, window_start, window_end, kinds))
+    assert (ledger.max_window_interference(victim, width, kinds)
+            == oracle.max_window_interference(victim, width, kinds))
+    state = ledger.snapshot_state()
+    assert state == oracle.snapshot_state()
+    restored = InterferenceLedger()
+    restored.restore_state(state)
+    assert restored.snapshot_state() == state
+    assert restored.intervals == oracle.intervals
+
+
+def test_record_rejects_an_interval_that_ends_before_it_starts():
+    ledger = InterferenceLedger()
+    ledger.record(5, 5, "P1", "irq", InterferenceKind.MONITOR)
+    with pytest.raises(ValueError, match="before start"):
+        ledger.record(10, 9, "P1", "irq", InterferenceKind.INTERPOSED_BH)
+    assert ledger.snapshot_state() == [(5, 5, "P1", "irq", "monitor")]
