@@ -24,7 +24,6 @@ speedup.
 from __future__ import annotations
 
 import gc
-import os
 import time
 from dataclasses import dataclass
 from itertools import accumulate
@@ -42,7 +41,8 @@ from repro.analysis.latency import (
 from repro.analysis.memo import memoize_model
 from repro.core.policy import NeverInterpose
 from repro.experiments.common import PaperSystemConfig, run_irq_scenario
-from repro.sim.engine import ENV_IDLE_SKIP, SimulationEngine
+from repro.hypervisor.hypervisor import Hypervisor
+from repro.sim.engine import SimulationEngine
 from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
 
 
@@ -168,10 +168,13 @@ def _run_idle_scenario(idle_skip: bool, arrivals: int,
 
     Arrivals are ``gap_tdma_cycles`` TDMA cycles apart, so the boundary
     chain, not IRQ handling, dominates the event count.  Returns the
-    finished hypervisor and the elapsed wall-clock seconds.
+    finished hypervisor and the elapsed wall-clock seconds.  The tick
+    leg binds the ``tdma-boundary`` callback to the plain slot-line
+    raise, so every boundary event is dispatched.
     """
-    previous = os.environ.get(ENV_IDLE_SKIP)
-    os.environ[ENV_IDLE_SKIP] = "1" if idle_skip else "0"
+    skip_aware = Hypervisor._boundary_dispatch
+    if not idle_skip:
+        Hypervisor._boundary_dispatch = Hypervisor._raise_slot_line
     try:
         system = PaperSystemConfig()
         cycle = system.clock().us_to_cycles(system.tdma_cycle_us)
@@ -186,10 +189,7 @@ def _run_idle_scenario(idle_skip: bool, arrivals: int,
         elapsed = time.perf_counter() - started
         return result.hypervisor, elapsed
     finally:
-        if previous is None:
-            os.environ.pop(ENV_IDLE_SKIP, None)
-        else:
-            os.environ[ENV_IDLE_SKIP] = previous
+        Hypervisor._boundary_dispatch = skip_aware
 
 
 def measure_idle_ab(arrivals: int, gap_tdma_cycles: int,

@@ -154,7 +154,6 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
 
     import repro
     from repro.experiments.cache import source_fingerprint
-    from repro.sim.engine import resolve_idle_skip
 
     directory = Path(export_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -166,10 +165,9 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
         "scale": scale.name,
         "seed": args.seed,
         "jobs": jobs,
-        # Engine configuration + transitive source digest: exported
-        # CSVs carry the same fingerprint fields as store artifacts
-        # and cache entries, so the three stay joinable.
-        "idle_skip": resolve_idle_skip(None),
+        # Transitive source digest: exported CSVs carry the same
+        # fingerprint fields as store artifacts and cache entries, so
+        # the three stay joinable.
         "source_digest": source_fingerprint("repro.experiments.runner"),
         "experiment_wall_seconds": {
             name: round(seconds, 3)
@@ -266,7 +264,6 @@ def main(argv: "list[str] | None" = None) -> int:
     from repro.experiments.cache import ResultCache, default_cache_dir
     from repro.experiments.runner import CampaignTelemetry
     from repro.experiments.scale import resolve_scale
-    from repro.sim.engine import ENV_IDLE_SKIP
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -323,20 +320,9 @@ def main(argv: "list[str] | None" = None) -> int:
                              "scale and seed")
     parser.add_argument("--progress", action="store_true",
                         help="print per-task completion progress to stderr")
-    parser.add_argument("--no-idle-skip", action="store_true",
-                        help="disable the idle-skip engine (analytic "
-                             "fast-forward across quiescent TDMA gaps) and "
-                             "execute every boundary event tick by tick; "
-                             "results are byte-identical either way, only "
-                             "speed differs (default: $REPRO_IDLE_SKIP or "
-                             "enabled)")
     args = parser.parse_args(arguments)
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-
-    if args.no_idle_skip:
-        # Via the environment so campaign worker processes inherit it.
-        os.environ[ENV_IDLE_SKIP] = "0"
 
     names = ALIASES.get(args.experiment, (args.experiment,))
     scale = resolve_scale(quick=args.quick, smoke=args.smoke)

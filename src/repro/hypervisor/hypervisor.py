@@ -387,18 +387,6 @@ class Hypervisor:
         # Handle of the pending TDMA boundary event, kept so a world
         # snapshot can claim and re-bind it (see repro.sim.snapshot).
         self._boundary_handle: Optional[EventHandle] = None
-        # Idle-skip (analytic fast-forward across quiescent TDMA gaps).
-        # The callback behind the "tdma-boundary" event is chosen once:
-        # with skip enabled it is the skip-aware entry, which falls back
-        # to the ordinary raise when the world is not quiescent.  The
-        # callback identity is unobservable — snapshots claim only the
-        # event's (time, seq) and the label is the same — so traces,
-        # digests and CSVs stay byte-identical either way.
-        self._idle_skip = self.engine.idle_skip_enabled
-        self._boundary_callback: Callable[[], None] = (
-            self._boundary_dispatch if self._idle_skip
-            else self._raise_slot_line
-        )
         self._min_slot_cycles = min(
             slot.length_cycles for slot in self.scheduler.slots
         )
@@ -416,7 +404,6 @@ class Hypervisor:
         self.intc.set_dispatcher(None)
         self.engine.discard_pending()
         self._boundary_handle = None
-        self._boundary_callback = None
 
     # ------------------------------------------------------------------
     # System construction
@@ -964,7 +951,7 @@ class Hypervisor:
     def _schedule_boundary(self, boundary: int) -> None:
         at = max(boundary, self.engine.now)
         self._boundary_handle = self.engine.schedule_at(
-            at, self._boundary_callback, label="tdma-boundary")
+            at, self._boundary_dispatch, label="tdma-boundary")
 
     # ------------------------------------------------------------------
     # Idle-skip engine (analytic fast-forward across quiescent gaps)
@@ -983,14 +970,16 @@ class Hypervisor:
     #
     # The contract is byte-identity: every trace record, latency column,
     # snapshot digest and CSV export is identical to the tick-by-tick
-    # run (pinned by tests/test_idle_skip.py).  Whenever any part of the
+    # run, which tests get by rebinding ``_boundary_dispatch`` to
+    # ``_raise_slot_line`` (``tick_by_tick`` in tests/conftest.py;
+    # pinned by tests/test_idle_skip.py).  Whenever any part of the
     # world might make the chain non-deterministic — pending guest work,
     # queued IRQ events, a live interrupt line, an open interpose
     # window, an IPC router — the entry falls back to the ordinary
     # tick-by-tick raise.
 
     def _boundary_dispatch(self) -> None:
-        """Skip-aware ``tdma-boundary`` callback (idle-skip enabled)."""
+        """The ``tdma-boundary`` callback: skip the gap, or raise the line."""
         allowed, bound = self.engine.skip_window()
         if allowed and self._skip_quiescent() and self._fast_forward_gap(bound):
             return
@@ -1605,7 +1594,7 @@ class Hypervisor:
             )
         time, seq = state["boundary"]
         hv._boundary_handle = hv.engine.restore_event(
-            time, seq, hv._boundary_callback, label="tdma-boundary"
+            time, seq, hv._boundary_dispatch, label="tdma-boundary"
         )
         hv.cpu.restore_state(state["cpu"], hv._resolve_execution_owner)
         hv._started = True

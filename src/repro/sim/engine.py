@@ -20,7 +20,6 @@ reference list in ``tests/test_engine_oracle.py``.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -31,45 +30,9 @@ from repro.sim.events import EventHandle
 #: cheaper to skip during dispatch than to filter out.
 COMPACTION_FLOOR = 64
 
-#: Idle-skip (analytic fast-forward across quiescent gaps) is on by
-#: default; the tick-by-tick path stays selectable for A/B pinning.
-DEFAULT_IDLE_SKIP = True
-
-#: Environment variable consulted when no explicit ``idle_skip`` is
-#: given.  Campaign workers inherit the parent process environment, so
-#: ``--no-idle-skip`` (which sets this) propagates to every worker.
-ENV_IDLE_SKIP = "REPRO_IDLE_SKIP"
-
-#: Accepted spellings for :data:`ENV_IDLE_SKIP`.
-_IDLE_SKIP_VALUES = {
-    "1": True, "true": True, "on": True, "yes": True,
-    "0": False, "false": False, "off": False, "no": False,
-}
-
 #: Spans recorded for trace export; a cap so a pathological run cannot
 #: grow the diagnostic log without bound.
 SKIP_SPAN_LOG_CAP = 4096
-
-
-def resolve_idle_skip(explicit: Optional[bool] = None) -> bool:
-    """Resolve the idle-skip toggle: explicit argument > environment > default.
-
-    An empty environment value means "unset" (shell-style ``FOO=`` does
-    not break); any other unrecognized value fails loudly, listing the
-    accepted spellings.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get(ENV_IDLE_SKIP)
-    if not raw:
-        return DEFAULT_IDLE_SKIP
-    value = _IDLE_SKIP_VALUES.get(raw.strip().lower())
-    if value is None:
-        valid = ", ".join(sorted(_IDLE_SKIP_VALUES))
-        raise SimulationError(
-            f"invalid {ENV_IDLE_SKIP} value {raw!r} (valid values: {valid})"
-        )
-    return value
 
 
 class SimulationError(RuntimeError):
@@ -88,11 +51,11 @@ class SimulationEngine:
     __slots__ = ("_heap", "_now", "_seq", "_events_executed", "_running",
                  "_stop_requested", "_pending", "_cancelled_count",
                  "_compactions", "_sentinel_seq", "_dispatch_batches",
-                 "_idle_skip", "_skip_allowed", "_run_bound",
+                 "_skip_allowed", "_run_bound",
                  "_skip_spans", "_skipped_events", "_skipped_cycles",
                  "_skip_span_log")
 
-    def __init__(self, idle_skip: Optional[bool] = None):
+    def __init__(self):
         # Entries are (time, seq, callback, handle): the callback is
         # duplicated into the tuple so the dispatch loop never loads it
         # off the handle, and (time, seq) uniqueness guarantees the
@@ -121,7 +84,6 @@ class SimulationEngine:
         # The skip counters feed telemetry only; they are not part of
         # snapshot digests (spans are a diagnostic, like
         # ``compactions``).
-        self._idle_skip: bool = resolve_idle_skip(idle_skip)
         self._skip_allowed = False
         self._run_bound: Optional[int] = None
         self._skip_spans: int = 0
@@ -205,11 +167,6 @@ class SimulationEngine:
     # * ``fast_forward()`` applies the aggregate effect of the elided
     #   events — clock, seq counter and executed count move exactly as
     #   if each event had been scheduled and dispatched.
-
-    @property
-    def idle_skip_enabled(self) -> bool:
-        """Whether callbacks may fast-forward across quiescent gaps."""
-        return self._idle_skip
 
     @property
     def skip_spans(self) -> int:

@@ -13,8 +13,8 @@ section    layout
 magic      ``b"RPRSTOR1"`` + ``u32`` format version
 header     ``u32`` length + JSON: byteorder, column schemas, and the
            free-form run ``metadata`` (experiment, kind, scenario,
-           scale, seed, idle-skip flag, source digest —
-           the same fingerprint fields the result cache uses)
+           scale, seed, source digest — the same fingerprint
+           fields the result cache uses)
 chunks     ``b"CHNK"`` + ``u8`` kind (latency/trace) + ``u64`` rows +
            one raw ``array.tobytes()`` buffer per schema column,
            each prefixed with its ``u64`` byte length

@@ -20,10 +20,11 @@ but still listed in the campaign index so a query layer can tell
 
 Artifact metadata carries the same fingerprint fields the result
 cache keys on — experiment, task kind, kwargs-derived scenario/load/
-seed, campaign scale, idle-skip flag, and the
-transitive source digest of the task's implementing module — so
-stored runs are joinable with cache entries and exported CSV
-manifests.
+seed, campaign scale, and the transitive source digest of the task's
+implementing module — so stored runs are joinable with cache entries
+and exported CSV manifests.  Metadata is free-form JSON: fields that
+older stores wrote and this one no longer does (``idle_skip``,
+``queue_backend``) still load and are ignored.
 """
 
 from __future__ import annotations
@@ -152,13 +153,7 @@ def campaign_metadata(scale_name: str, seed: int) -> "dict[str, Any]":
     The jobs count is left out: it only changes scheduling, so a
     campaign's artifacts are byte-identical at every jobs count.
     """
-    from repro.sim.engine import resolve_idle_skip
-
-    return {
-        "scale": scale_name,
-        "campaign_seed": seed,
-        "idle_skip": resolve_idle_skip(None),
-    }
+    return {"scale": scale_name, "campaign_seed": seed}
 
 
 @dataclass

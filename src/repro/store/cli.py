@@ -4,7 +4,7 @@ Answers store questions from persisted artifacts without re-running
 any simulation:
 
 * ``query list STORE`` — one row per artifact (experiment, scenario,
-  load, seed, idle-skip);
+  load, seed);
 * ``query aggregate STORE [filters] [--percentiles 50,99,99.9]`` —
   merged percentile summary over the matching latency rows, via the
   same :func:`repro.metrics.stats.summarize` the live runs use;
@@ -125,13 +125,10 @@ def _cmd_list(args: argparse.Namespace, stats: StoreQueryStats) -> int:
         print(json.dumps({"artifacts": rows}, indent=2))
         return 0
     print(render_table(
-        ("artifact", "experiment", "scenario", "load", "seed",
-         "idle-skip"),
+        ("artifact", "experiment", "scenario", "load", "seed"),
         [(row["artifact"], row["experiment"], row["scenario"],
           "-" if row["load"] is None else row["load"],
-          "-" if row["seed"] is None else row["seed"],
-          "-" if row["idle_skip"] is None
-          else ("on" if row["idle_skip"] else "off"))
+          "-" if row["seed"] is None else row["seed"])
          for row in rows],
         title=f"{len(rows)} artifacts in {args.store}",
     ))

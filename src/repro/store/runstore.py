@@ -359,6 +359,5 @@ class RunStore:
                 "scenario": ref.metadata.get("scenario"),
                 "load": ref.metadata.get("load"),
                 "seed": ref.metadata.get("task_seed"),
-                "idle_skip": ref.metadata.get("idle_skip"),
             })
         return rows

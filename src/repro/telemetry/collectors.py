@@ -99,14 +99,6 @@ def collect_engine(registry: MetricsRegistry, engine: Any,
         "Simulated cycles crossed by idle-skip fast-forwards",
         ("run",),
     ).labels(**labels).inc(getattr(engine, "skipped_cycles", 0))
-    registry.gauge(
-        "sim_idle_skip_info",
-        "Idle-skip engine toggle for this engine (info gauge: value 1, "
-        "state carried in the label)",
-        ("run", "state"),
-    ).labels(run=run,
-             state=("on" if getattr(engine, "idle_skip_enabled", False)
-                    else "off")).set(1)
 
 
 def collect_store(registry: MetricsRegistry, write_stats: Any,

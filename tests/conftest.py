@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+
 import pytest
 
 from repro.core.monitor import DeltaMinusMonitor
@@ -18,6 +20,31 @@ from repro.sim.timers import IntervalSequenceTimer
 #: keep these ids as a parametrize axis so their test names stay
 #: stable, and every id runs that one engine.
 RETIRED_BACKENDS = ("array", "bucket", "heap")
+
+
+@contextmanager
+def tick_by_tick():
+    """Run every hypervisor tick by tick: the idle-skip test oracle.
+
+    Production always takes the skip-aware ``tdma-boundary`` callback,
+    which fast-forwards quiescent TDMA gaps analytically.  Rebinding it
+    to the plain slot-line raise dispatches every boundary event, the
+    reference execution the skip must be byte-identical to.  The
+    callback is looked up each time a boundary is scheduled, so the
+    swap holds for the whole body, also for hypervisors restored from
+    a snapshot.
+    """
+    skip_aware = Hypervisor._boundary_dispatch
+    Hypervisor._boundary_dispatch = Hypervisor._raise_slot_line
+    try:
+        yield
+    finally:
+        Hypervisor._boundary_dispatch = skip_aware
+
+
+def engine_mode(idle_skip: bool):
+    """The production engine (``True``) or :func:`tick_by_tick`."""
+    return nullcontext() if idle_skip else tick_by_tick()
 
 
 @pytest.fixture

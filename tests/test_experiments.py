@@ -233,28 +233,29 @@ class TestSweeps:
 
 
 @pytest.mark.parametrize("idle_skip", ["1", "0"])
-def test_lightweight_frees_the_hypervisor_without_the_cyclic_gc(
-        idle_skip, monkeypatch):
+def test_lightweight_frees_the_hypervisor_without_the_cyclic_gc(idle_skip):
     """After ``lightweight()`` a finished hypervisor is freed by reference
-    counting alone: nothing it owns points back at it any more."""
+    counting alone: nothing it owns points back at it any more, under
+    the idle-skip engine ("1") and its tick-by-tick oracle ("0")."""
     import gc
     import weakref
 
+    from conftest import engine_mode
     from repro.core.monitor import DeltaMinusMonitor
     from repro.core.policy import MonitoredInterposing
     from repro.experiments.common import run_irq_scenario
-    from repro.sim.engine import ENV_IDLE_SKIP
     from repro.workloads.synthetic import exponential_interarrivals
 
-    monkeypatch.setenv(ENV_IDLE_SKIP, idle_skip)
     system = PaperSystemConfig()
     dmin = system.clock().us_to_cycles(1_000)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        result = run_irq_scenario(
-            system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
-            exponential_interarrivals(200, dmin, seed=3))
+        with engine_mode(idle_skip == "1"):
+            result = run_irq_scenario(
+                system,
+                MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
+                exponential_interarrivals(200, dmin, seed=3))
         alive = weakref.ref(result.hypervisor)
         summary = result.lightweight()
         del result
@@ -307,3 +308,31 @@ def test_campaign_tasks_leave_no_hypervisor_to_the_cyclic_gc(kind,
     assert built, f"{kind} built no hypervisor"
     assert alive == 0, f"{alive} of {len(built)} hypervisors of {kind} " \
                        f"survive their task's result"
+
+
+@pytest.mark.parametrize("load_index", [0, 1, 2])
+def test_fig6c_latency_is_exactly_direct_or_interposed(load_index):
+    """Scenario (c) keeps every arrival d_min apart, so the monitor
+    admits each IRQ it is asked about and no IRQ waits for a slot: each
+    is handled directly, costing C_TH + C_BH, or in an interposed
+    window, costing C_TH + C_Mon + C_sched + C_ctx + C_BH — exactly,
+    per IRQ."""
+    from repro.core.policy import HandlingMode
+    from repro.experiments.fig6 import run_fig6_load
+    from repro.experiments.scale import SMOKE
+
+    config = Fig6Config(irqs_per_load=SMOKE.fig6_irqs_per_load)
+    system = config.system
+    clock, costs = system.clock(), system.costs
+    handlers = (clock.us_to_cycles(system.top_handler_us)
+                + clock.us_to_cycles(system.bottom_handler_us))
+    expected = {
+        HandlingMode.DIRECT: handlers,
+        HandlingMode.INTERPOSED: handlers + costs.monitor_cycles()
+        + costs.scheduler_cycles() + costs.context_switch_cycles(),
+    }
+    records = run_fig6_load("c", config, load_index).records
+    assert len(records) == SMOKE.fig6_irqs_per_load
+    assert {record.mode for record in records} == set(expected)
+    for record in records:
+        assert record.latency == expected[record.mode], record

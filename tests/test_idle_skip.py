@@ -15,33 +15,27 @@ execution.  These tests pin that promise:
   digests identically to one captured mid-gap under tick-by-tick
   execution, and continuations restored from it finish identically
   under either mode;
-* resolution — explicit constructor argument beats ``REPRO_IDLE_SKIP``
-  beats the default, invalid spellings fail loudly listing the
-  accepted values, and an empty value means "unset";
 * telemetry — the skip counters move only when spans were elided, and
-  stay at zero when the skip is disabled.
+  stay at zero under tick-by-tick execution.
+
+The skip is the only production mode; the tick-by-tick reference is
+:func:`conftest.tick_by_tick`, which every comparison here runs
+against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
+import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import engine_mode, tick_by_tick
 from repro.core.policy import AlwaysInterpose, NeverInterpose
 from repro.experiments.common import (
     PaperSystemConfig,
     run_irq_scenario,
     run_irq_scenario_from,
-)
-from repro.sim.engine import (
-    DEFAULT_IDLE_SKIP,
-    ENV_IDLE_SKIP,
-    SimulationEngine,
-    SimulationError,
-    resolve_idle_skip,
 )
 from repro.sim.snapshot import settle
 
@@ -49,27 +43,13 @@ from repro.sim.snapshot import settle
 TDMA_CYCLE = 2_800_000
 
 
-def _with_idle_skip(enabled: bool, fn):
-    """Run ``fn`` with the engine default forced to ``enabled``."""
-    previous = os.environ.get(ENV_IDLE_SKIP)
-    os.environ[ENV_IDLE_SKIP] = "1" if enabled else "0"
-    try:
-        return fn()
-    finally:
-        if previous is None:
-            del os.environ[ENV_IDLE_SKIP]
-        else:
-            os.environ[ENV_IDLE_SKIP] = previous
-
-
 def _scenario_artifacts(idle_skip: bool, intervals, *, policy,
                         traced: bool) -> dict:
     """Everything a scenario run produces, as comparable plain data."""
     system = PaperSystemConfig(trace_enabled=traced)
-    result = _with_idle_skip(
-        idle_skip, lambda: run_irq_scenario(system, policy, intervals))
+    with engine_mode(idle_skip):
+        result = run_irq_scenario(system, policy, intervals)
     hv = result.hypervisor
-    assert hv.engine.idle_skip_enabled is idle_skip
     artifacts = {
         "records": list(result.records),
         "latencies_us": list(result.latencies_us),
@@ -129,7 +109,7 @@ def test_skip_is_byte_identical_on_random_sparse_schedules(
 
 def _capture_mid_gap(idle_skip: bool, system, policy, intervals):
     """Capture a world snapshot from inside a long quiescent gap."""
-    def capture():
+    with engine_mode(idle_skip):
         hv, timer = system.build(policy, intervals)
         hv.start()
         timer.arm_next()
@@ -138,7 +118,6 @@ def _capture_mid_gap(idle_skip: bool, system, policy, intervals):
         # skip enabled this lands inside a fast-forwarded span.
         hv.engine.run_until(hv.engine.now + 10 * TDMA_CYCLE)
         return settle(hv, {timer.name: timer})
-    return _with_idle_skip(idle_skip, capture)
 
 
 def test_fork_from_inside_skipped_span_is_byte_identical():
@@ -152,17 +131,19 @@ def test_fork_from_inside_skipped_span_is_byte_identical():
     """
     system = PaperSystemConfig(trace_enabled=True)
     intervals = [20 * TDMA_CYCLE + 123_457] * 6
-    straight = _with_idle_skip(False, lambda: run_irq_scenario(
-        system, NeverInterpose(), intervals))
+    with tick_by_tick():
+        straight = run_irq_scenario(system, NeverInterpose(), intervals)
 
     tick_snap = _capture_mid_gap(False, system, NeverInterpose(), intervals)
     skip_snap = _capture_mid_gap(True, system, NeverInterpose(), intervals)
     assert skip_snap.digest() == tick_snap.digest()
 
     for continuation_skip in (False, True):
-        forked = _with_idle_skip(continuation_skip, lambda: (
-            run_irq_scenario_from(skip_snap, system)))
-        assert forked.hypervisor.engine.idle_skip_enabled is continuation_skip
+        with engine_mode(continuation_skip):
+            forked = run_irq_scenario_from(skip_snap, system)
+        # The continuation crosses 20-cycle gaps: it skips exactly when
+        # the skip-aware callback is bound.
+        assert (forked.hypervisor.engine.skip_spans > 0) is continuation_skip
         assert list(forked.records) == list(straight.records)
         assert list(forked.latencies_us) == list(straight.latencies_us)
         assert forked.summary == straight.summary
@@ -170,54 +151,47 @@ def test_fork_from_inside_skipped_span_is_byte_identical():
             straight.hypervisor.trace.digest()
 
 
-# ------------------------------------------------------- resolution
+def test_smoke_campaign_is_identical_tick_by_tick(tmp_path, capsys):
+    """End to end: ``all --smoke`` run with the idle-skip engine and
+    tick by tick prints the same stdout, exports the same CSVs and
+    stores the same artifacts, byte for byte."""
+    from repro.experiments.__main__ import main
+    from repro.store.capture import INDEX_NAME
 
-def test_resolution_explicit_beats_env_beats_default(monkeypatch):
-    monkeypatch.delenv(ENV_IDLE_SKIP, raising=False)
-    assert resolve_idle_skip(None) is DEFAULT_IDLE_SKIP
-    assert resolve_idle_skip(False) is False
-    monkeypatch.setenv(ENV_IDLE_SKIP, "off")
-    assert resolve_idle_skip(None) is False
-    assert resolve_idle_skip(True) is True          # explicit beats env
-    # An empty value means "unset", so shell-style FOO= does not break.
-    monkeypatch.setenv(ENV_IDLE_SKIP, "")
-    assert resolve_idle_skip(None) is DEFAULT_IDLE_SKIP
+    def campaign(name):
+        out = tmp_path / name
+        assert main(["all", "--smoke", "--jobs", "1", "--no-cache",
+                     "--export", str(out / "export"),
+                     "--store", str(out / "store")]) == 0
+        files = {path.relative_to(out).as_posix(): path.read_bytes()
+                 for pattern in ("export/*.csv", "store/*.rpart")
+                 for path in sorted(out.glob(pattern))}
+        index = json.loads((out / "store" / INDEX_NAME).read_text())
+        index["stats"]["write_seconds"] = None     # wall time, not output
+        return capsys.readouterr().out, files, index
 
-
-@pytest.mark.parametrize("spelling,expected", [
-    ("1", True), ("true", True), ("on", True), ("yes", True),
-    ("0", False), ("false", False), ("off", False), ("no", False),
-    ("TRUE", True), ("Off", False),                 # case-insensitive
-])
-def test_env_spellings(monkeypatch, spelling, expected):
-    monkeypatch.setenv(ENV_IDLE_SKIP, spelling)
-    assert resolve_idle_skip(None) is expected
-
-
-def test_invalid_env_value_fails_loudly_listing_valid_values(monkeypatch):
-    monkeypatch.setenv(ENV_IDLE_SKIP, "maybe")
-    with pytest.raises(SimulationError, match="valid values"):
-        resolve_idle_skip(None)
-    with pytest.raises(SimulationError, match="invalid REPRO_IDLE_SKIP"):
-        SimulationEngine()
-    # The explicit argument never consults the (invalid) environment.
-    assert SimulationEngine(idle_skip=True).idle_skip_enabled is True
-    assert SimulationEngine(idle_skip=False).idle_skip_enabled is False
-
-
-def test_engine_constructor_reflects_resolution(monkeypatch):
-    monkeypatch.setenv(ENV_IDLE_SKIP, "0")
-    engine = SimulationEngine()
-    assert engine.idle_skip_enabled is False
-    assert SimulationEngine(idle_skip=True).idle_skip_enabled is True
+    skip = campaign("skip")
+    with tick_by_tick():
+        tick = campaign("tick")
+    stdout, files, index = skip
+    assert "Fig. 6" in stdout
+    assert sum(name.endswith(".csv") for name in files) == 10
+    assert sum(name.endswith(".rpart") for name in files) \
+        == index["stats"]["artifacts_written"] > 0
+    assert tick[0] == stdout
+    assert tick[1].keys() == files.keys()
+    for name, content in files.items():
+        assert tick[1][name] == content, name
+    assert tick[2] == index
 
 
 # ------------------------------------------------------- skip telemetry
 
 def test_skip_counters_stay_zero_when_disabled():
     intervals = [15 * TDMA_CYCLE] * 3
-    result = _with_idle_skip(False, lambda: run_irq_scenario(
-        PaperSystemConfig(), NeverInterpose(), intervals))
+    with tick_by_tick():
+        result = run_irq_scenario(
+            PaperSystemConfig(), NeverInterpose(), intervals)
     engine = result.hypervisor.engine
     assert engine.skip_spans == 0
     assert engine.skipped_events == 0
@@ -227,8 +201,8 @@ def test_skip_counters_stay_zero_when_disabled():
 
 def test_skip_span_log_matches_counters():
     intervals = [15 * TDMA_CYCLE] * 3
-    result = _with_idle_skip(True, lambda: run_irq_scenario(
-        PaperSystemConfig(), NeverInterpose(), intervals))
+    result = run_irq_scenario(
+        PaperSystemConfig(), NeverInterpose(), intervals)
     engine = result.hypervisor.engine
     log = engine.skip_span_log
     assert len(log) == engine.skip_spans

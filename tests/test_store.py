@@ -373,23 +373,36 @@ class TestCampaignStoreWriter:
         assert index["tasks"][0]["rows"] == 3
         assert index["stats"]["artifacts_written"] == 1
 
-    def test_artifact_metadata_carries_campaign_fields(self, tmp_path):
+    def test_artifact_metadata_carries_campaign_fields(self, tmp_path,
+                                                       capsys):
         # Stores written while the engine had selectable queue
-        # backends carry a ``queue_backend`` field; they must still
-        # load and list, with the retired field simply ignored.
+        # backends, or a selectable idle-skip, carry ``queue_backend``
+        # and ``idle_skip`` fields; they must still load and list,
+        # with the retired fields simply ignored.
+        from repro.store.cli import main
+
         store = CampaignStoreWriter(
             tmp_path / "store",
             {"scale": "smoke", "queue_backend": "bucket",
              "idle_skip": True})
         name = store.write_task(fake_task(seed=4), fake_summary(), 0)
         store.finalize()
-        meta = RunArtifact.read_metadata(tmp_path / "store" / name)
-        assert meta["idle_skip"] is True
-        assert meta["task_seed"] == 4
+        artifact = RunArtifact.read(tmp_path / "store" / name)
+        assert artifact.metadata["idle_skip"] is True
+        assert artifact.metadata["task_seed"] == 4
+        assert artifact.latency_rows == 3
         (row,) = RunStore(tmp_path / "store").describe()
         assert row["artifact"] == name
-        assert row["idle_skip"] is True
         assert "queue_backend" not in row
+        assert "idle_skip" not in row
+
+        assert main(["list", str(tmp_path / "store"), "--json"]) == 0
+        (listed,) = json.loads(capsys.readouterr().out)["artifacts"]
+        assert listed == row
+        assert main(["list", str(tmp_path / "store")]) == 0
+        table = capsys.readouterr().out
+        assert name in table
+        assert "idle" not in table and "skip" not in table
 
     def test_one_campaign_matches_per_experiment_campaigns(self, tmp_path):
         """A multi-experiment campaign captures exactly what one

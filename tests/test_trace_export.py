@@ -17,8 +17,8 @@ from collections import Counter as TallyCounter
 
 import pytest
 
+from conftest import tick_by_tick
 from repro.metrics.timeline import lane_of
-from repro.sim.engine import resolve_idle_skip
 from repro.sim.trace import TraceKind, TraceRecorder
 from repro.telemetry import (
     chrome_trace_events,
@@ -41,6 +41,15 @@ from repro.telemetry.perfetto import (
 def replay():
     """One deterministic traced fig6b run shared by the module."""
     return run_traced_fig6(irqs=100, seed=7)
+
+
+@pytest.fixture(scope="module")
+def replays(replay):
+    """That run with the idle-skip engine (``True``) and executed tick
+    by tick (``False``), so the golden pins are checked both ways."""
+    with tick_by_tick():
+        tick = run_traced_fig6(irqs=100, seed=7)
+    return {True: replay, False: tick}
 
 
 @pytest.fixture()
@@ -177,7 +186,7 @@ GOLDEN_CAMPAIGN_MASKED_SHA256 = (
 
 #: The same two documents in canonical JSON with the idle-skip process
 #: (pid 4) removed.  Skipping may change nothing but its own track, so
-#: these hold with the idle-skip on and off.
+#: these hold for the idle-skip engine and tick by tick alike.
 GOLDEN_TRACE_SANS_SKIP_SHA256 = (
     "06805e092068a2b5044eb57a70c4211df287c48109eae8fca4c7772656d1fa45"
 )
@@ -212,51 +221,56 @@ def _canonical_sha256(document):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_idle_skip_track(document, count, full_count, sans_skip_sha256):
-    """Pin the document without its idle-skip track on both legs, and
-    the track itself: the golden count with the skip on, none off.
-    Returns whether the skip is on (the full-document pins hold)."""
+def _check_idle_skip_track(document, count, full_count, sans_skip_sha256,
+                           skip_on):
+    """Pin the document without its idle-skip track in both modes, and
+    the track itself: the golden count with the skip on, none tick by
+    tick."""
     kept = [event for event in document["traceEvents"]
             if event["pid"] != PID_ENGINE]
     skip_events = len(document["traceEvents"]) - len(kept)
     assert _canonical_sha256(dict(document, traceEvents=kept)) \
         == sans_skip_sha256
-    skip_on = resolve_idle_skip(None)
     assert skip_events == (GOLDEN_IDLE_SKIP_EVENTS if skip_on else 0)
     assert count == full_count - GOLDEN_IDLE_SKIP_EVENTS + skip_events
-    return skip_on
 
 
-def test_trace_bytes_match_golden(replay, tmp_path):
-    path = tmp_path / "trace.json"
-    count = write_chrome_trace(path, replay.trace, clock=replay.clock,
-                               cpu_segments=replay.cpu_segments,
-                               engine=replay.hypervisor.engine)
-    if _check_idle_skip_track(load_chrome_trace(path), count, 2592,
-                              GOLDEN_TRACE_SANS_SKIP_SHA256):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == GOLDEN_TRACE_SHA256
+def test_trace_bytes_match_golden(replays, tmp_path):
+    for skip_on, replay in replays.items():
+        path = tmp_path / f"trace-{skip_on}.json"
+        count = write_chrome_trace(path, replay.trace, clock=replay.clock,
+                                   cpu_segments=replay.cpu_segments,
+                                   engine=replay.hypervisor.engine)
+        _check_idle_skip_track(load_chrome_trace(path), count, 2592,
+                               GOLDEN_TRACE_SANS_SKIP_SHA256, skip_on)
+        if skip_on:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == GOLDEN_TRACE_SHA256
 
 
-def test_campaign_trace_matches_golden_with_wall_clock_masked(replay,
+def test_campaign_trace_matches_golden_with_wall_clock_masked(replays,
                                                               tmp_path):
     from repro.telemetry import export_traced_run
 
-    path = tmp_path / "trace.json"
-    count = export_traced_run(replay, trace_path=str(path),
-                              campaign=_golden_campaign(),
-                              metadata={"scale": "smoke", "jobs": 2})
-    document = load_chrome_trace(path)
-    spans = 0
-    for event in document["traceEvents"]:
-        if event["pid"] == PID_CAMPAIGN and event["ph"] == "X":
-            event["ts"] = event["dur"] = 0
-            event["args"]["queue_wait_seconds"] = 0
-            spans += 1
-    assert spans == 5
-    if _check_idle_skip_track(document, count, 2600,
-                              GOLDEN_CAMPAIGN_MASKED_SANS_SKIP_SHA256):
-        assert _canonical_sha256(document) == GOLDEN_CAMPAIGN_MASKED_SHA256
+    for skip_on, replay in replays.items():
+        path = tmp_path / f"trace-{skip_on}.json"
+        count = export_traced_run(replay, trace_path=str(path),
+                                  campaign=_golden_campaign(),
+                                  metadata={"scale": "smoke", "jobs": 2})
+        document = load_chrome_trace(path)
+        spans = 0
+        for event in document["traceEvents"]:
+            if event["pid"] == PID_CAMPAIGN and event["ph"] == "X":
+                event["ts"] = event["dur"] = 0
+                event["args"]["queue_wait_seconds"] = 0
+                spans += 1
+        assert spans == 5
+        _check_idle_skip_track(document, count, 2600,
+                               GOLDEN_CAMPAIGN_MASKED_SANS_SKIP_SHA256,
+                               skip_on)
+        if skip_on:
+            assert _canonical_sha256(document) \
+                == GOLDEN_CAMPAIGN_MASKED_SHA256
 
 
 class _FailingCampaign:
