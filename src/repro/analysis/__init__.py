@@ -5,52 +5,12 @@ point (Eqs. 3–5), TDMA interference (Eq. 8), worst-case IRQ latency
 for delayed and interposed handling (Eqs. 11, 12, 16) and the
 interference bounds of sufficient temporal independence (Eqs. 13–15
 and Eq. 14).
+
+The names resolve on first use (see :mod:`repro._lazy`), so importing
+the package imports none of its submodules.
 """
 
-from repro.analysis.busy_window import (
-    NotSchedulableError,
-    ResponseTimeResult,
-    busy_time,
-    response_time,
-)
-from repro.analysis.event_models import (
-    DeltaTableEventModel,
-    EventModel,
-    PeriodicEventModel,
-    TraceEventModel,
-    check_duality,
-    sporadic,
-)
-from repro.analysis.interference import (
-    dmin_for_budget_fraction,
-    interference_budget_fraction,
-    interposed_interference_dmin,
-    interposed_interference_table,
-    slot_interference_fits,
-)
-from repro.analysis.latency import (
-    InterferingIrq,
-    IrqLatencyBound,
-    classic_irq_latency,
-    interposed_irq_latency,
-    latency_improvement_factor,
-    violated_irq_latency,
-)
-from repro.analysis.memo import MemoizedEventModel, memoize_model
-from repro.analysis.schedulability import (
-    InterposingLoad,
-    SchedulabilityReport,
-    TaskSpec,
-    TaskVerdict,
-    min_admissible_dmin,
-    partition_schedulable,
-    task_response_time,
-)
-from repro.analysis.tdma import (
-    tdma_interference,
-    tdma_service,
-    worst_case_slot_wait,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NotSchedulableError",
@@ -87,3 +47,24 @@ __all__ = [
     "tdma_service",
     "worst_case_slot_wait",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "busy_window": ("NotSchedulableError", "ResponseTimeResult", "busy_time",
+                    "response_time"),
+    "event_models": ("DeltaTableEventModel", "EventModel",
+                     "PeriodicEventModel", "TraceEventModel", "check_duality",
+                     "sporadic"),
+    "interference": ("dmin_for_budget_fraction",
+                     "interference_budget_fraction",
+                     "interposed_interference_dmin",
+                     "interposed_interference_table",
+                     "slot_interference_fits"),
+    "latency": ("InterferingIrq", "IrqLatencyBound", "classic_irq_latency",
+                "interposed_irq_latency", "latency_improvement_factor",
+                "violated_irq_latency"),
+    "memo": ("MemoizedEventModel", "memoize_model"),
+    "schedulability": ("InterposingLoad", "SchedulabilityReport", "TaskSpec",
+                       "TaskVerdict", "min_admissible_dmin",
+                       "partition_schedulable", "task_response_time"),
+    "tdma": ("tdma_interference", "tdma_service", "worst_case_slot_wait"),
+})

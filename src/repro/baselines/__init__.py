@@ -1,11 +1,10 @@
-"""Baseline mechanisms from the related-work discussion (Section 2)."""
+"""Baseline mechanisms from the related-work discussion (Section 2).
 
-from repro.baselines.boost import BoostPolicy
-from repro.baselines.throttling import (
-    InterruptThrottle,
-    MinDistanceThrottle,
-    TokenBucketThrottle,
-)
+The names resolve on first use (see :mod:`repro._lazy`), so importing
+the package imports none of its submodules.
+"""
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BoostPolicy",
@@ -13,3 +12,9 @@ __all__ = [
     "MinDistanceThrottle",
     "TokenBucketThrottle",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "boost": ("BoostPolicy",),
+    "throttling": ("InterruptThrottle", "MinDistanceThrottle",
+                   "TokenBucketThrottle"),
+})

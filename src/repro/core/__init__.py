@@ -7,39 +7,12 @@
   the modified top handler (Fig. 4b).
 * :mod:`repro.core.independence` — interference accounting and the
   sufficient-temporal-independence property (Eqs. 1, 2 and 14).
+
+The names resolve on first use (see :mod:`repro._lazy`), so importing
+the package imports none of its submodules.
 """
 
-from repro.core.independence import (
-    DminInterferenceBound,
-    IndependenceClass,
-    IndependenceReport,
-    InterferenceInterval,
-    InterferenceKind,
-    InterferenceLedger,
-    classify_independence,
-    verify_sufficient_independence,
-)
-from repro.core.learning import (
-    UNLEARNED,
-    DeltaLearner,
-    build_monitor,
-    clamp_to_bound,
-    scale_table_to_load_fraction,
-)
-from repro.core.monitor import (
-    DeltaMinusMonitor,
-    normalize_delta_table,
-    verify_accepted_stream,
-)
-from repro.core.policy import (
-    AlwaysInterpose,
-    HandlingMode,
-    InterposingPolicy,
-    LearningPhase,
-    MonitoredInterposing,
-    NeverInterpose,
-    SelfLearningInterposing,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DminInterferenceBound",
@@ -66,3 +39,18 @@ __all__ = [
     "NeverInterpose",
     "SelfLearningInterposing",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "independence": ("DminInterferenceBound", "IndependenceClass",
+                     "IndependenceReport", "InterferenceInterval",
+                     "InterferenceKind", "InterferenceLedger",
+                     "classify_independence",
+                     "verify_sufficient_independence"),
+    "learning": ("UNLEARNED", "DeltaLearner", "build_monitor",
+                 "clamp_to_bound", "scale_table_to_load_fraction"),
+    "monitor": ("DeltaMinusMonitor", "normalize_delta_table",
+                "verify_accepted_stream"),
+    "policy": ("AlwaysInterpose", "HandlingMode", "InterposingPolicy",
+               "LearningPhase", "MonitoredInterposing", "NeverInterpose",
+               "SelfLearningInterposing"),
+})

@@ -198,7 +198,7 @@ def _start_traced_tail(args, *, scale, jobs: int, store):
 
     tail_store = None
     if store is not None:
-        from repro.store import CampaignStoreWriter
+        from repro.store.capture import CampaignStoreWriter
 
         # The replay's own writer on the same directory, merged into
         # the campaign's after the campaign (see _export_telemetry).
@@ -344,7 +344,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     store = None
     if args.store is not None:
-        from repro.store import CampaignStoreWriter, campaign_metadata
+        from repro.store.capture import CampaignStoreWriter, campaign_metadata
 
         store = CampaignStoreWriter(
             args.store,

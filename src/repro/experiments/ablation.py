@@ -19,20 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.boost import BoostPolicy
-from repro.baselines.throttling import MinDistanceThrottle
-from repro.core.independence import DminInterferenceBound
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing, NeverInterpose
 from repro.experiments.common import (
     LatencyColumnData,
     PaperSystemConfig,
     ScenarioResult,
     ScenarioSummary,
-    run_irq_scenario,
 )
 from repro.metrics.report import render_table
-from repro.workloads.synthetic import bursty_interarrivals
 
 
 @dataclass
@@ -69,6 +62,13 @@ def run_boost_ablation(system: "PaperSystemConfig | None" = None,
     Both legs run the identical system over the identical bursts and
     differ only in the IRQ source's policy.
     """
+    from repro.baselines.boost import BoostPolicy
+    from repro.core.independence import DminInterferenceBound, InterferenceKind
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing
+    from repro.experiments.common import run_irq_scenario
+    from repro.workloads.synthetic import bursty_interarrivals
+
     system = system or PaperSystemConfig()
     clock = system.clock()
     dmin = clock.us_to_cycles(dmin_us)
@@ -90,7 +90,6 @@ def run_boost_ablation(system: "PaperSystemConfig | None" = None,
 
     def worst(result: ScenarioResult) -> float:
         ledger = result.hypervisor.ledger
-        from repro.core.independence import InterferenceKind
         return clock.cycles_to_us(max(
             ledger.max_window_interference(
                 victim, width, (InterferenceKind.INTERPOSED_BH,)
@@ -140,10 +139,20 @@ def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
     are lost); the monitor gives the normal phase short interposed
     latencies and merely *delays* the burst.
     """
+    from repro.baselines.throttling import MinDistanceThrottle
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing, NeverInterpose
+    from repro.experiments.common import run_irq_scenario
+    from repro.metrics.stats import summarize
+    from repro.workloads.synthetic import (
+        bursty_interarrivals,
+        clip_to_dmin,
+        exponential_interarrivals,
+    )
+
     system = system or PaperSystemConfig()
     clock = system.clock()
     dmin = clock.us_to_cycles(dmin_us)
-    from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
     normal_count = 2 * irq_count // 3
     intervals = clip_to_dmin(
         exponential_interarrivals(normal_count, dmin, seed=seed), dmin
@@ -163,7 +172,6 @@ def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
     hv_throttled.run_until_irq_count(
         len(intervals), limit_cycles=round(600.0 * system.frequency_hz)
     )
-    from repro.metrics.stats import summarize
     latencies = hv_throttled.latency_columns.latencies_us_array(clock)
     throttled = ScenarioSummary(
         columns=LatencyColumnData.of(hv_throttled.latency_columns),
@@ -220,6 +228,9 @@ def run_depth_ablation(system: "PaperSystemConfig | None" = None,
       table's asymptotic rate, which has no burst tolerance.
     """
     from repro.analysis.event_models import TraceEventModel
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing
+    from repro.experiments.common import run_irq_scenario
     from repro.workloads.automotive import (
         AutomotiveTraceConfig,
         generate_automotive_trace,

@@ -32,21 +32,21 @@ clock.
 Cache entries live under ``<dir>/<key[:2]>/<key>.pkl`` and are written
 atomically (temp file + ``os.replace``), so concurrent campaigns can
 share a directory; a corrupt or truncated entry is treated as a miss
-and rewritten.  Every entry records the compute time of the original
+and rewritten.  ``<dir>/imports.memo`` keeps each module's parsed
+import list keyed by the module's content hash, so a warm process
+fingerprints without parsing (see :meth:`ResultCache.read_import_memo`).  Every entry records the compute time of the original
 miss, which is how :class:`CacheStats` can report the wall-clock time
 a warm run saved.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import hashlib
-import importlib.util
+import importlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -119,25 +119,44 @@ def canonicalize(value: Any) -> Any:
 # --------------------------------------------------------------- source
 
 #: module name -> (content hash, frozenset of package-local imports);
-#: per-process memo so a 31-task campaign parses each module once.
+#: per-process memo so a 31-task campaign reads each module once.
 _MODULE_INFO_CACHE: "dict[str, Optional[tuple[str, frozenset]]]" = {}
+
+#: (root package, content hash) -> the module's raw package-local import
+#: candidates, as parsed from those bytes.  Keyed by content, so an
+#: entry can never describe other source; :meth:`ResultCache.read_import_memo`
+#: fills it from disk so a warm process parses no module.
+_IMPORT_MEMO: "dict[tuple[str, str], tuple[str, ...]]" = {}
+
+#: Name of the import memo file in a cache directory.
+IMPORT_MEMO_NAME = "imports.memo"
 
 
 def clear_source_caches() -> None:
-    """Drop the per-process module-source memo (tests rewrite files)."""
+    """Drop the per-process source memos (tests rewrite files)."""
     _MODULE_INFO_CACHE.clear()
+    _IMPORT_MEMO.clear()
 
 
 def _module_origin(name: str) -> "str | None":
+    """The source file of module ``name``, found from its root package's
+    directory as the import system would (``a/b/__init__.py`` before
+    ``a/b.py``).  Only the root package is imported (the campaign runs
+    in it already); ``find_spec`` would import every parent package."""
+    root, *parts = name.split(".")
     try:
-        spec = importlib.util.find_spec(name)
-    except (ImportError, AttributeError, ValueError):
+        directories = importlib.import_module(root).__path__
+    except (ImportError, AttributeError):
         return None
-    if spec is None or spec.origin is None:
-        return None
-    if not spec.origin.endswith(".py"):
-        return None
-    return spec.origin
+    for directory in directories:
+        base = os.path.join(directory, *parts)
+        candidates = [os.path.join(base, "__init__.py")]
+        if parts:
+            candidates.append(base + ".py")
+        for path in candidates:
+            if os.path.isfile(path):
+                return path
+    return None
 
 
 def _in_package(name: str, root_package: str) -> bool:
@@ -149,24 +168,45 @@ def _in_package(name: str, root_package: str) -> bool:
 _STATEMENT_FIELDS = ("body", "orelse", "finalbody", "handlers", "cases")
 
 
-def _statements(tree: ast.AST) -> "list[ast.AST]":
-    """``tree`` and every node in its statement lists, recursively:
-    statements, except handlers and match cases, but no expression."""
-    found: "list[ast.AST]" = []
-    stack = [tree]
+def _import_candidates(source: bytes,
+                       root_package: str) -> "tuple[str, ...]":
+    """Every package-local name an import statement of ``source`` may
+    load: ``import a.b`` gives ``a.b``; ``from a.b import c`` gives
+    ``a.b`` and ``a.b.c``, which is a module only if its file exists.
+    Imports sit only in statement lists (``_STATEMENT_FIELDS``), so the
+    walk visits no expression."""
+    import ast
+
+    try:
+        tree = ast.parse(source)
+    except SyntaxError:
+        return ()
+    found: "set[str]" = set()
+    stack: "list[ast.AST]" = [tree]
     while stack:
         node = stack.pop()
-        found.append(node)
-        for name in _STATEMENT_FIELDS:
-            children = getattr(node, name, None)
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if _in_package(alias.name, root_package))
+        elif isinstance(node, ast.ImportFrom):
+            if (node.level == 0 and node.module
+                    and _in_package(node.module, root_package)):
+                found.add(node.module)
+                found.update(f"{node.module}.{alias.name}"
+                             for alias in node.names)
+        for field_name in _STATEMENT_FIELDS:
+            children = getattr(node, field_name, None)
             if isinstance(children, list):
                 stack.extend(children)
-    return found
+    return tuple(sorted(found))
 
 
 def _module_info(name: str,
                  root_package: str) -> "tuple[str, frozenset] | None":
-    """(content hash, package-local imports) of one module, memoized."""
+    """(content hash, package-local imports) of one module, memoized.
+
+    The imports are the module's import candidates; a candidate that
+    names no module file has no info and drops out of the closure."""
     if name in _MODULE_INFO_CACHE:
         return _MODULE_INFO_CACHE[name]
     origin = _module_origin(name)
@@ -178,42 +218,23 @@ def _module_info(name: str,
             source = None
         if source is not None:
             digest = hashlib.sha256(source).hexdigest()
-            imports: "set[str]" = set()
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                tree = None
-            if tree is not None:
-                for node in _statements(tree):
-                    if isinstance(node, ast.Import):
-                        for alias in node.names:
-                            if _in_package(alias.name, root_package):
-                                imports.add(alias.name)
-                    elif isinstance(node, ast.ImportFrom):
-                        if (node.level == 0 and node.module
-                                and _in_package(node.module, root_package)):
-                            imports.add(node.module)
-                            for alias in node.names:
-                                sub = f"{node.module}.{alias.name}"
-                                if _module_origin(sub) is not None:
-                                    imports.add(sub)
+            key = (root_package, digest)
+            imports = _IMPORT_MEMO.get(key)
+            if imports is None:
+                imports = _IMPORT_MEMO[key] = _import_candidates(
+                    source, root_package)
             info = (digest, frozenset(imports))
     _MODULE_INFO_CACHE[name] = info
     return info
 
 
-def source_fingerprint(module_name: str,
-                       root_package: str = "repro") -> str:
-    """Hash the transitive package-local source closure of a module.
-
-    Imports are resolved *statically* (AST, not ``sys.modules``) so the
-    fingerprint is stable regardless of import order, and restricted to
-    ``root_package`` — the Python stdlib is part of the interpreter
-    version, not of the experiment definition.
-    """
+def source_closure(module_name: str,
+                   root_package: str = "repro") -> "dict[str, str]":
+    """Module name -> content hash over the transitive package-local
+    import closure of ``module_name`` (see :func:`source_fingerprint`)."""
+    closure: "dict[str, str]" = {}
     seen: "set[str]" = set()
     stack = [module_name]
-    entries: "list[tuple[str, str]]" = []
     while stack:
         name = stack.pop()
         if name in seen:
@@ -223,15 +244,41 @@ def source_fingerprint(module_name: str,
         if info is None:
             continue
         digest, imports = info
-        entries.append((name, digest))
+        closure[name] = digest
         stack.extend(imports)
+    return closure
+
+
+def source_fingerprint(module_name: str,
+                       root_package: str = "repro") -> str:
+    """Hash the transitive package-local source closure of a module.
+
+    Imports are resolved *statically* (AST, not ``sys.modules``) so the
+    fingerprint is stable regardless of import order, and restricted to
+    ``root_package`` — the Python stdlib is part of the interpreter
+    version, not of the experiment definition.  Module names resolve to
+    files from the package directory, so fingerprinting imports nothing;
+    with a warm import memo it parses nothing either, but it still reads
+    and hashes every file of the closure.
+    """
     payload = hashlib.sha256()
-    for name, digest in sorted(entries):
+    for name, digest in sorted(source_closure(module_name,
+                                              root_package).items()):
         payload.update(name.encode())
         payload.update(b"\0")
         payload.update(digest.encode())
         payload.update(b"\n")
     return payload.hexdigest()
+
+
+def import_closure(module_name: str, root_package: str = "repro") -> None:
+    """Import every module of ``module_name``'s source closure.
+
+    A process about to fork workers calls it, so each worker inherits
+    the modules its task needs instead of importing them itself.
+    """
+    for name in sorted(source_closure(module_name, root_package)):
+        importlib.import_module(name)
 
 
 def result_digest(result: Any) -> str:
@@ -332,6 +379,8 @@ class ResultCache:
     def __init__(self, directory: "str | os.PathLike[str]"):
         self.directory = Path(directory)
         self.stats = CacheStats()
+        #: Import-memo keys this directory's memo file held when read.
+        self._memo_keys: "set[tuple[str, str]]" = set()
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.pkl"
@@ -383,6 +432,9 @@ class ResultCache:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # Imported here: a campaign that only replays never writes.
+        import tempfile
+
         fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                         prefix=path.name, suffix=".tmp")
         try:
@@ -399,5 +451,55 @@ class ResultCache:
         self.stats.bytes_written += len(blob)
         self.stats.computed_seconds += float(elapsed_seconds)
 
+    def read_import_memo(self) -> None:
+        """Merge this directory's import memo into the process memo.
+
+        The file is a SHA-256 line over the JSON body that follows it,
+        ``{root package: {content hash: [import candidates]}}``.  A
+        missing, torn or corrupt file reads as empty: its modules are
+        parsed again, which costs time but never changes a fingerprint.
+        """
+        try:
+            blob = (self.directory / IMPORT_MEMO_NAME).read_bytes()
+            checksum, body = blob.split(b"\n", 1)
+            if hashlib.sha256(body).hexdigest().encode() != checksum:
+                return
+            entries = []
+            for root, modules in json.loads(body).items():
+                for digest, candidates in modules.items():
+                    if not all(isinstance(name, str) for name in candidates):
+                        raise TypeError(candidates)
+                    entries.append(((root, digest), tuple(candidates)))
+        except (OSError, ValueError, AttributeError, TypeError):
+            return
+        for key, candidates in entries:
+            _IMPORT_MEMO.setdefault(key, candidates)
+            self._memo_keys.add(key)
+
+    def write_import_memo(self) -> None:
+        """Persist the process memo if this directory's file lacks any
+        of it.  Only the campaign parent calls this; workers never do."""
+        if set(_IMPORT_MEMO) <= self._memo_keys:
+            return
+        memo: "dict[str, dict[str, list[str]]]" = {}
+        for (root, digest), candidates in sorted(_IMPORT_MEMO.items()):
+            memo.setdefault(root, {})[digest] = list(candidates)
+        body = json.dumps(memo, sort_keys=True,
+                          separators=(",", ":")).encode()
+        checksum = hashlib.sha256(body).hexdigest().encode()
+        path = self.directory / IMPORT_MEMO_NAME
+        # The writer's pid names the temp file; the rename makes a
+        # reader see the old file or the new one, never a torn one.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(checksum + b"\n" + body)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self._memo_keys = set(_IMPORT_MEMO)
+
     def __repr__(self) -> str:
         return f"ResultCache({str(self.directory)!r}, {self.stats.render()})"
+

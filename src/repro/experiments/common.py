@@ -10,27 +10,32 @@ re-armed from the top handler with a pre-generated interarrival array.
 defaults here (2 µs and 40 µs) are chosen so the direct-handling
 latency cluster falls in the paper's "up to 50 µs" band while the
 interposing overheads use the measured Section 6.2 values.
+
+The configuration and result types here import no simulator: the
+functions that build and run a system import the hypervisor, its IRQ
+sources and the timers, so a campaign that only replays cached results
+never loads them.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.policy import HandlingMode, InterposingPolicy
 from repro.hypervisor.config import CostModel, HypervisorConfig, SlotConfig
-from repro.hypervisor.hypervisor import (
-    Hypervisor,
-    LatencyColumns,
-    LatencyRecord,
-)
-from repro.hypervisor.irq import IrqSource
-from repro.hypervisor.partition import Partition
 from repro.metrics.stats import LatencySummary, summarize
 from repro.sim.clock import Clock
-from repro.sim.snapshot import WorldSnapshot, restore_world
-from repro.sim.timers import IntervalSequenceTimer
+
+if TYPE_CHECKING:
+    from repro.core.policy import HandlingMode, InterposingPolicy
+    from repro.hypervisor.hypervisor import (
+        Hypervisor,
+        LatencyColumns,
+        LatencyRecord,
+    )
+    from repro.sim.snapshot import WorldSnapshot
+    from repro.sim.timers import IntervalSequenceTimer
 
 #: Device name under which the IRQ-generating timer registers in world
 #: snapshots; :func:`run_irq_scenario_from` looks it up on restore.
@@ -91,6 +96,11 @@ class PaperSystemConfig:
         in the paper's measurement protocol.  Call ``hv.start()`` and
         ``timer.arm_next()`` to begin.
         """
+        from repro.hypervisor.hypervisor import Hypervisor
+        from repro.hypervisor.irq import IrqSource
+        from repro.hypervisor.partition import Partition
+        from repro.sim.timers import IntervalSequenceTimer
+
         clock = self.clock()
         hv_config = HypervisorConfig(
             frequency_hz=self.frequency_hz,
@@ -146,6 +156,8 @@ class LatencyColumnData:
 
     def records(self) -> list[LatencyRecord]:
         """Materialize one :class:`LatencyRecord` per row (not a hot path)."""
+        from repro.hypervisor.hypervisor import LatencyColumns
+
         return LatencyColumns.from_column_data(vars(self)).records()
 
 
@@ -313,6 +325,8 @@ def run_irq_scenario_from(
     limit_seconds: float = 600.0,
 ) -> ScenarioResult:
     """Fork a scenario continuation from a snapshot and run it out."""
+    from repro.sim.snapshot import restore_world
+
     hv, devices = restore_world(snapshot)
     timer = devices[IRQ_TIMER_DEVICE]
     return finish_irq_scenario(hv, system, timer.interval_count, limit_seconds)

@@ -18,24 +18,14 @@ deadline?*  This experiment closes that loop:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.schedulability import (
-    InterposingLoad,
-    TaskSpec,
-    min_admissible_dmin,
-    partition_schedulable,
-)
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing
-from repro.guestos.kernel import GuestKernel
-from repro.guestos.tasks import GuestTask
-from repro.hypervisor.config import CostModel, HypervisorConfig, SlotConfig
-from repro.hypervisor.hypervisor import Hypervisor
-from repro.hypervisor.irq import IrqSource
-from repro.hypervisor.partition import Partition
 from repro.metrics.report import render_table
-from repro.sim.clock import Clock
-from repro.sim.timers import IntervalSequenceTimer
+
+if TYPE_CHECKING:
+    from repro.analysis.schedulability import TaskSpec
+    from repro.guestos.kernel import GuestKernel
+    from repro.sim.clock import Clock
 
 
 @dataclass
@@ -66,6 +56,8 @@ VICTIM_TASKS_US = (
 
 
 def _task_specs(clock: Clock) -> list[TaskSpec]:
+    from repro.analysis.schedulability import TaskSpec
+
     return [
         TaskSpec(name, priority, clock.us_to_cycles(wcet),
                  clock.us_to_cycles(period))
@@ -74,6 +66,9 @@ def _task_specs(clock: Clock) -> list[TaskSpec]:
 
 
 def _guest_kernel(clock: Clock) -> GuestKernel:
+    from repro.guestos.kernel import GuestKernel
+    from repro.guestos.tasks import GuestTask
+
     kernel = GuestKernel("victim-os")
     for name, priority, wcet, period in VICTIM_TASKS_US:
         kernel.add_task(GuestTask(name, priority=priority,
@@ -85,6 +80,20 @@ def _guest_kernel(clock: Clock) -> GuestKernel:
 def run_design(irq_count: int = 600, c_bh_us: float = 40.0,
                seed: int = 23) -> DesignResult:
     """Run the analytic-then-simulate d_min design workflow."""
+    from repro.analysis.schedulability import (
+        InterposingLoad,
+        min_admissible_dmin,
+        partition_schedulable,
+    )
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing
+    from repro.hypervisor.config import CostModel, HypervisorConfig, SlotConfig
+    from repro.hypervisor.hypervisor import Hypervisor
+    from repro.hypervisor.irq import IrqSource
+    from repro.hypervisor.partition import Partition
+    from repro.sim.clock import Clock
+    from repro.sim.timers import IntervalSequenceTimer
+
     clock = Clock()
     us = clock.us_to_cycles
     costs = CostModel()

@@ -15,6 +15,9 @@ Three scenarios over the same system (Section 6.1):
 For each of the interrupt loads U_IRQ ∈ {1 %, 5 %, 10 %}, the mean
 interarrival λ = C'_BH / U_IRQ (Eq. 17); results are cumulative over
 all loads, 15000 IRQs total in the paper (5000 per load).
+
+:func:`run_fig6_load` imports the simulator when it runs; the config,
+the result, the merge and the renderer do not need it.
 """
 
 from __future__ import annotations
@@ -23,22 +26,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing, NeverInterpose
-from repro.experiments.common import (
-    PaperSystemConfig,
-    ScenarioSummary,
-    run_irq_scenario,
-)
+from repro.experiments.common import PaperSystemConfig, ScenarioSummary
 from repro.experiments.scale import PAPER as PAPER_SCALE
 from repro.metrics.histogram import LatencyHistogram, fig6_histogram
 from repro.metrics.report import render_mode_breakdown
 from repro.metrics.stats import summarize
-from repro.workloads.synthetic import (
-    clip_to_dmin,
-    exponential_interarrivals,
-    lambda_for_load,
-)
 
 SCENARIOS = ("a", "b", "c")
 
@@ -88,6 +80,15 @@ def run_fig6_load(scenario: str, config: Fig6Config,
     exactly as the serial loop always has), so any scheduling of these
     tasks reproduces the serial result bit for bit.
     """
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing, NeverInterpose
+    from repro.experiments.common import run_irq_scenario
+    from repro.workloads.synthetic import (
+        clip_to_dmin,
+        exponential_interarrivals,
+        lambda_for_load,
+    )
+
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     system = config.system

@@ -25,12 +25,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.policy import SelfLearningInterposing
-from repro.experiments.common import (
-    PaperSystemConfig,
-    ScenarioSummary,
-    run_irq_scenario,
-)
+from repro.experiments.common import PaperSystemConfig, ScenarioSummary
 from repro.metrics.report import render_table
 from repro.metrics.stats import running_average, summarize
 from repro.workloads.automotive import AutomotiveTraceConfig, generate_automotive_trace
@@ -88,6 +83,9 @@ def run_fig7_case(label: str, config: "Fig7Config | None" = None,
     serial run shares across cases.  Each case simulates its own
     learning phase straight-line.
     """
+    from repro.core.policy import SelfLearningInterposing
+    from repro.experiments.common import run_irq_scenario
+
     if label not in FIG7_CASES:
         raise ValueError(f"case must be one of {sorted(FIG7_CASES)}, got {label!r}")
     config = config or Fig7Config()

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing, NeverInterpose
-from repro.experiments.common import PaperSystemConfig, run_irq_scenario
+from repro.experiments.common import PaperSystemConfig
 from repro.hypervisor.footprint import (
     monitor_data_bytes,
     render_footprint_table,
@@ -29,11 +27,6 @@ from repro.hypervisor.footprint import (
     total_paper_data_bytes,
 )
 from repro.metrics.report import render_table
-from repro.workloads.synthetic import (
-    clip_to_dmin,
-    exponential_interarrivals,
-    lambda_for_load,
-)
 
 
 @dataclass
@@ -86,6 +79,15 @@ def run_overhead_load(load_index: int,
     The campaign runner's unit of parallel work; the per-load seed is
     ``seed + load_index``, matching the serial loop.
     """
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing, NeverInterpose
+    from repro.experiments.common import run_irq_scenario
+    from repro.workloads.synthetic import (
+        clip_to_dmin,
+        exponential_interarrivals,
+        lambda_for_load,
+    )
+
     system = system or PaperSystemConfig()
     clock = system.clock()
     costs = system.costs

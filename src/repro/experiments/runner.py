@@ -37,7 +37,6 @@ runs inside the task.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -48,7 +47,11 @@ from repro.experiments.ablation import (
     run_depth_ablation,
     run_throttle_ablation,
 )
-from repro.experiments.cache import ResultCache, task_fingerprint
+from repro.experiments.cache import (
+    ResultCache,
+    import_closure,
+    task_fingerprint,
+)
 from repro.experiments.design import run_design
 from repro.experiments.fig6 import Fig6Config, merge_fig6_loads, run_fig6_load
 from repro.experiments.fig7 import FIG7_CASES, Fig7Config, run_fig7_case
@@ -245,9 +248,11 @@ def plan_campaign(names: Sequence[str], scale: ExperimentScale, seed: int,
     return tasks, merges
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context() -> "Any":
     # fork is cheapest and inherits the imported modules; fall back to
     # the platform default (spawn) where fork is unavailable.
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
@@ -345,6 +350,8 @@ def _run_tasks(
             emit(tasks[start:stop], own)
 
     cache_dir = str(cache.directory) if cache is not None else None
+    if cache is not None:
+        cache.read_import_memo()
     pending: "list[int]" = []
     items = []
     for index, task in enumerate(tasks):
@@ -362,6 +369,8 @@ def _run_tasks(
                 continue
         pending.append(index)
         items.append((task, key, call_started, cache_dir))
+    if cache is not None:
+        cache.write_import_memo()
 
     def consume(outcome_iter: "Any") -> None:
         nonlocal done
@@ -380,6 +389,12 @@ def _run_tasks(
         return 1
     # Imported here: serial and fully warm runs never pay for it.
     from concurrent.futures import ProcessPoolExecutor
+
+    # The task modules import the simulator inside their functions:
+    # import it once here so that the forked workers inherit it.
+    for module in sorted({TASK_FUNCTIONS[tasks[index].kind].__module__
+                          for index in pending}):
+        import_closure(module)
 
     # A worker that dies surfaces as BrokenProcessPool from map, never
     # as a hang; on any failure, items not yet started are dropped.

@@ -12,6 +12,12 @@ failure starts with the name of the check it fails:
     the means fall a > b > c (monitoring beats classic handling);
 ``improvement``
     fig6a's mean is at least 16x fig6c's (the paper's ≈16x);
+``fig6c-band``
+    fig6c delays no IRQ, its maximum is at most the interposed cost
+    (97.0 µs as printed) and its mean is, to print precision, the
+    count-weighted mix of the direct cost C_TH + C_BH = 42.0 µs and the
+    interposed cost C_TH + C_Mon + C_sched + C_ctx + C_BH = 97.025 µs:
+    every IRQ takes one or the other, exactly;
 ``fig7-order``
     fig7's run-mode averages rise a < b < c < d as the admitted load
     shrinks;
@@ -44,9 +50,17 @@ FIG6A_TOLERANCE = 0.01
 MIN_IMPROVEMENT = 16.0
 #: The design workflow's minimum admissible d_min, as printed.
 DESIGN_DMIN_US = "380.1"
+#: fig6c's two latencies on the paper system, in µs: direct handling
+#: (C_TH + C_BH, 8400 cycles) and an interposed window (C_TH + C_Mon +
+#: C_sched + C_ctx + C_BH, 19405 cycles), both at 200 MHz.
+FIG6C_DIRECT_US = 42.0
+FIG6C_INTERPOSED_US = 97.025
 
 _SECTION = re.compile(r"^=== (\S+) =+$", re.MULTILINE)
 _FIG6_MEAN = re.compile(r"avg latency: ([0-9.]+) us")
+_FIG6_MAX = re.compile(r"max: ([0-9.]+) us")
+_FIG6_MODES = re.compile(
+    r"(direct|interposed|delayed) [0-9.]+% \(([0-9]+)\)")
 _FIG7_RUN_AVG = re.compile(r"^\s*([a-d])\s+\S+\s+[0-9]+\s+([0-9]+)\s",
                            re.MULTILINE)
 _DESIGN_DMIN = re.compile(r"minimum admissible d_min\s+([0-9.]+) us")
@@ -88,6 +102,7 @@ def check_shape(text: str, scale: str = "paper", seed: int = 1) -> "list[str]":
         if fig6["c"] <= 0 or fig6["a"] / fig6["c"] < MIN_IMPROVEMENT:
             failures.append(f"improvement: fig6a / fig6c is below "
                             f"{MIN_IMPROVEMENT:g}x: {fig6}")
+    failures += _fig6c_band(blocks.get("fig6c", ""))
     fig7 = {case: int(run_avg) for case, run_avg
             in _FIG7_RUN_AVG.findall(blocks.get("fig7", ""))}
     if sorted(fig7) != ["a", "b", "c", "d"]:
@@ -106,6 +121,33 @@ def check_shape(text: str, scale: str = "paper", seed: int = 1) -> "list[str]":
     if match is None or match.group(1) != "yes":
         failures.append("design-confirms: no 'simulation confirms "
                         "analysis ... yes'")
+    return failures
+
+
+def _fig6c_band(block: str) -> "list[str]":
+    """The ``fig6c-band`` check of one fig6c stdout block (a missing
+    mean is ``fig6-means``'s failure, not this one's)."""
+    mean = _FIG6_MEAN.search(block)
+    if mean is None:
+        return []
+    maximum = _FIG6_MAX.search(block)
+    counts = {mode: int(count) for mode, count in _FIG6_MODES.findall(block)}
+    if maximum is None or sorted(counts) != ["delayed", "direct",
+                                             "interposed"]:
+        return ["fig6c-band: no max and mode counts for fig6c"]
+    failures = []
+    if counts["delayed"]:
+        failures.append(f"fig6c-band: {counts['delayed']} IRQs delayed")
+    band_max = f"{FIG6C_INTERPOSED_US:.1f}"
+    if float(maximum.group(1)) > float(band_max):
+        failures.append(f"fig6c-band: max {maximum.group(1)} us is above "
+                        f"{band_max} us")
+    served = counts["direct"] + counts["interposed"]
+    mix = (counts["direct"] * FIG6C_DIRECT_US
+           + counts["interposed"] * FIG6C_INTERPOSED_US) / (served or 1)
+    if f"{mix:.1f}" != mean.group(1):
+        failures.append(f"fig6c-band: mean {mean.group(1)} us is not the "
+                        f"direct/interposed mix {mix:.1f} us")
     return failures
 
 

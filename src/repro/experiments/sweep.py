@@ -19,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.analysis.event_models import PeriodicEventModel
-from repro.analysis.latency import classic_irq_latency, interposed_irq_latency
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing, NeverInterpose
-from repro.experiments.common import PaperSystemConfig, run_irq_scenario
+from repro.experiments.common import PaperSystemConfig
 from repro.metrics.report import render_table
-from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
 
 
 @dataclass
@@ -53,6 +48,19 @@ def run_cycle_sweep_point(scale: float,
     so every point regenerates the identical stream the serial sweep
     shares across its loop iterations.
     """
+    from repro.analysis.event_models import PeriodicEventModel
+    from repro.analysis.latency import (
+        classic_irq_latency,
+        interposed_irq_latency,
+    )
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing, NeverInterpose
+    from repro.experiments.common import run_irq_scenario
+    from repro.workloads.synthetic import (
+        clip_to_dmin,
+        exponential_interarrivals,
+    )
+
     base = system or PaperSystemConfig()
     clock = base.clock()
     dmin = clock.us_to_cycles(dmin_us)
@@ -133,6 +141,11 @@ def run_dmin_sweep_point(multiplier: float,
     (irq_count, mean_interarrival_us, seed); only the monitoring
     condition differs.
     """
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing
+    from repro.experiments.common import run_irq_scenario
+    from repro.workloads.synthetic import exponential_interarrivals
+
     system = system or PaperSystemConfig()
     clock = system.clock()
     mean = clock.us_to_cycles(mean_interarrival_us)

@@ -33,15 +33,8 @@ from repro.core.independence import (
     IndependenceReport,
     verify_sufficient_independence,
 )
-from repro.core.monitor import DeltaMinusMonitor
-from repro.core.policy import MonitoredInterposing, NeverInterpose
-from repro.experiments.common import (
-    PaperSystemConfig,
-    ScenarioSummary,
-    run_irq_scenario,
-)
+from repro.experiments.common import PaperSystemConfig, ScenarioSummary
 from repro.metrics.report import render_table
-from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
 
 
 @dataclass
@@ -89,6 +82,11 @@ DEFAULT_WINDOW_WIDTHS_US: Sequence[float] = (
 
 def _validation_intervals(system: PaperSystemConfig, dmin_us: float,
                           irq_count: int, seed: int) -> list[int]:
+    from repro.workloads.synthetic import (
+        clip_to_dmin,
+        exponential_interarrivals,
+    )
+
     clock = system.clock()
     dmin = clock.us_to_cycles(dmin_us)
     return clip_to_dmin(
@@ -101,6 +99,9 @@ def run_validation_classic(system: "PaperSystemConfig | None" = None,
                            irq_count: int = 3_000,
                            seed: int = 7) -> ScenarioSummary:
     """The delayed-handling leg of the validation (campaign task)."""
+    from repro.core.policy import NeverInterpose
+    from repro.experiments.common import run_irq_scenario
+
     system = system or PaperSystemConfig()
     intervals = _validation_intervals(system, dmin_us, irq_count, seed)
     return run_irq_scenario(system, NeverInterpose(), intervals).lightweight()
@@ -119,6 +120,10 @@ def run_validation_monitored(
     because they need the hypervisor's interference ledger, which does
     not cross process boundaries.
     """
+    from repro.core.monitor import DeltaMinusMonitor
+    from repro.core.policy import MonitoredInterposing
+    from repro.experiments.common import run_irq_scenario
+
     system = system or PaperSystemConfig()
     clock = system.clock()
     costs = system.costs

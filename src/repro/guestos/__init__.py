@@ -1,6 +1,19 @@
-"""Guest operating system substrate (uC/OS-like fixed-priority kernel)."""
+"""Guest operating system substrate (uC/OS-like fixed-priority kernel).
 
-from repro.guestos.kernel import GuestKernel, TaskStats
-from repro.guestos.tasks import GuestJob, GuestTask
+The names resolve on first use (see :mod:`repro._lazy`), so importing
+the package imports none of its submodules.
+"""
 
-__all__ = ["GuestKernel", "TaskStats", "GuestJob", "GuestTask"]
+from repro._lazy import lazy_exports
+
+__all__ = [
+    "GuestKernel",
+    "TaskStats",
+    "GuestJob",
+    "GuestTask",
+]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "kernel": ("GuestKernel", "TaskStats"),
+    "tasks": ("GuestJob", "GuestTask"),
+})

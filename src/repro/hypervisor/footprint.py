@@ -22,7 +22,7 @@ next to the paper's numbers for scale.
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -39,15 +39,17 @@ class ComponentFootprint:
     description: str
 
     def module_source_bytes(self) -> Optional[int]:
-        """Size of our implementing Python source, if resolvable."""
+        """Size of our implementing Python source, if resolvable.
+
+        Found through the module's spec, so the module is not imported.
+        """
         try:
-            mod = importlib.import_module(self.module)
-        except ImportError:
+            spec = importlib.util.find_spec(self.module)
+        except (ImportError, ValueError):
             return None
-        path = getattr(mod, "__file__", None)
-        if path is None:
+        if spec is None or spec.origin is None:
             return None
-        return Path(path).stat().st_size
+        return Path(spec.origin).stat().st_size
 
 
 #: The paper's Section 6.2 inventory, mapped onto our modules.

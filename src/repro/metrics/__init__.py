@@ -2,8 +2,8 @@
 and summaries (Fig. 7), and text report rendering.
 
 The names resolve on first use (see :mod:`repro._lazy`): ``stats`` and
-``report`` import nothing of the simulator, ``export`` and
-``timeline`` do.
+``report`` import nothing of the simulator, ``export`` only its clock
+and ``timeline`` its CPU model.
 """
 
 from repro._lazy import lazy_exports

@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from repro.hypervisor.hypervisor import LatencyRecord
 from repro.metrics.histogram import LatencyHistogram
 from repro.sim.clock import Clock
+
+if TYPE_CHECKING:
+    from repro.hypervisor.hypervisor import LatencyRecord
 
 PathLike = Union[str, Path]
 
@@ -98,6 +100,7 @@ def write_records_json(path: PathLike, records: Iterable[LatencyRecord],
 def read_records_json(path: PathLike) -> list[LatencyRecord]:
     """Load latency records written by :func:`write_records_json`."""
     from repro.core.policy import HandlingMode
+    from repro.hypervisor.hypervisor import LatencyRecord
 
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != "repro-latency-records-v1":

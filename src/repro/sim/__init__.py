@@ -5,15 +5,12 @@ deterministic event engine, an integer-cycle clock, a latching
 interrupt controller, programmable timers, a single-core CPU execution
 model and a trace recorder.  The hypervisor in
 :mod:`repro.hypervisor` is built entirely on these primitives.
+
+The names resolve on first use (see :mod:`repro._lazy`), so importing
+the package imports none of its submodules.
 """
 
-from repro.sim.clock import Clock, DEFAULT_FREQUENCY_HZ
-from repro.sim.cpu import Cpu, CpuBusyError, CpuSegment, Execution
-from repro.sim.engine import SimulationEngine, SimulationError
-from repro.sim.events import EventHandle
-from repro.sim.intc import InterruptController
-from repro.sim.timers import IntervalSequenceTimer, OneShotTimer, TimestampTimer
-from repro.sim.trace import TraceEvent, TraceKind, TraceRecorder
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Clock",
@@ -33,3 +30,13 @@ __all__ = [
     "TraceKind",
     "TraceRecorder",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "clock": ("Clock", "DEFAULT_FREQUENCY_HZ"),
+    "cpu": ("Cpu", "CpuBusyError", "CpuSegment", "Execution"),
+    "engine": ("SimulationEngine", "SimulationError"),
+    "events": ("EventHandle",),
+    "intc": ("InterruptController",),
+    "timers": ("IntervalSequenceTimer", "OneShotTimer", "TimestampTimer"),
+    "trace": ("TraceEvent", "TraceKind", "TraceRecorder"),
+})

@@ -168,12 +168,14 @@ class StoreWriteStats:
     skipped_tasks: int = 0
 
     def as_dict(self) -> "dict[str, Any]":
+        """The counters the campaign index records: all but
+        ``write_seconds``, a wall time, so that two identical campaigns
+        write byte-equal indexes."""
         return {
             "artifacts_written": self.artifacts_written,
             "rows_written": self.rows_written,
             "trace_rows_written": self.trace_rows_written,
             "bytes_written": self.bytes_written,
-            "write_seconds": round(self.write_seconds, 4),
             "skipped_tasks": self.skipped_tasks,
         }
 

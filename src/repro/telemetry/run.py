@@ -36,6 +36,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.experiments.cache import import_closure
 from repro.experiments.common import PaperSystemConfig, ScenarioResult
 from repro.store.artifact import encode_trace_data
 from repro.telemetry.collectors import collect_hypervisor
@@ -293,6 +294,9 @@ class TracedTailJob:
             context = (multiprocessing.get_context("fork")
                        if "fork" in multiprocessing.get_all_start_methods()
                        else multiprocessing.get_context())
+            # The replay imports the simulator inside its functions:
+            # import it here, so the campaign's pool inherits it too.
+            import_closure(__name__)
             self._connection, sender = context.Pipe(duplex=False)
             self._process = context.Process(
                 target=_tail_worker, args=(sender, kwargs),

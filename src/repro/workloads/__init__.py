@@ -1,30 +1,11 @@
 """IRQ workload generation: exponential (Section 6.1) and automotive
-trace (Appendix A substitute) workloads, plus trace containers."""
+trace (Appendix A substitute) workloads, plus trace containers.
 
-from repro.workloads.automotive import (
-    AutomotiveTraceConfig,
-    DEFAULT_PERIODIC_SOURCES,
-    DEFAULT_SPORADIC_SOURCES,
-    PeriodicActivationSource,
-    SporadicActivationSource,
-    generate_automotive_trace,
-)
-from repro.workloads.synthetic import (
-    bursty_interarrivals,
-    clip_to_dmin,
-    exponential_interarrivals,
-    exponential_trace,
-    lambda_for_load,
-)
-from repro.workloads.traces import ActivationTrace
-from repro.workloads.transforms import (
-    add_jitter,
-    merge,
-    offset,
-    scale,
-    thin,
-    window,
-)
+The names resolve on first use (see :mod:`repro._lazy`), so importing
+the package imports none of its submodules.
+"""
+
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AutomotiveTraceConfig",
@@ -46,3 +27,14 @@ __all__ = [
     "thin",
     "window",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "automotive": ("AutomotiveTraceConfig", "DEFAULT_PERIODIC_SOURCES",
+                   "DEFAULT_SPORADIC_SOURCES", "PeriodicActivationSource",
+                   "SporadicActivationSource", "generate_automotive_trace"),
+    "synthetic": ("bursty_interarrivals", "clip_to_dmin",
+                  "exponential_interarrivals", "exponential_trace",
+                  "lambda_for_load"),
+    "traces": ("ActivationTrace",),
+    "transforms": ("add_jitter", "merge", "offset", "scale", "thin", "window"),
+})

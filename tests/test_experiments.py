@@ -316,10 +316,12 @@ def test_fig6c_latency_is_exactly_direct_or_interposed(load_index):
     admits each IRQ it is asked about and no IRQ waits for a slot: each
     is handled directly, costing C_TH + C_BH, or in an interposed
     window, costing C_TH + C_Mon + C_sched + C_ctx + C_BH — exactly,
-    per IRQ."""
+    per IRQ.  The shape gate's ``fig6c-band`` constants are these two
+    costs."""
     from repro.core.policy import HandlingMode
     from repro.experiments.fig6 import run_fig6_load
     from repro.experiments.scale import SMOKE
+    from repro.experiments.shape import FIG6C_DIRECT_US, FIG6C_INTERPOSED_US
 
     config = Fig6Config(irqs_per_load=SMOKE.fig6_irqs_per_load)
     system = config.system
@@ -331,6 +333,10 @@ def test_fig6c_latency_is_exactly_direct_or_interposed(load_index):
         HandlingMode.INTERPOSED: handlers + costs.monitor_cycles()
         + costs.scheduler_cycles() + costs.context_switch_cycles(),
     }
+    assert clock.cycles_to_us(expected[HandlingMode.DIRECT]) \
+        == FIG6C_DIRECT_US
+    assert clock.cycles_to_us(expected[HandlingMode.INTERPOSED]) \
+        == FIG6C_INTERPOSED_US
     records = run_fig6_load("c", config, load_index).records
     assert len(records) == SMOKE.fig6_irqs_per_load
     assert {record.mode for record in records} == set(expected)

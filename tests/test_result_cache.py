@@ -15,9 +15,12 @@ import ast
 import hashlib
 import importlib.util
 import json
+import os
 import pickle
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,8 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.scale import QUICK, SMOKE
+
+SRC = str(Path(cache_module.__file__).resolve().parents[2])
 
 
 # -------------------------------------------------------- canonicalize
@@ -206,12 +211,153 @@ def _walk_fingerprint(module_name, root_package="repro"):
     return payload.hexdigest()
 
 
-def test_source_fingerprint_matches_full_ast_walk():
-    """Walking statement lists finds every import a full walk finds."""
+TASK_MODULES = sorted({f.__module__ for f in TASK_FUNCTIONS.values()})
+
+
+def _memo_cache(directory):
+    """A cache whose import memo holds every task module's closure."""
     clear_source_caches()
-    for module in sorted({f.__module__ for f in TASK_FUNCTIONS.values()}):
-        assert source_fingerprint(module) == _walk_fingerprint(module), \
-            module
+    for module in TASK_MODULES:
+        source_fingerprint(module)
+    cache = ResultCache(directory)
+    cache.write_import_memo()
+    clear_source_caches()
+    return cache
+
+
+def _count_parses(monkeypatch):
+    """Count the module parses ``source_fingerprint`` makes."""
+    parses = []
+    parse = cache_module._import_candidates
+
+    def counting(source, root_package):
+        parses.append(root_package)
+        return parse(source, root_package)
+
+    monkeypatch.setattr(cache_module, "_import_candidates", counting)
+    return parses
+
+
+def test_source_fingerprint_matches_full_ast_walk(tmp_path, monkeypatch):
+    """Walking statement lists finds every import a full walk finds,
+    and file resolution from the package directory finds the modules
+    ``find_spec`` finds: with the import memo cold (every module
+    parsed) and warm (none parsed), the fingerprints are the oracle's."""
+    oracle = {module: _walk_fingerprint(module) for module in TASK_MODULES}
+    cache = _memo_cache(tmp_path)
+    parses = _count_parses(monkeypatch)
+    cold = {module: source_fingerprint(module) for module in TASK_MODULES}
+    assert parses, "a cold memo parses the closure"
+    clear_source_caches()
+    cache.read_import_memo()
+    del parses[:]
+    warm = {module: source_fingerprint(module) for module in TASK_MODULES}
+    assert parses == []
+    assert cold == warm == oracle
+    clear_source_caches()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2],
+    lambda blob: blob[:64],
+    lambda blob: b"",
+    lambda blob: blob.replace(b"repro.sim.engine", b"repro.sim.enfine", 1),
+    lambda blob: b"0" * 64 + blob[64:],
+    lambda blob: blob.split(b"\n", 1)[1],
+    lambda blob: (hashlib.sha256(b"[]").hexdigest().encode() + b"\n[]"),
+    lambda blob: (hashlib.sha256(b'{"repro":{"0":[1]}}').hexdigest().encode()
+                  + b'\n{"repro":{"0":[1]}}'),
+], ids=["torn", "checksum-only", "empty", "flipped-name", "bad-checksum",
+        "no-checksum", "wrong-shape", "wrong-type"])
+def test_corrupt_import_memo_means_a_reparse(tmp_path, monkeypatch, damage):
+    """A torn or corrupt memo reads as empty: every module is parsed
+    again and the fingerprints are the cold ones, never an error and
+    never a fingerprint from damaged data."""
+    cache = _memo_cache(tmp_path)
+    memo = tmp_path / cache_module.IMPORT_MEMO_NAME
+    expected = {module: _walk_fingerprint(module) for module in TASK_MODULES}
+    memo.write_bytes(damage(memo.read_bytes()))
+    parses = _count_parses(monkeypatch)
+    ResultCache(tmp_path).read_import_memo()
+    assert {module: source_fingerprint(module)
+            for module in TASK_MODULES} == expected
+    assert len(parses) >= len(TASK_MODULES)
+    clear_source_caches()
+
+
+def test_source_fingerprint_imports_nothing(tmp_path):
+    """In a fresh interpreter, fingerprinting every task module loads no
+    ``repro`` module; with a warm import memo it loads no module at all
+    (nothing to parse, so not even ``ast``)."""
+    _memo_cache(tmp_path)
+    code = textwrap.dedent("""
+        import sys
+        from repro.experiments.cache import ResultCache, source_fingerprint
+        memo, directory, *modules = sys.argv[1:]
+        before = set(sys.modules)
+        if memo == "warm":
+            ResultCache(directory).read_import_memo()
+        for module in modules:
+            source_fingerprint(module)
+        print(" ".join(sorted(set(sys.modules) - before)))
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    added = {}
+    for memo in ("cold", "warm"):
+        run = subprocess.run([sys.executable, "-c", code, memo,
+                              str(tmp_path), *TASK_MODULES],
+                             env=env, capture_output=True, text=True,
+                             timeout=60, check=True)
+        added[memo] = run.stdout.split()
+    assert [name for name in added["cold"] if name.startswith("repro")] == []
+    assert added["warm"] == []
+
+
+def _lazy_namespaces():
+    """``repro`` packages whose ``__init__`` is a lazy namespace."""
+    found = set()
+    for init in sorted(Path(SRC, "repro").rglob("__init__.py")):
+        tree = ast.parse(init.read_bytes())
+        if any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "lazy_exports"
+               for node in ast.walk(tree)):
+            found.add(".".join(init.parent.relative_to(SRC).parts))
+    return found
+
+
+def test_no_module_imports_a_name_through_a_lazy_namespace():
+    """The source closure follows import statements, not the strings a
+    lazy namespace resolves: ``from repro.sim import Clock`` would put
+    ``repro/sim/__init__.py`` in the closure but not ``repro/sim/clock.py``,
+    so an edit there would replay a stale result.  Every ``from <lazy
+    namespace> import name`` in ``src/repro`` must name a submodule."""
+    lazy = _lazy_namespaces()
+    assert {"repro", "repro.sim", "repro.hypervisor", "repro.core",
+            "repro.experiments"} <= lazy
+    offenders = []
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module in lazy):
+                base = Path(SRC, *node.module.split("."))
+                offenders += [
+                    f"{path.relative_to(SRC)}:{node.lineno}: "
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if not (base / f"{alias.name}.py").is_file()
+                    and not (base / alias.name / "__init__.py").is_file()]
+    assert offenders == []
+
+
+def test_runner_fingerprint_covers_every_task_closure():
+    """The export manifest's ``source_digest`` is the runner's source
+    fingerprint: its closure holds every task module's closure."""
+    clear_source_caches()
+    runner = cache_module.source_closure("repro.experiments.runner")
+    for module in TASK_MODULES:
+        closure = cache_module.source_closure(module)
+        assert closure.items() <= runner.items(), module
 
 
 def test_source_fingerprint_finds_imports_in_every_statement_list(

@@ -1,11 +1,12 @@
 """A process killed mid-write never turns into a wrong answer.
 
 Every persistent write of a campaign lands through temp file +
-``os.replace``: the result cache entry (``ResultCache.store``), each
-``.rpart`` run artifact (``ArtifactWriter.close``) and the campaign
-``index.json`` (``CampaignStoreWriter.finalize``).  Each test runs the
-CLI in a child process whose ``os.replace`` calls ``os._exit(9)`` at one
-of those three sites — the process dies with the temp file written and
+``os.replace``: the result cache entry (``ResultCache.store``), the
+cache's import memo (``ResultCache.write_import_memo``), each ``.rpart``
+run artifact (``ArtifactWriter.close``) and the campaign ``index.json``
+(``CampaignStoreWriter.finalize``).  Each test runs the CLI in a child
+process whose ``os.replace`` calls ``os._exit(9)`` at one of those four
+sites — the process dies with the temp file written and
 the rename not done, skipping every cleanup handler.  A re-run on the
 same cache and store directories must then print exactly what an
 uncached run prints — the interrupted write is a miss, never a wrong
@@ -90,9 +91,10 @@ def uncached(tmp_path_factory):
 
 @pytest.mark.parametrize("filename, function, nth", [
     ("cache.py", "store", 2),
+    ("cache.py", "write_import_memo", 1),
     ("artifact.py", "close", 2),
     ("capture.py", "finalize", 1),
-], ids=["cache-store", "rpart-close", "index-finalize"])
+], ids=["cache-store", "import-memo", "rpart-close", "index-finalize"])
 def test_kill_mid_write_is_a_miss_never_a_wrong_answer(
         tmp_path, uncached, filename, function, nth):
     expected_stdout, expected_rows = uncached
