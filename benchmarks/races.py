@@ -5,8 +5,7 @@ does not isolate, each guarding one design choice:
 
 * :func:`measure_engine_throughput` — raw event dispatch of
   :class:`~repro.sim.engine.SimulationEngine` in two queue regimes
-  (the engine floors, and the baseline of the disabled-telemetry
-  overhead guard);
+  (the engine floors);
 * :func:`measure_idle_ab` — the idle-skip engine (analytic
   fast-forward across quiescent TDMA gaps, see
   ``Hypervisor._boundary_dispatch``) against tick-by-tick execution

@@ -102,11 +102,6 @@ class DeltaMinusMonitor:
     def denied_count(self) -> int:
         return self._denied
 
-    @property
-    def checked_count(self) -> int:
-        """Total ``check_and_accept`` decisions (accepted + denied)."""
-        return self._accepted + self._denied
-
     def stats(self) -> "dict[str, int]":
         """Decision counters as plain data (for telemetry collection)."""
         return {

@@ -59,7 +59,6 @@ class PaperSystemConfig:
     costs: CostModel = field(default_factory=CostModel)
     trace_enabled: bool = False
     record_cpu_segments: bool = False
-    defer_slot_switch_for_window: bool = True
 
     def clock(self) -> Clock:
         return Clock(self.frequency_hz)
@@ -107,7 +106,6 @@ class PaperSystemConfig:
             costs=self.costs,
             trace_enabled=self.trace_enabled,
             record_cpu_segments=self.record_cpu_segments,
-            defer_slot_switch_for_window=self.defer_slot_switch_for_window,
         )
         hv = Hypervisor(self.slot_table(clock), hv_config)
         for name in (self.subscriber, self.other_partition, self.housekeeping):

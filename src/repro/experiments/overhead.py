@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.experiments.common import PaperSystemConfig
+from repro.experiments.common import PaperSystemConfig, ScenarioResult
 from repro.hypervisor.footprint import (
     monitor_data_bytes,
     render_footprint_table,
@@ -68,16 +68,17 @@ class OverheadResult:
         return (with_ - without) / without
 
 
-def run_overhead_load(load_index: int,
-                      loads: Sequence[float] = (0.01, 0.05, 0.10),
-                      irqs_per_load: int = 2_000,
-                      seed: int = 1,
-                      system: "PaperSystemConfig | None" = None,
-                      ) -> ContextSwitchComparison:
-    """One interrupt load's with/without-monitoring comparison.
+def overhead_scenarios(load_index: int,
+                       loads: Sequence[float] = (0.01, 0.05, 0.10),
+                       irqs_per_load: int = 2_000,
+                       seed: int = 1,
+                       system: "PaperSystemConfig | None" = None,
+                       ) -> "tuple[ScenarioResult, ScenarioResult]":
+    """One interrupt load's arrival stream run without and with
+    monitoring, the pair that :func:`run_overhead_load` compares.
 
-    The campaign runner's unit of parallel work; the per-load seed is
-    ``seed + load_index``, matching the serial loop.
+    The per-load seed is ``seed + load_index``, matching the serial
+    loop.
     """
     from repro.core.monitor import DeltaMinusMonitor
     from repro.core.policy import MonitoredInterposing, NeverInterpose
@@ -104,8 +105,21 @@ def run_overhead_load(load_index: int,
         MonitoredInterposing(DeltaMinusMonitor.from_dmin(lam)),
         intervals,
     )
+    return baseline, monitored
+
+
+def run_overhead_load(load_index: int,
+                      loads: Sequence[float] = (0.01, 0.05, 0.10),
+                      irqs_per_load: int = 2_000,
+                      seed: int = 1,
+                      system: "PaperSystemConfig | None" = None,
+                      ) -> ContextSwitchComparison:
+    """One interrupt load's with/without-monitoring comparison: the
+    campaign runner's unit of parallel work."""
+    baseline, monitored = overhead_scenarios(load_index, loads,
+                                             irqs_per_load, seed, system)
     return ContextSwitchComparison(
-        load=load,
+        load=loads[load_index],
         switches_without=baseline.lightweight().total_context_switches,
         switches_with=monitored.lightweight().total_context_switches,
     )

@@ -100,15 +100,6 @@ class HypervisorConfig:
     #: see :mod:`repro.metrics.timeline`).  Off by default: long runs
     #: accumulate many segments.
     record_cpu_segments: bool = False
-    #: IRQ line reserved for the hypervisor's TDMA slot timer.
-    slot_timer_line: int = 0
-    #: When a TDMA boundary fires during an interposed bottom-handler
-    #: window, defer the partition switch until the window's
-    #: enforcement budget ends (True, matching the paper's evaluation
-    #: where d_min-adherent IRQs are never delayed) or suspend the
-    #: window and process the remainder in the home slot (False).
-    #: Either way the perturbation is bounded by ``C'_BH``.
-    defer_slot_switch_for_window: bool = True
 
     def make_clock(self) -> Clock:
         return Clock(self.frequency_hz)

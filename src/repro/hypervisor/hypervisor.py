@@ -34,9 +34,9 @@ budget, so FIFO ordering of bottom handlers is preserved even when
 older delayed events are still pending (Section 5: "In all three cases
 the IRQ queues are used, to prevent an out-of-order execution of
 IRQs").  If a TDMA boundary fires during a window, the partition
-switch is (configurably) deferred until the window's bounded budget
-runs out, so d_min-adherent IRQs are never pushed back to delayed
-handling — matching Fig. 6c, where no IRQ is delayed.
+switch is deferred until the window's bounded budget runs out, so
+d_min-adherent IRQs are never pushed back to delayed handling —
+matching Fig. 6c, where no IRQ is delayed.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ from repro.sim.events import EventHandle
 from repro.sim.intc import InterruptController
 from repro.sim.snapshot import SnapshotError, class_path, resolve_class
 from repro.sim.trace import TraceKind, TraceRecorder
+
+#: IRQ line reserved for the hypervisor's TDMA slot timer.
+SLOT_TIMER_LINE = 0
 
 
 @dataclass(frozen=True)
@@ -192,14 +195,6 @@ class LatencyColumns:
             self.append(source, seq, arrival, completed_at,
                         HandlingMode(mode), enforced_cut)
 
-    def latencies_cycles(self) -> array:
-        """All latencies in cycles, in completion order, as ``array('q')``."""
-        out = array("q", self._completions)
-        arrivals = self._arrivals
-        for index in range(len(out)):
-            out[index] -= arrivals[index]
-        return out
-
     def latencies_us(self, clock: Clock, source: Optional[str] = None,
                      mode: Optional[HandlingMode] = None) -> list[float]:
         """Latencies in µs, optionally filtered — a plain list, matching
@@ -285,11 +280,15 @@ class HypervisorStats:
     and keep counting (a plain integer bump) when it is not.  The
     telemetry collectors (:mod:`repro.telemetry.collectors`) sample
     them into a :class:`~repro.telemetry.registry.MetricsRegistry`.
+
+    A window ends only by its budget or by draining its queue, never
+    at a slot boundary (the boundary is deferred instead), so
+    ``interpose_ends`` equals ``windows_opened`` whenever no window is
+    open.
     """
 
     irqs_delivered: int = 0
     windows_opened: int = 0           # == INTERPOSE_START emissions
-    windows_suspended: int = 0        # interposed windows cut by a slot boundary
     slot_switches_deferred: int = 0   # boundaries deferred until a window closed
     budget_exhausted: int = 0         # enforcement fired (C_BH cap reached)
     structural_denials: int = 0       # interpose impossible (window open / queue busy)
@@ -300,7 +299,6 @@ class HypervisorStats:
     top_handler_ends: int = 0         # == TOP_HANDLER_END emissions
     bottom_handler_starts: int = 0    # == BOTTOM_HANDLER_START emissions
     bottom_handler_ends: int = 0      # == BOTTOM_HANDLER_END emissions
-    bottom_handler_preemptions: int = 0   # == BOTTOM_HANDLER_PREEMPTED
     monitor_accepts: int = 0          # == MONITOR_ACCEPT emissions
     monitor_denies: int = 0           # == MONITOR_DENY emissions
     interpose_ends: int = 0           # == INTERPOSE_END emissions
@@ -376,7 +374,6 @@ class Hypervisor:
         self._irq_seq: dict[str, int] = {}
         self._window: Optional[_InterposeWindow] = None
         self._deferred_slot_switch = False
-        self._slot_line = self.config.slot_timer_line
         self._started = False
         self._ipc_router = None  # set via attach_ipc_router
         # Per-completion hook installed by run_until_irq_count so the
@@ -430,7 +427,7 @@ class Hypervisor:
         """Register a hardware IRQ source."""
         if self._started:
             raise RuntimeError("cannot add IRQ sources after start()")
-        if source.line == self._slot_line:
+        if source.line == SLOT_TIMER_LINE:
             raise ValueError(
                 f"line {source.line} is reserved for the hypervisor slot timer"
             )
@@ -589,9 +586,8 @@ class Hypervisor:
         preempted = self.cpu.preempt()
         if preempted is not None:
             self._reconcile(preempted)
-        if line == self._slot_line:
-            if (self._window is not None
-                    and self.config.defer_slot_switch_for_window):
+        if line == SLOT_TIMER_LINE:
+            if self._window is not None:
                 # Let the enforced window run out its (bounded) budget
                 # before switching partitions; the boundary is handled
                 # when the window closes.
@@ -599,8 +595,7 @@ class Hypervisor:
                 self.stats.slot_switches_deferred += 1
                 self._resume()
                 return
-            if (self.config.defer_slot_switch_for_window
-                    and preempted is not None
+            if (preempted is not None
                     and isinstance(preempted.owner, IrqEvent)):
                 # The boundary hit an in-progress *home* bottom handler.
                 # Defer the switch for its remaining work, capped by the
@@ -782,20 +777,23 @@ class Hypervisor:
             self._record_interference(start, start + overhead, source,
                                       InterferenceKind.INTERPOSED_BH)
             self._window = window
-            self._assign_window_execution()
-            self.intc.unmask_all()
+            if self._assign_window_execution():
+                self.intc.unmask_all()
 
         self.engine.schedule(overhead, entered)
 
-    def _assign_window_execution(self) -> None:
+    def _assign_window_execution(self) -> bool:
         """Run the subscriber's bottom-handler dispatcher, budget-capped.
 
         The window drains the subscriber's IRQ queue head-first (FIFO;
         older delayed events complete before the accepted one) until
         the queue is empty or the enforcement budget ``C_BH`` of the
         accepted activation is exhausted.  Caller must hold the
-        interrupt mask; it is released here (or by
-        :meth:`_close_window` when nothing is left to run).
+        interrupt mask.  Returns True when a bottom handler was
+        assigned; the caller then releases the mask.  False means
+        nothing was left to run and :meth:`_close_window` took the mask
+        over (its exit or slot-switch chain releases it), so the caller
+        must not unmask.
         """
         window = self._window
         assert window is not None
@@ -806,7 +804,7 @@ class Hypervisor:
             head = window.subscriber.irq_queue.head()
         if head is None or window.budget_remaining <= 0:
             self._close_window()
-            return
+            return False
         run_for = min(head.bh_remaining, window.budget_remaining)
         execution = Execution(
             label=f"bh-interposed:{head.source.name}#{head.seq}",
@@ -824,6 +822,7 @@ class Hypervisor:
                             mode="home-deferred" if window.pseudo
                             else "interposed")
         self.cpu.assign(execution)
+        return True
 
     def _window_exec_done(self) -> None:
         window = self._window
@@ -895,34 +894,6 @@ class Hypervisor:
         now = self.engine.now
         trace = self.trace
         tracing = trace.enabled
-        if self._window is not None:
-            # The host slot ended while a foreign bottom handler was
-            # interposed: suspend the window.  Any unfinished remainder
-            # stays at the head of the subscriber's queue and completes
-            # in its home slot; the exit context switch is subsumed in
-            # the slot switch below.
-            window = self._window
-            self.stats.windows_suspended += 1
-            event = window.active_event
-            if event is not None:
-                if event.bh_remaining == 0:
-                    # Completed exactly at the boundary instant.
-                    self._complete_event(event, window.subscriber,
-                                         in_window=True)
-                else:
-                    event.enforced_cut = True
-                    self.stats.bottom_handler_preemptions += 1
-                    if tracing:
-                        trace.emit(now, TraceKind.BOTTOM_HANDLER_PREEMPTED,
-                                   source=event.source.name, seq=event.seq,
-                                   remaining=event.bh_remaining,
-                                   reason="slot_boundary")
-            self.stats.interpose_ends += 1
-            if tracing:
-                trace.emit(now, TraceKind.INTERPOSE_END,
-                           source=window.trigger.source.name,
-                           seq=window.trigger.seq, suspended=True)
-            self._window = None
         previous = self.scheduler.current_owner
         slot = self.scheduler.advance(now)
         self.stats.slot_switches += 1
@@ -946,7 +917,7 @@ class Hypervisor:
         self.engine.schedule(c_ctx, switched)
 
     def _raise_slot_line(self) -> None:
-        self.intc.raise_line(self._slot_line)
+        self.intc.raise_line(SLOT_TIMER_LINE)
 
     def _schedule_boundary(self, boundary: int) -> None:
         at = max(boundary, self.engine.now)
@@ -1009,7 +980,7 @@ class Hypervisor:
         intc = self.intc
         if intc.masked or intc.can_deliver_before():
             return False
-        if not intc.line_enabled(self._slot_line):
+        if not intc.line_enabled(SLOT_TIMER_LINE):
             return False
         for partition in self._partitions.values():
             if len(partition.irq_queue):
@@ -1053,7 +1024,7 @@ class Hypervisor:
             return False
 
         intc = self.intc
-        line = self._slot_line
+        line = SLOT_TIMER_LINE
         stats = self.stats
         switches = self.context_switches
         partitions = self._partitions
@@ -1284,7 +1255,8 @@ class Hypervisor:
     def _resume(self) -> None:
         """Return from hypervisor context to the interrupted activity."""
         if self._window is not None:
-            self._assign_window_execution()
+            if not self._assign_window_execution():
+                return      # the window closed and holds the mask
         else:
             self._dispatch(self._partitions[self.scheduler.current_owner])
         self.intc.unmask_all()

@@ -127,11 +127,6 @@ class TdmaScheduler:
     def current_owner(self) -> str:
         return self._slots[self._index].partition
 
-    @property
-    def nominal_slot_start(self) -> int:
-        """Nominal start time of the current slot."""
-        return self._nominal_start
-
     def next_boundary(self) -> int:
         """Nominal end time of the current slot."""
         return self._nominal_start + self._slots[self._index].length_cycles
@@ -175,11 +170,6 @@ class TdmaScheduler:
     def slots_skipped(self) -> int:
         """Slots skipped entirely due to late boundary delivery."""
         return self._slots_skipped
-
-    @property
-    def advance_count(self) -> int:
-        """Number of delivered slot boundaries (``advance`` calls)."""
-        return self._advances
 
     def _step(self) -> None:
         self._nominal_start += self._slots[self._index].length_cycles

@@ -27,7 +27,6 @@ class TraceKind(enum.Enum):
     TOP_HANDLER_END = "top_handler_end"
     BOTTOM_HANDLER_START = "bottom_handler_start"
     BOTTOM_HANDLER_END = "bottom_handler_end"
-    BOTTOM_HANDLER_PREEMPTED = "bottom_handler_preempted"
     BOTTOM_HANDLER_BUDGET_EXHAUSTED = "bottom_handler_budget_exhausted"
     MONITOR_ACCEPT = "monitor_accept"
     MONITOR_DENY = "monitor_deny"

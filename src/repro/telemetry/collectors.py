@@ -5,7 +5,8 @@ IRQ path) maintain plain integer counters as they always have; these
 collectors *pull* those counters into a
 :class:`~repro.telemetry.registry.MetricsRegistry` after (or between)
 runs.  Pull-based collection keeps the overhead contract trivial — the
-simulation executes zero telemetry instructions per event — while the
+simulation executes zero telemetry instructions per event, so the
+registry needs no disabled mode and always records — while the
 counter values still reconcile exactly with the trace stream, because
 the hypervisor bumps them at the very sites that emit the
 corresponding :class:`~repro.sim.trace.TraceKind` events.
@@ -17,8 +18,9 @@ Metric-name prefixes group by layer:
            cancelled, heap depth, simulated time)
 ``hv_``    hypervisor/IRQ path (raised/coalesced/delivered IRQs,
            top/bottom handler runs, monitor accept/deny,
-           interposed windows, budget exhaustions, slot and
-           context switches, CPU cycles by category)
+           interposed windows, budget exhaustions, slot switches
+           and their deferrals, context switches, CPU cycles by
+           category)
 ``cache_`` campaign result cache (hits/misses/invalidations)
 ``campaign_`` campaign runner (task wall times, worker
            utilization, queue wait)
@@ -185,9 +187,6 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
     counter("hv_bottom_handler_completions_total",
             "Bottom handler completions (BOTTOM_HANDLER_END)",
             stats.bottom_handler_ends)
-    counter("hv_bottom_handler_preemptions_total",
-            "Interposed bottom handlers cut by a slot boundary",
-            stats.bottom_handler_preemptions)
     counter("hv_budget_exhaustions_total",
             "Enforcement events (C_BH cap reached)",
             stats.budget_exhausted)
@@ -208,10 +207,8 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
             "Interposed bottom-handler windows opened (INTERPOSE_START)",
             stats.windows_opened)
     counter("hv_interpose_ends_total",
-            "Interpose windows closed or suspended (INTERPOSE_END)",
+            "Interpose windows closed (INTERPOSE_END)",
             stats.interpose_ends)
-    counter("hv_windows_suspended_total",
-            "Windows suspended by a slot boundary", stats.windows_suspended)
     counter("hv_slot_switches_total",
             "TDMA slot switches performed (SLOT_SWITCH)",
             stats.slot_switches)

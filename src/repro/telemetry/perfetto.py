@@ -78,7 +78,6 @@ KIND_FAMILIES: "dict[TraceKind, str]" = {
     TraceKind.TOP_HANDLER_END: "Top handlers",
     TraceKind.BOTTOM_HANDLER_START: "Bottom handlers",
     TraceKind.BOTTOM_HANDLER_END: "Bottom handlers",
-    TraceKind.BOTTOM_HANDLER_PREEMPTED: "Bottom handlers",
     TraceKind.BOTTOM_HANDLER_BUDGET_EXHAUSTED: "Bottom handlers",
     TraceKind.INTERPOSE_START: "Interpose",
     TraceKind.INTERPOSE_END: "Interpose",

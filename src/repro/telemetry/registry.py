@@ -10,15 +10,11 @@ data model, sized for this reproduction's needs:
   them as a plain dict (:meth:`~MetricsRegistry.snapshot`) or JSON
   (:meth:`~MetricsRegistry.to_json` / :meth:`~MetricsRegistry.write_json`).
 
-The overhead contract mirrors :class:`~repro.sim.trace.TraceRecorder`:
-a registry constructed with ``enabled=False`` hands out shared no-op
-instruments whose ``inc``/``set``/``observe`` bodies are a bare
-``return``, so instrumentation sites stay no-op-cheap when telemetry is
-off (the benchmark guard in ``benchmarks/test_bench_telemetry.py`` pins
-this).  Most of the simulator is instrumented *pull-style* anyway — the
-hot paths maintain plain integer counters and the collectors in
-:mod:`repro.telemetry.collectors` sample them into a registry after the
-run — so enabling telemetry costs nothing on the event dispatch path.
+A registry always records.  The simulator is instrumented
+*pull-style* — the hot paths maintain plain integer counters and the
+collectors in :mod:`repro.telemetry.collectors` sample them into a
+registry after the run — so telemetry costs nothing on the event
+dispatch path, and there is no disabled mode to keep cheap.
 
 Label usage follows the Prometheus conventions: an unlabelled
 instrument has exactly one time series; a labelled one materializes a
@@ -49,43 +45,6 @@ def _check_name(name: str) -> str:
     if not name or name[0].isdigit() or not set(name) <= _NAME_OK:
         raise ValueError(f"invalid metric name {name!r}")
     return name
-
-
-class _NoopSeries:
-    """Shared do-nothing child handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        return
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        return
-
-    def set(self, value: Union[int, float]) -> None:
-        return
-
-    def observe(self, value: Union[int, float]) -> None:
-        return
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-
-_NOOP_SERIES = _NoopSeries()
-
-
-class _NoopMetric(_NoopSeries):
-    """Disabled-registry instrument: ``labels(...)`` returns itself."""
-
-    __slots__ = ()
-
-    def labels(self, **label_values: str) -> "_NoopMetric":
-        return self
-
-
-_NOOP_METRIC = _NoopMetric()
 
 
 class _CounterSeries:
@@ -313,14 +272,9 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create: calling them
     twice with the same name returns the same instrument (with a type
     check), so collectors can run repeatedly against one registry.
-
-    A registry constructed with ``enabled=False`` returns shared no-op
-    instruments instead — the disabled path allocates nothing and every
-    emit degrades to a single attribute call returning immediately.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._metrics: "dict[str, Metric]" = {}
 
     # -- instrument factories -------------------------------------------
@@ -346,21 +300,15 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "",
                 labelnames: Sequence[str] = ()) -> Counter:
-        if not self.enabled:
-            return _NOOP_METRIC  # type: ignore[return-value]
         return self._get_or_create(Counter, name, help, labelnames)
 
     def gauge(self, name: str, help: str = "",
               labelnames: Sequence[str] = ()) -> Gauge:
-        if not self.enabled:
-            return _NOOP_METRIC  # type: ignore[return-value]
         return self._get_or_create(Gauge, name, help, labelnames)
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        if not self.enabled:
-            return _NOOP_METRIC  # type: ignore[return-value]
         return self._get_or_create(Histogram, name, help, labelnames,
                                    buckets=buckets)
 
@@ -414,8 +362,7 @@ class MetricsRegistry:
         return target
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({state}, metrics={len(self._metrics)})"
+        return f"MetricsRegistry(metrics={len(self._metrics)})"
 
 
 def load_metrics_json(path: "str | Path") -> "dict[str, Any]":

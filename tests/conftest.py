@@ -65,7 +65,6 @@ def build_system(subscriber: str = "P1",
                  c_th_us: float = 2.0,
                  c_bh_us: float = 40.0,
                  partitions: tuple = ("P1", "P2"),
-                 defer: bool = True,
                  trace: bool = True,
                  bottom_handler_actual=None,
                  busy_background: bool = True):
@@ -75,8 +74,7 @@ def build_system(subscriber: str = "P1",
     """
     clock = Clock()
     slots = [SlotConfig(name, clock.us_to_cycles(slot_us)) for name in partitions]
-    config = HypervisorConfig(trace_enabled=trace,
-                              defer_slot_switch_for_window=defer)
+    config = HypervisorConfig(trace_enabled=trace)
     hv = Hypervisor(slots, config)
     for name in partitions:
         hv.add_partition(Partition(name, busy_background=busy_background))

@@ -18,7 +18,11 @@ from repro.experiments.fig7 import (
     render_fig7,
     run_fig7,
 )
-from repro.experiments.overhead import render_overhead, run_overhead
+from repro.experiments.overhead import (
+    overhead_scenarios,
+    render_overhead,
+    run_overhead,
+)
 from repro.experiments.runner import TASK_FUNCTIONS
 from repro.experiments.sweep import (
     render_cycle_sweep,
@@ -27,6 +31,7 @@ from repro.experiments.sweep import (
     run_dmin_sweep,
 )
 from repro.experiments.validation import render_validation, run_validation
+from repro.hypervisor.context import SwitchReason
 from repro.workloads.automotive import AutomotiveTraceConfig
 
 
@@ -159,6 +164,22 @@ class TestOverhead:
         text = render_overhead(result)
         assert "C_Mon" in text
         assert "1120" in text
+
+    @pytest.mark.parametrize("load_index", [0, 1, 2])
+    def test_increase_is_two_switches_per_window(self, load_index):
+        """Each interposed window costs exactly one switch in and one
+        out; the residue of the increase is the difference in slot
+        switches, because the monitored run finishes earlier."""
+        baseline, monitored = overhead_scenarios(load_index,
+                                                 irqs_per_load=300)
+        without = baseline.hypervisor.context_switches
+        with_ = monitored.hypervisor.context_switches
+        windows = monitored.hypervisor.stats.windows_opened
+        assert windows > 0
+        assert (with_.count(SwitchReason.INTERPOSE_ENTER)
+                == with_.count(SwitchReason.INTERPOSE_EXIT) == windows)
+        assert with_.total - without.total == 2 * windows + (
+            with_.count(SwitchReason.SLOT) - without.count(SwitchReason.SLOT))
 
 
 class TestValidation:

@@ -8,7 +8,9 @@ arrival patterns and monitor configurations:
   ceil(Δt/d_min) * C'_BH;
 * FIFO — bottom handlers of a source complete in arrival order;
 * liveness — every IRQ eventually completes;
-* time conservation — all simulated cycles are accounted for.
+* time conservation — all simulated cycles are accounted for;
+* boundary deferral — a slot switch is late by at most
+  C'_BH + n * C'_TH.
 """
 
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from repro.core.independence import (
 )
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import MonitoredInterposing
+from repro.sim.trace import TraceKind
 
+C_TH = us(2)
 C_BH = us(40)
 
 arrival_gaps = st.lists(
@@ -71,15 +75,61 @@ def test_property_fifo_and_liveness(gaps, dmin_us):
 
 @settings(max_examples=25, deadline=None)
 @given(gaps=arrival_gaps,
-       dmin_us=st.integers(min_value=100, max_value=2_000),
-       defer=st.booleans())
-def test_property_time_conservation(gaps, dmin_us, defer):
+       dmin_us=st.integers(min_value=100, max_value=2_000))
+def test_property_time_conservation(gaps, dmin_us):
     policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(dmin_us)))
     hv, timer = build_system(subscriber="P2", policy=policy,
-                             intervals=gaps, trace=False, defer=defer)
+                             intervals=gaps, trace=False)
     run_system(hv, timer, len(gaps))
     hv.cpu.preempt()
     assert hv.cpu.total_consumed() == hv.engine.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=arrival_gaps,
+       dmin_us=st.integers(min_value=100, max_value=2_000),
+       subscriber=st.sampled_from(("P1", "P2")),
+       actual_us=st.one_of(st.none(),
+                           st.integers(min_value=1, max_value=400)),
+       slot_us=st.sampled_from((300.0, 500.0, 1_000.0)))
+def test_property_slot_switch_lateness_is_bounded(gaps, dmin_us, subscriber,
+                                                  actual_us, slot_us):
+    """Each slot switch happens at most C'_BH + n * C'_TH after its
+    nominal boundary, where n counts the top handlers started from
+    C'_TH before the boundary until the switch.
+
+    The deferral itself is at most C'_BH: an interposed window's
+    enforced budget plus its scheduler and context-switch costs, or a
+    home bottom handler capped at its declared C_BH.  On top of that
+    the boundary can fall inside a masked top-handler-plus-monitor
+    section before a window opens, and top handlers preempt a window
+    whose budget counts CPU cycles, not wall time.  Misdeclared
+    handlers (``actual_us`` above C_BH) check that the cap, not the
+    handler's demand, ends a home bottom handler's deferral; short
+    slots make boundaries meet handlers often.
+    """
+    policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(dmin_us)))
+    hv, timer = build_system(
+        subscriber=subscriber, policy=policy, intervals=gaps,
+        slot_us=slot_us,
+        bottom_handler_actual=(None if actual_us is None
+                               else lambda seq: us(actual_us)),
+    )
+    run_system(hv, timer, len(gaps))
+    hv.run_until(hv.engine.now + us(slot_us))   # let a deferred switch land
+    costs = hv.config.costs
+    c_th_eff = costs.effective_top_handler_cycles(C_TH)
+    c_bh_eff = costs.effective_bottom_handler_cycles(C_BH)
+    starts = [event.time
+              for event in hv.trace.of_kind(TraceKind.TOP_HANDLER_START)]
+    switches = hv.trace.of_kind(TraceKind.SLOT_SWITCH)
+    assert switches and hv.scheduler.slots_skipped == 0
+    boundary = 0
+    for switch in switches:
+        boundary = hv.scheduler.next_nominal_boundary_after(boundary)
+        n = sum(boundary - c_th_eff <= start <= switch.time
+                for start in starts)
+        assert boundary <= switch.time <= boundary + c_bh_eff + n * c_th_eff
 
 
 @settings(max_examples=25, deadline=None)

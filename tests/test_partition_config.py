@@ -45,8 +45,6 @@ class TestHypervisorConfig:
     def test_defaults(self):
         config = HypervisorConfig()
         assert config.frequency_hz == 200_000_000
-        assert config.slot_timer_line == 0
-        assert config.defer_slot_switch_for_window
 
     def test_make_clock(self):
         clock = HypervisorConfig(frequency_hz=100_000_000).make_clock()

@@ -37,8 +37,6 @@ RECONCILED = {
     "hv_top_handler_completions_total": TraceKind.TOP_HANDLER_END,
     "hv_bottom_handler_runs_total": TraceKind.BOTTOM_HANDLER_START,
     "hv_bottom_handler_completions_total": TraceKind.BOTTOM_HANDLER_END,
-    "hv_bottom_handler_preemptions_total":
-        TraceKind.BOTTOM_HANDLER_PREEMPTED,
     "hv_budget_exhaustions_total":
         TraceKind.BOTTOM_HANDLER_BUDGET_EXHAUSTED,
     "hv_monitor_accepts_total": TraceKind.MONITOR_ACCEPT,
@@ -102,17 +100,6 @@ def test_gauge_set_and_histogram_observe():
     assert snap["sum"] == pytest.approx(5.55)
     assert snap["buckets"] == [{"le": 0.1, "count": 1},
                                {"le": 1.0, "count": 2}]
-
-
-def test_disabled_registry_is_noop_and_registers_nothing():
-    registry = MetricsRegistry(enabled=False)
-    counter = registry.counter("anything_total", "", ("k",))
-    counter.labels(k="v").inc()
-    counter.inc(10)
-    registry.gauge("g").set(1)
-    registry.histogram("h").observe(1.0)
-    assert registry.names() == []
-    assert registry.snapshot() == {}
 
 
 def test_json_snapshot_round_trips(tmp_path):
