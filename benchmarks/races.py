@@ -1,6 +1,6 @@
 """Microbenchmark races behind the benchmark suite's absolute floors.
 
-Three measurements that the end-to-end harness (``benchmarks/e2e``)
+Two measurements that the end-to-end harness (``benchmarks/e2e``)
 does not isolate, each guarding one design choice:
 
 * :func:`measure_engine_throughput` — raw event dispatch of
@@ -9,11 +9,9 @@ does not isolate, each guarding one design choice:
 * :func:`measure_idle_ab` — the idle-skip engine (analytic
   fast-forward across quiescent TDMA gaps, see
   ``Hypervisor._boundary_dispatch``) against tick-by-tick execution
-  on an idle-dominated scenario;
-* :func:`measure_analysis_speedup` — memoized against cold
-  arrival-curve evaluation (see :mod:`repro.analysis.memo`).
+  on an idle-dominated scenario.
 
-Each A/B race interleaves its legs in one process, so host noise hits
+The A/B race interleaves its legs in one process, so host noise hits
 both alike, and reports the best of its repeats: on a shared host
 interference only ever slows a run down.  Both legs of a race must
 compute the same thing; a mismatch is raised, not reported as a
@@ -25,24 +23,11 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
-from repro.analysis.event_models import (
-    DeltaTableEventModel,
-    PeriodicEventModel,
-    TraceEventModel,
-)
-from repro.analysis.latency import (
-    InterferingIrq,
-    classic_irq_latency,
-    interposed_irq_latency,
-)
-from repro.analysis.memo import memoize_model
 from repro.core.policy import NeverInterpose
 from repro.experiments.common import PaperSystemConfig, run_irq_scenario
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.sim.engine import SimulationEngine
-from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
 
 
 # ------------------------------------------------------ engine throughput
@@ -232,104 +217,3 @@ def measure_idle_ab(arrivals: int, gap_tdma_cycles: int,
     return IdleABResult(results=best, skip_spans=skip_stats[0],
                         skipped_events=skip_stats[1],
                         skipped_cycles=skip_stats[2])
-
-
-# ------------------------------------------------- analysis memoization
-
-#: Paper system constants in cycles (200 cycles/µs).
-_DMIN = 288_800                 # 1444 µs
-_TDMA_CYCLE = 2_800_000         # 14000 µs
-_SLOT = 1_200_000               # 6000 µs
-_COST_POINTS = ((400, 6_000), (400, 8_000), (400, 10_000), (400, 12_000))
-#: Eq. 14-audit window grid (25 µs .. 15 ms) and victim count.
-_AUDIT_WIDTHS = tuple(25_000 * k for k in range(1, 121))
-_AUDIT_VICTIMS = 3
-
-
-@dataclass(frozen=True)
-class AnalysisBenchmarkResult:
-    """Outcome of one memoized-vs-cold analysis race."""
-
-    cold_seconds: float
-    memoized_seconds: float
-    bounds_per_round: int
-    #: Response-time bounds (cycles) + audit checksums computed by each
-    #: side, in the same fixed order — must be equal.
-    cold_values: "tuple[int, ...]"
-    memoized_values: "tuple[int, ...]"
-
-    @property
-    def speedup(self) -> float:
-        if self.memoized_seconds <= 0:
-            return float("inf")
-        return self.cold_seconds / self.memoized_seconds
-
-    @property
-    def identical(self) -> bool:
-        return self.cold_values == self.memoized_values
-
-
-def _run_analysis_round(memoize: bool) -> "tuple[int, ...]":
-    """The d_min-sporadic stream against a δ⁻-table and a trace
-    interferer over four cost points (Eqs. 11/12 and 16), then a
-    multi-victim window-grid audit of the interferer curves (the
-    Eq. 14 shape).  Fresh raw models per round."""
-    own = PeriodicEventModel(_DMIN)
-    table_model = DeltaTableEventModel(
-        [8_000, 60_000, 200_000, 500_000, 1_100_000])
-    gaps = clip_to_dmin(
-        exponential_interarrivals(2_000, 260_000, seed=23), 40_000)
-    trace_model = TraceEventModel(list(accumulate(gaps)))
-    if memoize:
-        # One wrapper per model, shared by the whole bound family and
-        # every audit pass — the way the analysis paths hold models.
-        own = memoize_model(own)
-        table_model = memoize_model(table_model)
-        trace_model = memoize_model(trace_model)
-    interferers = [
-        InterferingIrq(table_model, top_handler_cycles=400, monitored=True),
-        InterferingIrq(trace_model, top_handler_cycles=400),
-    ]
-    values = []
-    for c_th, c_bh in _COST_POINTS:
-        classic = classic_irq_latency(own, c_th, c_bh, _TDMA_CYCLE, _SLOT,
-                                      interferers=interferers,
-                                      memoize=memoize)
-        interposed = interposed_irq_latency(own, c_th, c_bh,
-                                            interferers=interferers,
-                                            memoize=memoize)
-        values.append(classic.response_time_cycles)
-        values.append(interposed.response_time_cycles)
-    for _ in range(_AUDIT_VICTIMS):
-        checksum = 0
-        for dt in _AUDIT_WIDTHS:
-            checksum += table_model.eta_plus(dt) + trace_model.eta_plus(dt)
-        values.append(checksum)
-    return tuple(values)
-
-
-def measure_analysis_speedup(repeats: int) -> AnalysisBenchmarkResult:
-    """Race the analysis path with memoization off (``cold``) and on.
-
-    The analysis paths re-evaluate η⁺/δ⁻ far more often than the
-    curves change; for trace and δ⁻-table models that redundancy is
-    the dominant cost.  Both sides' numbers are returned so callers
-    can assert they are identical.
-    """
-    cold_values = memo_values = ()
-    best_cold = best_memo = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        cold_values = _run_analysis_round(memoize=False)
-        best_cold = min(best_cold, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        memo_values = _run_analysis_round(memoize=True)
-        best_memo = min(best_memo, time.perf_counter() - started)
-    return AnalysisBenchmarkResult(
-        cold_seconds=best_cold,
-        memoized_seconds=best_memo,
-        bounds_per_round=2 * len(_COST_POINTS),
-        cold_values=cold_values,
-        memoized_values=memo_values,
-    )

@@ -6,9 +6,6 @@ latencies, and the Eq. 14 interference bound holds on every victim
 partition over arbitrary sliding windows.
 """
 
-import pytest
-
-from races import measure_analysis_speedup
 from repro.experiments.validation import render_validation, run_validation
 
 
@@ -44,33 +41,3 @@ def test_eq_analysis(benchmark, scale):
     assert all(report.worst_ratio() <= 1.0
                for report in result.independence_reports)
 
-
-def test_memoized_analysis_ab(benchmark):
-    """A/B microbenchmark: memoized vs cold arrival-curve analysis.
-
-    Runs the paper-shaped bound family + Eq. 14-style audit with
-    memoization off and on (interleaved rounds, best-of per side) and
-    asserts the memoized path computes *identical* bounds while being
-    measurably faster — the property the incremental-campaign analysis
-    layer depends on.
-    """
-    result = benchmark.pedantic(
-        measure_analysis_speedup,
-        kwargs={"repeats": 3},
-        rounds=1, iterations=1,
-    )
-
-    benchmark.extra_info["cold_seconds"] = round(result.cold_seconds, 4)
-    benchmark.extra_info["memoized_seconds"] = round(
-        result.memoized_seconds, 4
-    )
-    benchmark.extra_info["speedup"] = round(result.speedup, 2)
-    benchmark.extra_info["bounds_per_round"] = result.bounds_per_round
-    benchmark.extra_info["identical_bounds"] = result.identical
-
-    # memoization must be a pure cache: same bounds, same checksums
-    assert result.identical
-    assert len(result.cold_values) == result.bounds_per_round + 3
-    # and it must actually pay for itself on the redundant-query shape
-    # (measured ~2.5x here; 1.3x keeps headroom for noisy CI hosts)
-    assert result.speedup > 1.3

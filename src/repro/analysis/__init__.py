@@ -34,8 +34,6 @@ __all__ = [
     "interposed_irq_latency",
     "latency_improvement_factor",
     "violated_irq_latency",
-    "MemoizedEventModel",
-    "memoize_model",
     "InterposingLoad",
     "SchedulabilityReport",
     "TaskSpec",
@@ -62,7 +60,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "latency": ("InterferingIrq", "IrqLatencyBound", "classic_irq_latency",
                 "interposed_irq_latency", "latency_improvement_factor",
                 "violated_irq_latency"),
-    "memo": ("MemoizedEventModel", "memoize_model"),
     "schedulability": ("InterposingLoad", "SchedulabilityReport", "TaskSpec",
                        "TaskVerdict", "min_admissible_dmin",
                        "partition_schedulable", "task_response_time"),

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.event_models import EventModel
-from repro.analysis.memo import memoize_model
 
 
 #: Iteration budget of one fixed-point solve.
@@ -109,20 +108,15 @@ class ResponseTimeResult:
 def response_time(own_cost: int, model: EventModel,
                   interference: Callable[[int], int],
                   q_limit: int = 10_000,
-                  horizon: int = 2**48,
-                  memoize: bool = True) -> ResponseTimeResult:
+                  horizon: int = 2**48) -> ResponseTimeResult:
     """Worst-case response time per Eqs. (3)–(5).
 
     ``model`` provides the analysed task's own activation pattern
     (δ⁻ for Eqs. 4/5); ``interference`` the combined interference term
     inside the window (everything except the ``q * own_cost`` part).
-    ``memoize=False`` evaluates the raw model on every call (the
-    cold baseline of the analysis A/B microbenchmark).
     """
     if own_cost < 0:
         raise ValueError(f"cost must be >= 0, got {own_cost}")
-    if memoize:
-        model = memoize_model(model)
     busy_times: list[int] = []
     worst = 0
     critical_q = 1

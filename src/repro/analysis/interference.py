@@ -15,7 +15,6 @@ import math
 from typing import Callable, Sequence
 
 from repro.analysis.event_models import DeltaTableEventModel, EventModel
-from repro.analysis.memo import memoize_model
 from repro.hypervisor.config import CostModel
 
 
@@ -40,12 +39,8 @@ def interposed_interference_table(table: Sequence[int],
     by the table; the interference in Δt is bounded by
     η⁺_shaped(Δt) * C'_BH.  For l = 1, η⁺(Δt) = ceil(Δt / d_min) and
     this reduces exactly to Eq. 14.
-
-    The returned bound owns its model, and verifiers evaluate it at
-    the same window widths for every victim, so the η⁺ lookups are
-    memoized.
     """
-    model = memoize_model(DeltaTableEventModel(table))
+    model = DeltaTableEventModel(table)
 
     def bound(dt: int) -> int:
         if dt < 0:

@@ -27,7 +27,6 @@ from typing import Sequence
 
 from repro.analysis.busy_window import ResponseTimeResult, response_time
 from repro.analysis.event_models import EventModel
-from repro.analysis.memo import memoize_model
 from repro.analysis.tdma import tdma_interference
 from repro.hypervisor.config import CostModel
 
@@ -68,18 +67,9 @@ class IrqLatencyBound:
 def _analyse(own_bottom: int, own_top: int, model: EventModel,
              interferers: Sequence[InterferingIrq], costs: CostModel,
              tdma: "tuple[int, int] | None",
-             q_limit: int, horizon: int,
-             memoize: bool = True) -> IrqLatencyBound:
-    # The fixed point revisits the same window sizes across iterations
-    # and q values; memoizing the curves turns those re-evaluations
-    # into dict lookups (the raw path remains as the A/B baseline).
-    if memoize:
-        model = memoize_model(model)
-    effective = [
-        (memoize_model(irq.model) if memoize else irq.model,
-         irq.effective_top_cycles(costs))
-        for irq in interferers
-    ]
+             q_limit: int, horizon: int) -> IrqLatencyBound:
+    effective = [(irq.model, irq.effective_top_cycles(costs))
+                 for irq in interferers]
 
     def interference(window: int) -> int:
         total = model.eta_plus(window) * own_top
@@ -92,7 +82,6 @@ def _analyse(own_bottom: int, own_top: int, model: EventModel,
 
     result: ResponseTimeResult = response_time(
         own_bottom, model, interference, q_limit=q_limit, horizon=horizon,
-        memoize=memoize,
     )
     return IrqLatencyBound(
         response_time_cycles=result.response_time,
@@ -110,8 +99,7 @@ def classic_irq_latency(model: EventModel, c_th: int, c_bh: int,
                         interferers: Sequence[InterferingIrq] = (),
                         costs: "CostModel | None" = None,
                         q_limit: int = 10_000,
-                        horizon: int = 2**48,
-                        memoize: bool = True) -> IrqLatencyBound:
+                        horizon: int = 2**48) -> IrqLatencyBound:
     """Worst-case latency of delayed IRQ handling — Eqs. (11)/(12).
 
         W_i(q) = q*C_BH + η⁺_i(W)*C_TH
@@ -120,15 +108,14 @@ def classic_irq_latency(model: EventModel, c_th: int, c_bh: int,
     """
     costs = costs or CostModel()
     return _analyse(c_bh, c_th, model, interferers, costs,
-                    (tdma_cycle, slot_length), q_limit, horizon, memoize)
+                    (tdma_cycle, slot_length), q_limit, horizon)
 
 
 def interposed_irq_latency(model: EventModel, c_th: int, c_bh: int,
                            costs: "CostModel | None" = None,
                            interferers: Sequence[InterferingIrq] = (),
                            q_limit: int = 10_000,
-                           horizon: int = 2**48,
-                           memoize: bool = True) -> IrqLatencyBound:
+                           horizon: int = 2**48) -> IrqLatencyBound:
     """Worst-case latency of d_min-adherent interposed IRQs — Eq. (16).
 
         W_i(q) = q*C'_BH + η⁺_i(W)*C'_TH + Σ_j η⁺_j(W)*C_TH_j
@@ -142,7 +129,7 @@ def interposed_irq_latency(model: EventModel, c_th: int, c_bh: int,
     c_bh_eff = costs.effective_bottom_handler_cycles(c_bh)
     c_th_eff = costs.effective_top_handler_cycles(c_th)
     return _analyse(c_bh_eff, c_th_eff, model, interferers, costs,
-                    None, q_limit, horizon, memoize)
+                    None, q_limit, horizon)
 
 
 def violated_irq_latency(model: EventModel, c_th: int, c_bh: int,
@@ -150,8 +137,7 @@ def violated_irq_latency(model: EventModel, c_th: int, c_bh: int,
                          costs: "CostModel | None" = None,
                          interferers: Sequence[InterferingIrq] = (),
                          q_limit: int = 10_000,
-                         horizon: int = 2**48,
-                         memoize: bool = True) -> IrqLatencyBound:
+                         horizon: int = 2**48) -> IrqLatencyBound:
     """Worst-case latency for IRQs violating d_min (Section 5.1, case 2).
 
     Delayed processing applies (Eq. 7 with the TDMA term), the bottom
@@ -161,7 +147,7 @@ def violated_irq_latency(model: EventModel, c_th: int, c_bh: int,
     costs = costs or CostModel()
     c_th_eff = costs.effective_top_handler_cycles(c_th)
     return _analyse(c_bh, c_th_eff, model, interferers, costs,
-                    (tdma_cycle, slot_length), q_limit, horizon, memoize)
+                    (tdma_cycle, slot_length), q_limit, horizon)
 
 
 def latency_improvement_factor(classic: IrqLatencyBound,

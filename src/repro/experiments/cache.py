@@ -159,6 +159,22 @@ def _module_origin(name: str) -> "str | None":
     return None
 
 
+def _package_digests(root_package: str) -> "set[str]":
+    """Content hashes of every module file under ``root_package``."""
+    try:
+        directories = importlib.import_module(root_package).__path__
+    except (ImportError, AttributeError):
+        return set()
+    digests = set()
+    for directory in directories:
+        for path in Path(directory).rglob("*.py"):
+            try:
+                digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+            except OSError:
+                pass
+    return digests
+
+
 def _in_package(name: str, root_package: str) -> bool:
     return name == root_package or name.startswith(root_package + ".")
 
@@ -478,9 +494,18 @@ class ResultCache:
 
     def write_import_memo(self) -> None:
         """Persist the process memo if this directory's file lacks any
-        of it.  Only the campaign parent calls this; workers never do."""
+        of it.  Only the campaign parent calls this; workers never do.
+
+        An entry whose content hash matches no current module file of
+        its root package describes edited-away source; it is dropped,
+        so the file holds one entry per module, not one per edit."""
         if set(_IMPORT_MEMO) <= self._memo_keys:
             return
+        current = {root: _package_digests(root)
+                   for root in {root for root, _ in _IMPORT_MEMO}}
+        for root, digest in list(_IMPORT_MEMO):
+            if digest not in current[root]:
+                del _IMPORT_MEMO[root, digest]
         memo: "dict[str, dict[str, list[str]]]" = {}
         for (root, digest), candidates in sorted(_IMPORT_MEMO.items()):
             memo.setdefault(root, {})[digest] = list(candidates)

@@ -318,19 +318,17 @@ class _InterposeWindow:
     run.
     """
 
-    __slots__ = ("trigger", "subscriber", "host", "budget_remaining",
-                 "started_at", "active_event", "current_execution", "pseudo")
+    __slots__ = ("trigger", "subscriber", "budget_remaining",
+                 "active_event", "current_execution", "pseudo")
 
-    def __init__(self, trigger: IrqEvent, subscriber: Partition, host: str,
-                 budget_remaining: int, started_at: int,
+    def __init__(self, trigger: IrqEvent, subscriber: Partition,
+                 budget_remaining: int,
                  active_event: Optional[IrqEvent] = None,
                  current_execution: Optional[Execution] = None,
                  pseudo: bool = False):
         self.trigger = trigger
         self.subscriber = subscriber
-        self.host = host                   # partition whose slot is consumed
         self.budget_remaining = budget_remaining
-        self.started_at = started_at
         self.active_event = active_event
         self.current_execution = current_execution
         # A pseudo-window carries a *home* bottom handler over a deferred
@@ -612,9 +610,7 @@ class Hypervisor:
                     self._window = _InterposeWindow(
                         trigger=event,
                         subscriber=partition,
-                        host=partition.name,
                         budget_remaining=cap,
-                        started_at=self.engine.now,
                         pseudo=True,
                     )
                     self._resume()
@@ -756,9 +752,7 @@ class Hypervisor:
         window = _InterposeWindow(
             trigger=event,
             subscriber=subscriber,
-            host=host,
             budget_remaining=source.bottom_handler_cycles,
-            started_at=self.engine.now,
         )
         c_sched = self.config.costs.scheduler_cycles()
         c_ctx = self.context_switches.switch(SwitchReason.INTERPOSE_ENTER)

@@ -15,7 +15,7 @@ import json
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 
 class TraceKind(enum.Enum):
@@ -83,7 +83,6 @@ class TraceRecorder:
         self._capacity = capacity
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._dropped = 0
-        self._listeners: list[Callable[[TraceEvent], None]] = []
 
     @classmethod
     def from_events(cls, events: "Iterable[TraceEvent]") -> "TraceRecorder":
@@ -119,12 +118,6 @@ class TraceRecorder:
             # maxlen semantics); only the drop counter is ours to keep.
             self._dropped += 1
         events.append(event)
-        for listener in self._listeners:
-            listener(event)
-
-    def add_listener(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Register a callback invoked for every recorded event."""
-        self._listeners.append(listener)
 
     @property
     def events(self) -> list[TraceEvent]:
@@ -170,14 +163,7 @@ class TraceRecorder:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def snapshot_state(self) -> dict:
-        """Plain-data recorder state (see :mod:`repro.sim.snapshot`).
-
-        Listeners are live callbacks into the old world and cannot be
-        captured; a recorder with listeners attached refuses to
-        snapshot rather than silently dropping them.
-        """
-        if self._listeners:
-            raise RuntimeError("cannot snapshot a recorder with listeners")
+        """Plain-data recorder state (see :mod:`repro.sim.snapshot`)."""
         return {
             "enabled": self.enabled,
             "capacity": self._capacity,

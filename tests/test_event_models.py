@@ -1,5 +1,7 @@
 """Tests for arrival curves and minimum-distance functions."""
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,3 +183,52 @@ def test_property_table_extension_superadditive(table, a, b):
     model = DeltaTableEventModel(table)
     assert (model.delta_minus(a + b - 1)
             >= model.delta_minus(a) + model.delta_minus(b))
+
+
+@st.composite
+def periodic_models(draw):
+    period = draw(st.integers(1, 500))
+    jitter = draw(st.integers(0, 1_000))
+    dmin = draw(st.integers(1, period))
+    return PeriodicEventModel(period, jitter, dmin)
+
+
+@st.composite
+def delta_table_models(draw):
+    # first entry >= 1 keeps η⁺ bounded
+    table = draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    return DeltaTableEventModel(table)
+
+
+@st.composite
+def trace_models(draw):
+    gaps = draw(st.lists(st.integers(1, 200), min_size=1, max_size=40))
+    return TraceEventModel([0] + list(accumulate(gaps)))
+
+
+@given(model=st.one_of(periodic_models(), delta_table_models(),
+                       trace_models()))
+@settings(max_examples=100, deadline=None)
+def test_memoized_model_duality_and_monotonicity(model):
+    """δ⁻ and η⁺ are non-decreasing and pseudo-inverse for random
+    periodic, table and trace models."""
+    max_q = model.count if isinstance(model, TraceEventModel) else 30
+    deltas = [model.delta_minus(q) for q in range(1, max_q + 1)]
+    assert deltas == sorted(deltas)                 # δ⁻ non-decreasing
+    etas = [model.eta_plus(dt) for dt in range(0, 600, 7)]
+    assert etas == sorted(etas)                     # η⁺ non-decreasing
+    assert check_duality(model, max_q=max_q)
+
+
+@given(times=st.lists(st.integers(0, 10_000), min_size=2, max_size=60,
+                      unique=True))
+@settings(max_examples=100, deadline=None)
+def test_trace_delta_prefix_table_matches_point_queries(times):
+    """The reusable δ⁻ prefix table equals fresh per-q scans."""
+    cached = TraceEventModel(times)
+    table = cached.delta_prefix_table(cached.count)
+    assert len(table) == cached.count - 1
+    for q in range(2, cached.count + 1):
+        fresh = TraceEventModel(times)     # no prefix table filled yet
+        assert table[q - 2] == fresh.delta_minus(q) == cached.delta_minus(q)
+    assert cached.delta_prefix_table(1) == ()

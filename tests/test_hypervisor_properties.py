@@ -29,19 +29,29 @@ from repro.sim.trace import TraceKind
 C_TH = us(2)
 C_BH = us(40)
 
-arrival_gaps = st.lists(
-    st.integers(min_value=us(5), max_value=us(3_000)),
-    min_size=5, max_size=40,
+#: Random gaps, or a timer-like stream of equal whole-µs gaps.  Equal
+#: gaps often land an IRQ at the very cycle a window's last bottom
+#: handler ends; random cycle counts almost never do.
+arrival_gaps = st.one_of(
+    st.lists(st.integers(min_value=us(5), max_value=us(3_000)),
+             min_size=5, max_size=40),
+    st.builds(lambda gap_us, count: [us(gap_us)] * count,
+              st.integers(min_value=5, max_value=100),
+              st.integers(min_value=5, max_value=40)),
 )
+
+#: Short slots make TDMA boundaries meet handlers and windows often.
+slot_lengths = st.sampled_from((300.0, 500.0, 1_000.0))
 
 
 @settings(max_examples=40, deadline=None)
 @given(gaps=arrival_gaps,
-       dmin_us=st.integers(min_value=200, max_value=3_000))
-def test_property_eq14_holds_for_all_victims(gaps, dmin_us):
+       dmin_us=st.integers(min_value=200, max_value=3_000),
+       slot_us=slot_lengths)
+def test_property_eq14_holds_for_all_victims(gaps, dmin_us, slot_us):
     policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(dmin_us)))
     hv, timer = build_system(subscriber="P2", policy=policy,
-                             intervals=gaps, trace=False)
+                             intervals=gaps, slot_us=slot_us, trace=False)
     run_system(hv, timer, len(gaps))
     bound = DminInterferenceBound(
         us(dmin_us),
@@ -60,11 +70,12 @@ def test_property_eq14_holds_for_all_victims(gaps, dmin_us):
 
 @settings(max_examples=40, deadline=None)
 @given(gaps=arrival_gaps,
-       dmin_us=st.integers(min_value=100, max_value=2_000))
-def test_property_fifo_and_liveness(gaps, dmin_us):
+       dmin_us=st.integers(min_value=100, max_value=2_000),
+       slot_us=slot_lengths)
+def test_property_fifo_and_liveness(gaps, dmin_us, slot_us):
     policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(dmin_us)))
     hv, timer = build_system(subscriber="P2", policy=policy,
-                             intervals=gaps, trace=False)
+                             intervals=gaps, slot_us=slot_us, trace=False)
     run_system(hv, timer, len(gaps))
     assert len(hv.latency_records) == len(gaps)           # liveness
     seqs = [record.seq for record in hv.latency_records]
@@ -75,11 +86,12 @@ def test_property_fifo_and_liveness(gaps, dmin_us):
 
 @settings(max_examples=25, deadline=None)
 @given(gaps=arrival_gaps,
-       dmin_us=st.integers(min_value=100, max_value=2_000))
-def test_property_time_conservation(gaps, dmin_us):
+       dmin_us=st.integers(min_value=100, max_value=2_000),
+       slot_us=slot_lengths)
+def test_property_time_conservation(gaps, dmin_us, slot_us):
     policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(dmin_us)))
     hv, timer = build_system(subscriber="P2", policy=policy,
-                             intervals=gaps, trace=False)
+                             intervals=gaps, slot_us=slot_us, trace=False)
     run_system(hv, timer, len(gaps))
     hv.cpu.preempt()
     assert hv.cpu.total_consumed() == hv.engine.now
@@ -91,7 +103,7 @@ def test_property_time_conservation(gaps, dmin_us):
        subscriber=st.sampled_from(("P1", "P2")),
        actual_us=st.one_of(st.none(),
                            st.integers(min_value=1, max_value=400)),
-       slot_us=st.sampled_from((300.0, 500.0, 1_000.0)))
+       slot_us=slot_lengths)
 def test_property_slot_switch_lateness_is_bounded(gaps, dmin_us, subscriber,
                                                   actual_us, slot_us):
     """Each slot switch happens at most C'_BH + n * C'_TH after its
@@ -135,16 +147,17 @@ def test_property_slot_switch_lateness_is_bounded(gaps, dmin_us, subscriber,
 @settings(max_examples=25, deadline=None)
 @given(gaps=arrival_gaps,
        actual_us=st.integers(min_value=1, max_value=200),
-       dmin_us=st.integers(min_value=200, max_value=2_000))
+       dmin_us=st.integers(min_value=200, max_value=2_000),
+       slot_us=slot_lengths)
 def test_property_enforcement_with_misdeclared_handlers(gaps, actual_us,
-                                                        dmin_us):
+                                                        dmin_us, slot_us):
     """Even when actual bottom-handler demand exceeds the declared
     C_BH, the foreign-slot interference bound still holds (enforcement
     is what makes Eq. 14 independent of partition behaviour)."""
     policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(dmin_us)))
     hv, timer = build_system(
-        subscriber="P2", policy=policy, intervals=gaps, trace=False,
-        bottom_handler_actual=lambda seq: us(actual_us),
+        subscriber="P2", policy=policy, intervals=gaps, slot_us=slot_us,
+        trace=False, bottom_handler_actual=lambda seq: us(actual_us),
     )
     run_system(hv, timer, len(gaps))
     bound = DminInterferenceBound(

@@ -160,6 +160,29 @@ def test_source_fingerprint_ignores_unrelated_modules(fake_package):
     assert source_fingerprint("fpdemo.a", root_package="fpdemo") == base
 
 
+def test_import_memo_keeps_one_entry_per_module(fake_package):
+    """Editing a module replaces its memo entry instead of adding one:
+    a write drops every entry whose content hash no current file has."""
+    directory = fake_package / "cache"
+    source_fingerprint("fpdemo.a", root_package="fpdemo")
+    ResultCache(directory).write_import_memo()
+
+    _write_package(fake_package, b="def helper():\n    return 2\n")
+    clear_source_caches()                   # a new process
+    cache = ResultCache(directory)
+    cache.read_import_memo()
+    source_fingerprint("fpdemo.a", root_package="fpdemo")
+    cache.write_import_memo()
+
+    clear_source_caches()
+    ResultCache(directory).read_import_memo()
+    closure = ("a", "b", "c")
+    assert set(cache_module._IMPORT_MEMO) == {
+        ("fpdemo", hashlib.sha256(
+            (fake_package / "fpdemo" / f"{name}.py").read_bytes()).hexdigest())
+        for name in closure}
+
+
 def test_task_fingerprint_covers_task_module_source():
     """Every campaign task's fingerprint embeds a source closure hash."""
     task = CampaignTask("design", "design", {"irq_count": 60})

@@ -38,13 +38,6 @@ class TestRecording:
             trace.emit(t, TraceKind.CUSTOM)
         assert [e.time for e in trace.between(10, 20)] == [10, 15]
 
-    def test_listener(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.add_listener(lambda event: seen.append(event.kind))
-        trace.emit(1, TraceKind.IDLE)
-        assert seen == [TraceKind.IDLE]
-
     def test_clear(self):
         trace = TraceRecorder()
         trace.emit(1, TraceKind.CUSTOM)
