@@ -13,6 +13,7 @@ from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.irq import IrqSource
 from repro.hypervisor.partition import Partition
 from repro.sim.clock import Clock
+from repro.sim.engine import SimulationEngine
 from repro.sim.timers import IntervalSequenceTimer
 
 #: Names of the event-queue backends the engine suites once ran on.
@@ -40,6 +41,24 @@ def tick_by_tick():
         yield
     finally:
         Hypervisor._boundary_dispatch = skip_aware
+
+
+@contextmanager
+def dispatched_continuations():
+    """Dispatch every masked hypervisor step: the inlining test oracle.
+
+    Production runs the next step of a masked section in place when
+    the engine says it would be the next event dispatched.  Making
+    :meth:`SimulationEngine.inline_continuation` always refuse sends
+    every step through the queue, the reference execution the inlined
+    one must be byte-identical to.
+    """
+    inline = SimulationEngine.inline_continuation
+    SimulationEngine.inline_continuation = lambda self, delay: False
+    try:
+        yield
+    finally:
+        SimulationEngine.inline_continuation = inline
 
 
 def engine_mode(idle_skip: bool):

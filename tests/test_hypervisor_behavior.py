@@ -141,6 +141,20 @@ class TestAccountingInvariants:
         hv.cpu.preempt()
         assert hv.cpu.total_consumed() == hv.engine.now
 
+    def test_window_without_budget_keeps_the_mask(self):
+        """A window granted with a zero C_BH budget closes as soon as it
+        is entered; its closing context switch must keep interrupts
+        masked too, whatever the handler's real demand."""
+        policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(100)))
+        hv, timer = build_system(subscriber="P2", policy=policy,
+                                 intervals=[us(10)] * 40, slot_us=300.0,
+                                 c_bh_us=0, trace=False,
+                                 bottom_handler_actual=lambda seq: us(20))
+        run_system(hv, timer, 40)
+        assert len(hv.latency_records) == 40
+        hv.cpu.preempt()
+        assert hv.cpu.total_consumed() == hv.engine.now
+
     def test_no_irq_lost(self):
         policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(us(300)))
         gaps = [us(g % 700 + 13) for g in range(0, 3000, 97)]
