@@ -56,11 +56,6 @@ class Execution:
         self.owner = owner
         self.executed = 0
 
-    @property
-    def finished(self) -> bool:
-        """True once a bounded execution has consumed its whole budget."""
-        return self.remaining == 0
-
     def __repr__(self) -> str:
         budget = "inf" if self.remaining is None else str(self.remaining)
         return f"Execution({self.label}, remaining={budget}, executed={self.executed})"
@@ -134,7 +129,7 @@ class Cpu:
                 f"CPU busy with {self._current.label}; preempt before assigning "
                 f"{execution.label}"
             )
-        if execution.finished:
+        if execution.remaining == 0:
             # Zero-budget work completes immediately without occupying
             # the CPU; this keeps degenerate configurations (C_BH = 0)
             # well-defined.

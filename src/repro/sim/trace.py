@@ -79,7 +79,9 @@ class TraceRecorder:
     def __init__(self, enabled: bool = True, capacity: Optional[int] = None):
         if capacity is not None and capacity <= 0:
             raise ValueError(f"trace capacity must be positive, got {capacity}")
-        self._enabled = enabled
+        # Whether emit() records.  A plain attribute, not a property,
+        # because every emit site in the model reads it first.
+        self.enabled = enabled
         self._capacity = capacity
         self._events: deque[TraceEvent] = deque(maxlen=capacity)
         self._dropped = 0
@@ -98,18 +100,13 @@ class TraceRecorder:
         return recorder
 
     @property
-    def enabled(self) -> bool:
-        """Whether :meth:`emit` records."""
-        return self._enabled
-
-    @property
     def capacity(self) -> Optional[int]:
         """The retention bound, or None for unbounded recording."""
         return self._capacity
 
     def emit(self, time: int, kind: TraceKind, **data: Any) -> None:
         """Record an event (no-op when recording is disabled)."""
-        if not self._enabled:
+        if not self.enabled:
             return
         event = TraceEvent(time, kind, data)
         events = self._events
@@ -178,7 +175,7 @@ class TraceRecorder:
                 f"snapshot capacity {state['capacity']} != recorder "
                 f"capacity {self._capacity}"
             )
-        self._enabled = state["enabled"]
+        self.enabled = state["enabled"]
         self._dropped = state["dropped"]
         self._events = deque(
             (TraceEvent(time, TraceKind(kind), data)

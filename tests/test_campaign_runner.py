@@ -14,10 +14,8 @@ mid-campaign task and the last task.
 """
 
 import functools
-import hashlib
 import json
 import os
-import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -36,6 +34,7 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.scale import PAPER, QUICK, SMOKE, resolve_scale
+from repro.experiments.shape import masked_stdout_digest
 
 
 # ---------------------------------------------------------------- plan
@@ -429,11 +428,6 @@ def test_cli_outputs_byte_identical_across_jobs(tmp_path, capsys):
         path.name for path in export_serial.glob("*.csv"))
 
 
-# tab62 prints the source size of hypervisor.py, scheduler.py and
-# monitor.py in its footprint rows; masking that one column makes the
-# golden a pure simulation-and-rendering contract that survives a
-# refactor of those files.
-_PY_BYTES_ROW = re.compile(r"^(.{34} +\d+ +\d+ repro\.\S+ +)\d+$", re.M)
 SMOKE_STDOUT_MASKED_SHA256 = (
     "a66296f6aa95f4a651ebfd5345d55e5c37c7ea9632d0cce26a2c64d7a98169f4")
 
@@ -442,10 +436,8 @@ def test_cli_smoke_stdout_golden(capsys):
     """``all --smoke`` stdout, with tab62's ``py bytes`` column masked,
     is pinned byte for byte."""
     assert main(["all", "--smoke", "--no-cache", "--jobs", "1"]) == 0
-    masked, rows = _PY_BYTES_ROW.subn(r"\1<py-bytes>",
-                                      capsys.readouterr().out)
+    digest, rows = masked_stdout_digest(capsys.readouterr().out)
     assert rows == 3
-    digest = hashlib.sha256(masked.encode()).hexdigest()
     assert digest == SMOKE_STDOUT_MASKED_SHA256
 
 
