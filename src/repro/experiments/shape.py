@@ -33,15 +33,11 @@ check also holds at ``--smoke`` scale, which the tests use through
     python -m repro.experiments.shape paper-scale.txt
 
 which prints the failures and exits 1 if there are any.
-
-:func:`masked_stdout_digest` pins a whole stdout byte for byte, apart
-from the cells that measure source files.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import re
 import sys
 from typing import Optional, Sequence
@@ -70,11 +66,6 @@ _FIG7_RUN_AVG = re.compile(r"^\s*([a-d])\s+\S+\s+[0-9]+\s+([0-9]+)\s",
 _DESIGN_DMIN = re.compile(r"minimum admissible d_min\s+([0-9.]+) us")
 _DESIGN_CONFIRMS = re.compile(r"simulation confirms analysis\s+(\S+)\s*$",
                               re.MULTILINE)
-# tab62's footprint rows end in the source size of hypervisor.py,
-# scheduler.py and monitor.py; masking that one column makes a stdout
-# digest a pure simulation-and-rendering contract that survives a
-# refactor of those files.
-_PY_BYTES_ROW = re.compile(r"^(.{34} +\d+ +\d+ repro\.\S+ +)\d+$", re.M)
 
 
 def sections(text: str) -> "dict[str, str]":
@@ -131,14 +122,6 @@ def check_shape(text: str, scale: str = "paper", seed: int = 1) -> "list[str]":
         failures.append("design-confirms: no 'simulation confirms "
                         "analysis ... yes'")
     return failures
-
-
-def masked_stdout_digest(text: str) -> "tuple[str, int]":
-    """sha256 of the stdout ``text`` of ``all`` with tab62's ``py
-    bytes`` cells masked, and how many cells were masked (3 when tab62
-    ran)."""
-    masked, rows = _PY_BYTES_ROW.subn(r"\1<py-bytes>", text)
-    return hashlib.sha256(masked.encode()).hexdigest(), rows
 
 
 def _fig6c_band(block: str) -> "list[str]":

@@ -16,16 +16,13 @@ Total                                       1120          28
 Binary code size is a property of the original implementation that a
 Python simulation cannot re-measure; what we reproduce is the
 *accounting* — which components the mechanism adds and how the budget
-splits across them — and we report our equivalent Python module sizes
-next to the paper's numbers for scale.
+splits across them — and we name the module that implements each
+component next to the paper's numbers.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -37,19 +34,6 @@ class ComponentFootprint:
     paper_data_bytes: int
     module: str                       # our implementing module
     description: str
-
-    def module_source_bytes(self) -> Optional[int]:
-        """Size of our implementing Python source, if resolvable.
-
-        Found through the module's spec, so the module is not imported.
-        """
-        try:
-            spec = importlib.util.find_spec(self.module)
-        except (ImportError, ValueError):
-            return None
-        if spec is None or spec.origin is None:
-            return None
-        return Path(spec.origin).stat().st_size
 
 
 #: The paper's Section 6.2 inventory, mapped onto our modules.
@@ -105,18 +89,16 @@ def monitor_data_bytes(depth: int, timestamp_bytes: int = 4) -> int:
 
 
 def render_footprint_table() -> str:
-    """Text table comparing the paper's sizes with our module sizes."""
+    """Text table of the paper's sizes and our implementing modules."""
     header = (
         f"{'component':<34s} {'paper code':>10s} {'paper data':>10s} "
-        f"{'our module':<32s} {'py bytes':>9s}"
+        f"{'our module':<32s}"
     )
     lines = [header, "-" * len(header)]
     for entry in PAPER_FOOTPRINT:
-        size = entry.module_source_bytes()
-        size_text = "n/a" if size is None else str(size)
         lines.append(
             f"{entry.name:<34s} {entry.paper_code_bytes:>10d} "
-            f"{entry.paper_data_bytes:>10d} {entry.module:<32s} {size_text:>9s}"
+            f"{entry.paper_data_bytes:>10d} {entry.module:<32s}"
         )
     lines.append("-" * len(header))
     lines.append(

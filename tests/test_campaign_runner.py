@@ -14,6 +14,7 @@ mid-campaign task and the last task.
 """
 
 import functools
+import hashlib
 import json
 import os
 import signal
@@ -34,7 +35,6 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.scale import PAPER, QUICK, SMOKE, resolve_scale
-from repro.experiments.shape import masked_stdout_digest
 
 
 # ---------------------------------------------------------------- plan
@@ -428,17 +428,15 @@ def test_cli_outputs_byte_identical_across_jobs(tmp_path, capsys):
         path.name for path in export_serial.glob("*.csv"))
 
 
-SMOKE_STDOUT_MASKED_SHA256 = (
-    "a66296f6aa95f4a651ebfd5345d55e5c37c7ea9632d0cce26a2c64d7a98169f4")
+SMOKE_STDOUT_SHA256 = (
+    "ee784d92cca3e141d8e07d71195ce280569c79dd85276b28878e24869717ce44")
 
 
 def test_cli_smoke_stdout_golden(capsys):
-    """``all --smoke`` stdout, with tab62's ``py bytes`` column masked,
-    is pinned byte for byte."""
+    """``all --smoke`` stdout is pinned byte for byte."""
     assert main(["all", "--smoke", "--no-cache", "--jobs", "1"]) == 0
-    digest, rows = masked_stdout_digest(capsys.readouterr().out)
-    assert rows == 3
-    assert digest == SMOKE_STDOUT_MASKED_SHA256
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SMOKE_STDOUT_SHA256
 
 
 def test_cli_quick_smoke_target(capsys):

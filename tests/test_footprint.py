@@ -26,11 +26,6 @@ class TestPaperConstants:
         assert by_name["Monitoring function"].paper_code_bytes == 272
         assert by_name["Monitoring function"].paper_data_bytes == 28
 
-    def test_modules_resolve(self):
-        for entry in PAPER_FOOTPRINT:
-            size = entry.module_source_bytes()
-            assert size is not None and size > 0
-
 
 class TestMonitorDataModel:
     def test_depth_one_matches_paper(self):
