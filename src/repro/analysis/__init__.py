@@ -15,19 +15,13 @@ from repro._lazy import lazy_exports
 __all__ = [
     "NotSchedulableError",
     "ResponseTimeResult",
-    "busy_time",
     "response_time",
-    "DeltaTableEventModel",
     "EventModel",
     "PeriodicEventModel",
     "TraceEventModel",
-    "check_duality",
     "sporadic",
-    "dmin_for_budget_fraction",
     "interference_budget_fraction",
     "interposed_interference_dmin",
-    "interposed_interference_table",
-    "slot_interference_fits",
     "InterferingIrq",
     "IrqLatencyBound",
     "classic_irq_latency",
@@ -47,16 +41,12 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "busy_window": ("NotSchedulableError", "ResponseTimeResult", "busy_time",
+    "busy_window": ("NotSchedulableError", "ResponseTimeResult",
                     "response_time"),
-    "event_models": ("DeltaTableEventModel", "EventModel",
-                     "PeriodicEventModel", "TraceEventModel", "check_duality",
+    "event_models": ("EventModel", "PeriodicEventModel", "TraceEventModel",
                      "sporadic"),
-    "interference": ("dmin_for_budget_fraction",
-                     "interference_budget_fraction",
-                     "interposed_interference_dmin",
-                     "interposed_interference_table",
-                     "slot_interference_fits"),
+    "interference": ("interference_budget_fraction",
+                     "interposed_interference_dmin"),
     "latency": ("InterferingIrq", "IrqLatencyBound", "classic_irq_latency",
                 "interposed_irq_latency", "latency_improvement_factor",
                 "violated_irq_latency"),

@@ -34,28 +34,6 @@ class NotSchedulableError(RuntimeError):
     """The busy-window iteration diverged: demand exceeds capacity."""
 
 
-def busy_time(q: int, own_cost: int,
-              interference: Callable[[int], int],
-              horizon: int = 2**48,
-              max_iterations: int = _MAX_ITERATIONS) -> int:
-    """Solve the fixed point W(q) = q * own_cost + interference(W(q)).
-
-    ``interference`` must be monotone non-decreasing in the window
-    size.  The iteration starts at ``max(q * own_cost, 1)``, which
-    never exceeds the least fixed point unless ``q * own_cost`` is 0
-    (see :func:`_fixed_point`), and then returns the least fixed point
-    or raises :class:`NotSchedulableError` once an iterate exceeds
-    ``horizon`` or ``max_iterations`` steps pass without convergence.
-    """
-    if q <= 0:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if own_cost < 0:
-        raise ValueError(f"cost must be >= 0, got {own_cost}")
-    base = q * own_cost
-    return _fixed_point(q, base, max(base, 1), interference, horizon,
-                        max_iterations)
-
-
 def _fixed_point(q: int, base: int, start: int,
                  interference: Callable[[int], int],
                  horizon: int, max_iterations: int) -> int:

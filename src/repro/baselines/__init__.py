@@ -10,11 +10,9 @@ __all__ = [
     "BoostPolicy",
     "InterruptThrottle",
     "MinDistanceThrottle",
-    "TokenBucketThrottle",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "boost": ("BoostPolicy",),
-    "throttling": ("InterruptThrottle", "MinDistanceThrottle",
-                   "TokenBucketThrottle"),
+    "throttling": ("InterruptThrottle", "MinDistanceThrottle"),
 })

@@ -12,12 +12,8 @@ does nothing for the latency of IRQs waiting for a foreign TDMA slot:
 admitted interrupts still take the delayed path.  The ablation
 experiment contrasts exactly this.
 
-Two classic shapes are provided:
-
-* :class:`MinDistanceThrottle` — one admitted IRQ per ``min_distance``
-  (the arrival-rate counterpart of the paper's d_min condition);
-* :class:`TokenBucketThrottle` — bursts of up to ``burst`` admitted
-  IRQs, refilled at one token per ``refill_period``.
+:class:`MinDistanceThrottle` admits one IRQ per ``min_distance``, the
+arrival-rate counterpart of the paper's d_min condition.
 """
 
 from __future__ import annotations
@@ -82,67 +78,6 @@ class MinDistanceThrottle(InterruptThrottle):
     def restore_from_snapshot(cls, state: dict) -> "MinDistanceThrottle":
         throttle = cls(state["min_distance"])
         throttle._last_admitted = state["last_admitted"]
-        throttle._admitted = state["admitted"]
-        throttle._suppressed = state["suppressed"]
-        return throttle
-
-
-class TokenBucketThrottle(InterruptThrottle):
-    """Token-bucket admission: bursts up to ``burst``, sustained rate
-    one IRQ per ``refill_period`` cycles."""
-
-    def __init__(self, burst: int, refill_period: int):
-        if burst <= 0:
-            raise ValueError(f"burst must be positive, got {burst}")
-        if refill_period <= 0:
-            raise ValueError(f"refill period must be positive, got {refill_period}")
-        self.burst = burst
-        self.refill_period = refill_period
-        self._tokens = float(burst)
-        self._last_time = 0
-        self._admitted = 0
-        self._suppressed = 0
-
-    def admit(self, time: int) -> bool:
-        if time < self._last_time:
-            raise ValueError(
-                f"arrivals must be monotone: {time} after {self._last_time}"
-            )
-        elapsed = time - self._last_time
-        self._last_time = time
-        self._tokens = min(
-            float(self.burst), self._tokens + elapsed / self.refill_period
-        )
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            self._admitted += 1
-            return True
-        self._suppressed += 1
-        return False
-
-    @property
-    def admitted_count(self) -> int:
-        return self._admitted
-
-    @property
-    def suppressed_count(self) -> int:
-        return self._suppressed
-
-    def snapshot_state(self) -> dict:
-        return {
-            "burst": self.burst,
-            "refill_period": self.refill_period,
-            "tokens": self._tokens,
-            "last_time": self._last_time,
-            "admitted": self._admitted,
-            "suppressed": self._suppressed,
-        }
-
-    @classmethod
-    def restore_from_snapshot(cls, state: dict) -> "TokenBucketThrottle":
-        throttle = cls(state["burst"], state["refill_period"])
-        throttle._tokens = state["tokens"]
-        throttle._last_time = state["last_time"]
         throttle._admitted = state["admitted"]
         throttle._suppressed = state["suppressed"]
         return throttle

@@ -30,7 +30,6 @@ __all__ = [
     "scale_table_to_load_fraction",
     "DeltaMinusMonitor",
     "normalize_delta_table",
-    "verify_accepted_stream",
     "AlwaysInterpose",
     "HandlingMode",
     "InterposingPolicy",
@@ -48,8 +47,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                      "verify_sufficient_independence"),
     "learning": ("UNLEARNED", "DeltaLearner", "build_monitor",
                  "clamp_to_bound", "scale_table_to_load_fraction"),
-    "monitor": ("DeltaMinusMonitor", "normalize_delta_table",
-                "verify_accepted_stream"),
+    "monitor": ("DeltaMinusMonitor", "normalize_delta_table"),
     "policy": ("AlwaysInterpose", "HandlingMode", "InterposingPolicy",
                "LearningPhase", "MonitoredInterposing", "NeverInterpose",
                "SelfLearningInterposing"),

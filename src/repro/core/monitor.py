@@ -22,7 +22,7 @@ bottom handlers can execute in any window ``dt``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def normalize_delta_table(table: Sequence[int]) -> list[int]:
@@ -215,23 +215,3 @@ class DeltaMinusMonitor:
             f"DeltaMinusMonitor(l={self.depth}, dmin={self.dmin}, "
             f"accepted={self._accepted}, denied={self._denied})"
         )
-
-
-def verify_accepted_stream(times: Iterable[int], table: Sequence[int]) -> bool:
-    """Check offline that an accepted-event stream satisfies a δ⁻ table.
-
-    Used by tests and by :mod:`repro.core.independence` to validate
-    that the monitor's output conforms to its own condition: for every
-    pair of events ``q`` apart (``q <= l``), their distance is at least
-    ``table[q-1]``.
-    """
-    normalized = normalize_delta_table(table)
-    stream = list(times)
-    for i in range(len(stream)):
-        for k in range(len(normalized)):
-            j = i - (k + 1)
-            if j < 0:
-                break
-            if stream[i] - stream[j] < normalized[k]:
-                return False
-    return True

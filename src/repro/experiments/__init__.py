@@ -32,7 +32,6 @@ __all__ = [
     "Fig6Result",
     "FIG6_PAPER_REFERENCE",
     "render_fig6",
-    "run_all_fig6",
     "run_fig6",
     "FIG7_CASES",
     "Fig7CaseResult",
@@ -66,7 +65,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "common": ("PaperSystemConfig", "ScenarioResult", "run_irq_scenario"),
     "fig6": ("Fig6Config", "Fig6Result",
              ("FIG6_PAPER_REFERENCE", "PAPER_REFERENCE"), "render_fig6",
-             "run_all_fig6", "run_fig6"),
+             "run_fig6"),
     "fig7": ("FIG7_CASES", "Fig7CaseResult", "Fig7Config",
              ("FIG7_PAPER_REFERENCE", "PAPER_REFERENCE"), "render_fig7",
              "run_fig7", "run_fig7_case"),

@@ -28,7 +28,7 @@ from repro.metrics.stats import LatencySummary, summarize
 from repro.sim.clock import Clock
 
 if TYPE_CHECKING:
-    from repro.core.policy import HandlingMode, InterposingPolicy
+    from repro.core.policy import InterposingPolicy
     from repro.hypervisor.hypervisor import (
         Hypervisor,
         LatencyColumns,
@@ -203,12 +203,6 @@ class ScenarioSummary:
     def max_latency_us(self) -> float:
         return self.summary.maximum
 
-    def mode_fraction(self, mode: HandlingMode) -> float:
-        total = sum(self.mode_counts.values())
-        if total == 0:
-            return 0.0
-        return self.mode_counts.get(mode.value, 0) / total
-
 
 @dataclass
 class ScenarioResult:
@@ -237,12 +231,6 @@ class ScenarioResult:
     @property
     def max_latency_us(self) -> float:
         return self.summary.maximum
-
-    def mode_fraction(self, mode: HandlingMode) -> float:
-        total = sum(self.mode_counts.values())
-        if total == 0:
-            return 0.0
-        return self.mode_counts.get(mode.value, 0) / total
 
     def lightweight(self) -> ScenarioSummary:
         """Strip the hypervisor so the result can cross process lines.

@@ -150,12 +150,6 @@ def run_fig6(scenario: str, config: "Fig6Config | None" = None) -> Fig6Result:
     return merge_fig6_loads(scenario, config, summaries)
 
 
-def run_all_fig6(config: "Fig6Config | None" = None) -> dict[str, Fig6Result]:
-    """Run scenarios a, b and c with the same configuration."""
-    config = config or Fig6Config()
-    return {scenario: run_fig6(scenario, config) for scenario in SCENARIOS}
-
-
 def render_fig6(result: Fig6Result) -> str:
     """Paper-style text rendering of one scenario's histogram."""
     reference = PAPER_REFERENCE[result.scenario]

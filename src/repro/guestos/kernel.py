@@ -68,10 +68,6 @@ class GuestKernel:
         self._tasks[task.name] = task
         self._stats[task.name] = TaskStats()
 
-    @property
-    def tasks(self) -> list[GuestTask]:
-        return list(self._tasks.values())
-
     def attach(self, engine: SimulationEngine,
                notify: Callable[[], None]) -> None:
         """Wire the kernel to the simulation.

@@ -95,10 +95,6 @@ class GuestJob:
         self.first_start: Optional[int] = None
 
     @property
-    def done(self) -> bool:
-        return self.remaining == 0
-
-    @property
     def response_time(self) -> Optional[int]:
         if self.completed_at is None:
             return None

@@ -157,9 +157,6 @@ class LatencyColumns:
         self._cuts.append(enforced_cut)
         self._source_counts[sid] += 1
 
-    def __len__(self) -> int:
-        return len(self._seqs)
-
     def count(self, source: Optional[str] = None) -> int:
         """Completed IRQs, optionally for one source — O(1) either way."""
         if source is None:
@@ -276,7 +273,7 @@ class HypervisorStats:
     The ``*_starts``/``*_ends``/``monitor_*``/``slot_switches`` fields
     are incremented at exactly the sites that emit the corresponding
     :class:`~repro.sim.trace.TraceKind` events, so they reconcile 1:1
-    with ``TraceRecorder.of_kind`` counts whenever tracing is enabled —
+    with the trace's per-kind event counts whenever tracing is enabled —
     and keep counting (a plain integer bump) when it is not.  The
     telemetry collectors (:mod:`repro.telemetry.collectors`) sample
     them into a :class:`~repro.telemetry.registry.MetricsRegistry`.

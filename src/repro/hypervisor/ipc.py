@@ -96,10 +96,6 @@ class IpcRouter:
     def channel(self, name: str) -> IpcChannel:
         return self._channels[name]
 
-    @property
-    def channels(self) -> dict[str, IpcChannel]:
-        return dict(self._channels)
-
     def on_slot_entered(self, partition: Partition, now: int) -> None:
         """Deliver pending messages addressed to the entering partition."""
         for channel in self._channels.values():

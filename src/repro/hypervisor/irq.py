@@ -193,9 +193,6 @@ class IrqQueue:
             raise IndexError("pop from empty IRQ queue")
         return self._queue.popleft()
 
-    def __iter__(self):
-        return iter(self._queue)
-
     # ------------------------------------------------------------------
     # Snapshot/fork support (see repro.sim.snapshot)
     # ------------------------------------------------------------------

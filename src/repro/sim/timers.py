@@ -33,10 +33,6 @@ class OneShotTimer:
         self._expirations = 0
 
     @property
-    def line(self) -> int:
-        return self._line
-
-    @property
     def expirations(self) -> int:
         """Number of times the timer has expired."""
         return self._expirations

@@ -10,8 +10,6 @@ properties.  Recording can be disabled for long benchmark runs.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass, field
@@ -99,11 +97,6 @@ class TraceRecorder:
         recorder._events.extend(events)
         return recorder
 
-    @property
-    def capacity(self) -> Optional[int]:
-        """The retention bound, or None for unbounded recording."""
-        return self._capacity
-
     def emit(self, time: int, kind: TraceKind, **data: Any) -> None:
         """Record an event (no-op when recording is disabled)."""
         if not self.enabled:
@@ -132,11 +125,6 @@ class TraceRecorder:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
-    def of_kind(self, *kinds: TraceKind) -> list[TraceEvent]:
-        """Events whose kind is one of ``kinds``."""
-        wanted = set(kinds)
-        return [ev for ev in self._events if ev.kind in wanted]
-
     def between(self, start: int, end: int) -> list[TraceEvent]:
         """Events with ``start <= time < end``."""
         return [ev for ev in self._events if start <= ev.time < end]
@@ -145,19 +133,6 @@ class TraceRecorder:
         """Discard all retained events."""
         self._events.clear()
         self._dropped = 0
-
-    def digest(self) -> str:
-        """Stable SHA-256 over the canonical JSON of all retained events.
-
-        Two recorders that captured the same simulation have the same
-        digest; the byte-identity tests (idle-skip on vs off, forked
-        vs straight-line runs) compare executions through it.
-        """
-        payload = json.dumps(
-            [(ev.time, ev.kind.value, ev.data) for ev in self._events],
-            sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def snapshot_state(self) -> dict:
         """Plain-data recorder state (see :mod:`repro.sim.snapshot`)."""

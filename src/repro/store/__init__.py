@@ -34,7 +34,6 @@ __all__ = [
     "RunStore",
     "StoreQueryStats",
     "StoreWriteStats",
-    "artifact_from_hypervisor",
     "campaign_metadata",
     "extract_summaries",
     "task_metadata",
@@ -47,8 +46,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                  "ArtifactWriter", "RunArtifact", "trace_events_from_columns",
                  "trace_events_to_columns"),
     "capture": ("CampaignStoreWriter", "StoreWriteStats",
-                "artifact_from_hypervisor", "campaign_metadata",
-                "extract_summaries", "task_metadata"),
+                "campaign_metadata", "extract_summaries", "task_metadata"),
     "runstore": ("AggregateResult", "ArtifactRef", "DiffResult", "GroupDelta",
                  "RunStore", "StoreQueryStats"),
 })

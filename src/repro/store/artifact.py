@@ -56,7 +56,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 if TYPE_CHECKING:
     # Reading an artifact needs none of the simulator; the functions
     # that build these types import them when called.
-    from repro.hypervisor.hypervisor import LatencyRecord
     from repro.sim.trace import TraceEvent, TraceRecorder
 
 #: First eight bytes of every artifact.
@@ -484,24 +483,6 @@ class RunArtifact:
     def trace_rows(self) -> int:
         return len(self.trace.get("time", ()))
 
-    def legs(self) -> "list[str]":
-        """Distinct leg labels, in first-appearance order."""
-        seen: "list[str]" = []
-        for leg_id in self.latency["leg"]:
-            name = self.strings[leg_id]
-            if name not in seen:
-                seen.append(name)
-        return seen
-
-    def sources(self) -> "list[str]":
-        """Distinct IRQ source names, in first-appearance order."""
-        seen: "list[str]" = []
-        for source_id in self.latency["source"]:
-            name = self.strings[source_id]
-            if name not in seen:
-                seen.append(name)
-        return seen
-
     def _row_mask(self, leg: Optional[str], source: Optional[str],
                   mode: Optional[str]) -> "Optional[list[bool]]":
         wanted: "list[tuple[str, int]]" = []
@@ -538,29 +519,6 @@ class RunArtifact:
             return array("d", values)
         return array("d", (value for value, keep in zip(values, mask)
                            if keep))
-
-    def latency_records(self, leg: Optional[str] = None,
-                        ) -> "list[LatencyRecord]":
-        """Materialize stored rows as classic :class:`LatencyRecord`."""
-        from repro.core.policy import HandlingMode
-        from repro.hypervisor.hypervisor import LatencyRecord
-
-        strings = self.strings
-        mask = self._row_mask(leg, None, None)
-        columns = self.latency
-        records = []
-        for index in range(self.latency_rows):
-            if mask is not None and not mask[index]:
-                continue
-            records.append(LatencyRecord(
-                source=strings[columns["source"][index]],
-                seq=columns["seq"][index],
-                arrival=columns["arrival"][index],
-                completed_at=columns["completed"][index],
-                mode=HandlingMode(strings[columns["mode"][index]]),
-                enforced_cut=bool(columns["cut"][index]),
-            ))
-        return records
 
     def trace_events(self) -> "list[TraceEvent]":
         """Rebuild the stored trace stream as :class:`TraceEvent`."""

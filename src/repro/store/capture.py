@@ -318,24 +318,3 @@ class CampaignStoreWriter:
             raise
         self.stats.write_seconds += time.perf_counter() - started
         return self.stats
-
-
-def artifact_from_hypervisor(hv: Any, path: "str | os.PathLike[str]",
-                             metadata: "dict[str, Any] | None" = None,
-                             include_trace: bool = True) -> int:
-    """Persist a live hypervisor's latency columns (and trace) directly.
-
-    The round-trip building block the property tests pin: the stored
-    µs column is exactly ``latency_columns.latencies_us_array(clock)``.
-    """
-    # Deferred: the experiments' common module imports the simulator.
-    from repro.experiments.common import LatencyColumnData
-
-    columns = hv.latency_columns
-    latencies = columns.latencies_us_array(hv.clock)
-    with ArtifactWriter(path, metadata) as writer:
-        rows = writer.append_summary("scenario",
-                                     LatencyColumnData.of(columns), latencies)
-        if include_trace and len(hv.trace):
-            writer.append_trace(hv.trace.events)
-    return rows

@@ -54,16 +54,6 @@ class StoreQueryStats:
     queries: int = 0
     query_seconds: float = 0.0
 
-    def as_dict(self) -> "dict[str, Any]":
-        return {
-            "artifacts_scanned": self.artifacts_scanned,
-            "artifacts_read": self.artifacts_read,
-            "rows_scanned": self.rows_scanned,
-            "bytes_read": self.bytes_read,
-            "queries": self.queries,
-            "query_seconds": round(self.query_seconds, 4),
-        }
-
 
 @dataclass(frozen=True)
 class ArtifactRef:

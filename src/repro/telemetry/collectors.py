@@ -142,8 +142,8 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
     """Sample a :class:`~repro.hypervisor.hypervisor.Hypervisor`.
 
     The ``hv_top_handler_*`` / ``hv_bottom_handler_*`` /
-    ``hv_monitor_*`` counters reconcile 1:1 with
-    ``hv.trace.of_kind(...)`` counts when tracing is enabled (pinned by
+    ``hv_monitor_*`` counters reconcile 1:1 with the per-kind event
+    counts of ``hv.trace`` when tracing is enabled (pinned by
     ``tests/test_telemetry.py``), and ``hv_irqs_raised_total`` with the
     ``IRQ_RAISED`` trace stream (a raise of an already-pending line is
     coalesced, not raised).

@@ -14,7 +14,7 @@ Track layout
 * **pid 2 — "Hypervisor trace"**: one thread track per event family
   (IRQ, Monitor, Top handlers, ...), with **exactly one ``ph="i"``
   instant per recorded TraceEvent** — so per-kind instant counts equal
-  ``TraceRecorder.of_kind(...)`` counts, which the tests pin.
+  the recorder's per-kind event counts, which the tests pin.
 * **pid 3 — "Campaign"**: one thread track per worker process, each
   executed campaign task a ``ph="X"`` span over its wall time.
 * **pid 4 — "Engine"**: one "Idle-skip spans" thread; each quiescent

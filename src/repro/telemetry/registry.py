@@ -4,7 +4,7 @@ A deliberately small, stdlib-only take on the Prometheus client-library
 data model, sized for this reproduction's needs:
 
 * three instrument types — :class:`Counter` (monotone), :class:`Gauge`
-  (set/inc/dec) and :class:`Histogram` (fixed bucket bounds, cumulative
+  (set) and :class:`Histogram` (fixed bucket bounds, cumulative
   counts plus sum/count) — each optionally labelled;
 * one :class:`MetricsRegistry` that owns the instruments and renders
   them as a plain dict (:meth:`~MetricsRegistry.snapshot`) or JSON
@@ -75,12 +75,6 @@ class _GaugeSeries:
 
     def set(self, value: Union[int, float]) -> None:
         self._value = value
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self._value += amount
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self._value -= amount
 
     @property
     def value(self) -> Union[int, float]:
@@ -182,10 +176,6 @@ class Counter(Metric):
     def inc(self, amount: Union[int, float] = 1) -> None:
         self._default_series().inc(amount)
 
-    @property
-    def value(self) -> Union[int, float]:
-        return self._default_series().value
-
     def snapshot(self) -> "dict[str, Any]":
         return {
             "type": "counter",
@@ -205,16 +195,6 @@ class Gauge(Metric):
 
     def set(self, value: Union[int, float]) -> None:
         self._default_series().set(value)
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self._default_series().inc(amount)
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self._default_series().dec(amount)
-
-    @property
-    def value(self) -> Union[int, float]:
-        return self._default_series().value
 
     def snapshot(self) -> "dict[str, Any]":
         return {
@@ -313,9 +293,6 @@ class MetricsRegistry:
                                    buckets=buckets)
 
     # -- read-side -------------------------------------------------------
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)

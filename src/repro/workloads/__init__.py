@@ -17,7 +17,6 @@ __all__ = [
     "bursty_interarrivals",
     "clip_to_dmin",
     "exponential_interarrivals",
-    "exponential_trace",
     "lambda_for_load",
     "ActivationTrace",
     "add_jitter",
@@ -33,8 +32,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                    "DEFAULT_SPORADIC_SOURCES", "PeriodicActivationSource",
                    "SporadicActivationSource", "generate_automotive_trace"),
     "synthetic": ("bursty_interarrivals", "clip_to_dmin",
-                  "exponential_interarrivals", "exponential_trace",
-                  "lambda_for_load"),
+                  "exponential_interarrivals", "lambda_for_load"),
     "traces": ("ActivationTrace",),
     "transforms": ("add_jitter", "merge", "offset", "scale", "thin", "window"),
 })

@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro.hypervisor.config import CostModel
-from repro.workloads.traces import ActivationTrace
 
 
 def lambda_for_load(c_bh: int, load: float,
@@ -76,15 +75,6 @@ def clip_to_dmin(intervals: Sequence[int], dmin: int) -> list[int]:
     if dmin <= 0:
         raise ValueError(f"d_min must be positive, got {dmin}")
     return [max(int(value), dmin) for value in intervals]
-
-
-def exponential_trace(count: int, mean: int, seed: int,
-                      dmin: "int | None" = None) -> ActivationTrace:
-    """Convenience: build an :class:`ActivationTrace` directly."""
-    intervals = exponential_interarrivals(count, mean, seed)
-    if dmin is not None:
-        intervals = clip_to_dmin(intervals, dmin)
-    return ActivationTrace.from_interarrivals(intervals)
 
 
 @lru_cache(maxsize=64)

@@ -51,12 +51,6 @@ class ActivationTrace:
     def __len__(self) -> int:
         return len(self._times)
 
-    def __iter__(self):
-        return iter(self._times)
-
-    def __getitem__(self, index):
-        return self._times[index]
-
     def distance_array(self) -> list[int]:
         """Consecutive interarrival distances (the timer reload array)."""
         return [b - a for a, b in zip(self._times, self._times[1:])]

@@ -20,6 +20,10 @@ def cold_busy_time(q: int, own_cost: int,
                    horizon: int = 2**48,
                    max_iterations: int = 100_000) -> int:
     """W(q) = q * own_cost + interference(W(q)), iterated from max(q*C, 1)."""
+    if q <= 0:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if own_cost < 0:
+        raise ValueError(f"cost must be >= 0, got {own_cost}")
     base = q * own_cost
     w = max(base, 1)
     for _ in range(max_iterations):

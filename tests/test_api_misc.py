@@ -81,16 +81,6 @@ class TestPartitionStats:
         assert hv.partition("P1").bottom_handlers_completed == 2
 
 
-class TestModeFractionHelper:
-    def test_fractions_sum_to_one(self):
-        from repro.experiments.common import PaperSystemConfig, run_irq_scenario
-        from repro.core.policy import NeverInterpose
-        result = run_irq_scenario(PaperSystemConfig(), NeverInterpose(),
-                                  [us(1_000)] * 20)
-        total = sum(result.mode_fraction(mode) for mode in HandlingMode)
-        assert total == pytest.approx(1.0)
-
-
 class TestReportFormatting:
     def test_format_cell_variants(self):
         from repro.metrics.report import render_table

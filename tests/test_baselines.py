@@ -4,7 +4,7 @@ import pytest
 
 from conftest import build_system, run_system, us
 from repro.baselines.boost import BoostPolicy
-from repro.baselines.throttling import MinDistanceThrottle, TokenBucketThrottle
+from repro.baselines.throttling import MinDistanceThrottle
 from repro.core.independence import DminInterferenceBound, InterferenceKind
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import MonitoredInterposing
@@ -30,32 +30,6 @@ class TestMinDistanceThrottle:
     def test_validation(self):
         with pytest.raises(ValueError):
             MinDistanceThrottle(0)
-
-
-class TestTokenBucketThrottle:
-    def test_burst_allowance(self):
-        throttle = TokenBucketThrottle(burst=3, refill_period=100)
-        assert all(throttle.admit(t) for t in (0, 1, 2))
-        assert not throttle.admit(3)
-        assert throttle.suppressed_count == 1
-
-    def test_refill(self):
-        throttle = TokenBucketThrottle(burst=1, refill_period=100)
-        assert throttle.admit(0)
-        assert not throttle.admit(50)
-        assert throttle.admit(200)
-
-    def test_monotone_required(self):
-        throttle = TokenBucketThrottle(burst=1, refill_period=100)
-        throttle.admit(100)
-        with pytest.raises(ValueError):
-            throttle.admit(50)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucketThrottle(0, 100)
-        with pytest.raises(ValueError):
-            TokenBucketThrottle(1, 0)
 
 
 class TestBoostInSystem:

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from busy_window_oracle import cold_response_time
+from busy_window_oracle import cold_busy_time, cold_response_time
+from event_model_oracle import (
+    DeltaTableEventModel,
+    interposed_interference_table,
+)
 from repro.analysis import latency, schedulability
 from repro.analysis.busy_window import (
     NotSchedulableError,
-    busy_time,
     response_time,
 )
-from repro.analysis.event_models import (
-    DeltaTableEventModel,
-    PeriodicEventModel,
-)
-from repro.analysis.interference import (
-    interposed_interference_dmin,
-    interposed_interference_table,
-)
+from repro.analysis.event_models import PeriodicEventModel
+from repro.analysis.interference import interposed_interference_dmin
 from repro.analysis.latency import (
     InterferingIrq,
     classic_irq_latency,
@@ -37,18 +34,22 @@ from repro.analysis.tdma import tdma_interference
 
 
 class TestBusyTime:
+    """One W(q) fixed point, solved by the cold-start oracle that
+    ``test_warm_start_equals_cold_start_oracle`` holds the production
+    solver to."""
+
     def test_no_interference(self):
-        assert busy_time(1, 10, lambda w: 0) == 10
-        assert busy_time(5, 10, lambda w: 0) == 50
+        assert cold_busy_time(1, 10, lambda w: 0) == 10
+        assert cold_busy_time(5, 10, lambda w: 0) == 50
 
     def test_constant_interference(self):
-        assert busy_time(2, 10, lambda w: 7) == 27
+        assert cold_busy_time(2, 10, lambda w: 7) == 27
 
     def test_classic_rta_fixed_point(self):
         # Analysed task C=2; interferer C=1, P=4 (textbook example):
         # W = 2 + ceil(W/4)*1 -> W = 3
         interferer = PeriodicEventModel(4)
-        w = busy_time(1, 2, lambda win: interferer.eta_plus(win) * 1)
+        w = cold_busy_time(1, 2, lambda win: interferer.eta_plus(win) * 1)
         assert w == 3
 
     def test_two_interferers(self):
@@ -56,22 +57,22 @@ class TestBusyTime:
         # W = 5 + 2*ceil(W/10) + 3*ceil(W/20) -> W=10
         hp1 = PeriodicEventModel(10)
         hp2 = PeriodicEventModel(20)
-        w = busy_time(1, 5, lambda win: 2 * hp1.eta_plus(win)
-                      + 3 * hp2.eta_plus(win))
+        w = cold_busy_time(1, 5, lambda win: 2 * hp1.eta_plus(win)
+                           + 3 * hp2.eta_plus(win))
         assert w == 10
 
     def test_divergence_detected(self):
         # Interference grows faster than the window: never converges.
         with pytest.raises(NotSchedulableError):
-            busy_time(1, 10, lambda w: w + 1, horizon=10_000)
+            cold_busy_time(1, 10, lambda w: w + 1, horizon=10_000)
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
-            busy_time(0, 10, lambda w: 0)
+            cold_busy_time(0, 10, lambda w: 0)
 
     def test_invalid_cost(self):
         with pytest.raises(ValueError):
-            busy_time(1, -1, lambda w: 0)
+            cold_busy_time(1, -1, lambda w: 0)
 
 
 class TestResponseTime:

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from event_model_oracle import DeltaTableEventModel, check_duality
 from repro.analysis.event_models import (
-    DeltaTableEventModel,
     PeriodicEventModel,
     TraceEventModel,
-    check_duality,
     sporadic,
 )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import build_system, run_system, us
+from conftest import build_system, of_kind, run_system, us
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import MonitoredInterposing, NeverInterpose
 from repro.hypervisor.config import HypervisorConfig, SlotConfig
@@ -95,7 +95,7 @@ class TestSlotSkipping:
         run_system(hv, timer, 2, limit_us=100_000)
         hv.run_until(us(20_000))
         from repro.sim.trace import TraceKind
-        switches = hv.trace.of_kind(TraceKind.SLOT_SWITCH)
+        switches = of_kind(hv.trace, TraceKind.SLOT_SWITCH)
         # Boundaries stay near the nominal 1000us grid (within C'_BH).
         c_bh_eff = hv.config.costs.effective_bottom_handler_cycles(us(40))
         for event in switches:

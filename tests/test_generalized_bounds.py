@@ -9,8 +9,8 @@
 import pytest
 
 from conftest import us
+from event_model_oracle import interposed_interference_table
 from repro.analysis.event_models import PeriodicEventModel
-from repro.analysis.interference import interposed_interference_table
 from repro.analysis.latency import InterferingIrq, classic_irq_latency
 from repro.core.independence import InterferenceKind, verify_sufficient_independence
 from repro.core.monitor import DeltaMinusMonitor

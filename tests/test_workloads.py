@@ -12,7 +12,6 @@ from repro.workloads.synthetic import (
     bursty_interarrivals,
     clip_to_dmin,
     exponential_interarrivals,
-    exponential_trace,
     lambda_for_load,
 )
 from repro.workloads.traces import ActivationTrace
@@ -95,10 +94,6 @@ class TestExponential:
     def test_clip_validation(self):
         with pytest.raises(ValueError):
             clip_to_dmin([5], 0)
-
-    def test_exponential_trace_with_dmin(self):
-        trace = exponential_trace(200, 1_000, seed=2, dmin=900)
-        assert trace.min_distance() >= 900
 
 
 class TestBursty:
