@@ -49,7 +49,7 @@ _POLICIES = {
 def _artifacts(idle_skip: bool, intervals, policy: str, traced: bool) -> dict:
     artifacts = _scenario_artifacts(idle_skip, intervals,
                                     policy=_POLICIES[policy](), traced=traced)
-    artifacts.pop("trace_digest", None)
+    artifacts.pop("trace", None)
     return artifacts
 
 
