@@ -26,7 +26,6 @@ __all__ = [
     "IrqLatencyBound",
     "classic_irq_latency",
     "interposed_irq_latency",
-    "latency_improvement_factor",
     "violated_irq_latency",
     "InterposingLoad",
     "SchedulabilityReport",
@@ -36,8 +35,6 @@ __all__ = [
     "partition_schedulable",
     "task_response_time",
     "tdma_interference",
-    "tdma_service",
-    "worst_case_slot_wait",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -48,10 +45,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "interference": ("interference_budget_fraction",
                      "interposed_interference_dmin"),
     "latency": ("InterferingIrq", "IrqLatencyBound", "classic_irq_latency",
-                "interposed_irq_latency", "latency_improvement_factor",
-                "violated_irq_latency"),
+                "interposed_irq_latency", "violated_irq_latency"),
     "schedulability": ("InterposingLoad", "SchedulabilityReport", "TaskSpec",
                        "TaskVerdict", "min_admissible_dmin",
                        "partition_schedulable", "task_response_time"),
-    "tdma": ("tdma_interference", "tdma_service", "worst_case_slot_wait"),
+    "tdma": ("tdma_interference",),
 })

@@ -14,14 +14,19 @@ Three analyses, mirroring the paper:
   (Section 5.1 case 2): delayed handling as in the classic analysis,
   with the monitoring overhead C'_TH on every top handler.
 
-Interfering IRQ sources contribute their top handlers only (bottom
-handlers of other sources run in their own partitions' slots, already
-covered by the TDMA term; same-source bottom handlers are serialized
-by the FIFO queue).
+Interfering IRQ sources contribute their top handlers (bottom handlers
+of other sources run in their own partitions' slots, covered by the
+TDMA term; same-source bottom handlers are serialized by the FIFO
+queue).  One more term remains in the TDMA-delayed analyses: a slot
+switch that hits another source's bottom handler is deferred until
+that handler's budget ends ("Boundary semantics" in
+``docs/architecture.md``), so each start of the analysed partition's
+slot can come late by the longest such deferral.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,11 +42,17 @@ class InterferingIrq:
 
     ``monitored`` marks sources handled by the modified top handler,
     whose effective cost includes the monitoring call (Eq. 15).
+    ``deferral_cycles`` is the longest the source's bottom-handler work
+    can defer a slot switch into the analysed partition: its declared
+    C_BH for a handler that runs at home, C'_BH (Eq. 13) for one that
+    runs in an interposed window, 0 when it never runs in the slot
+    before the analysed one.
     """
 
     model: EventModel
     top_handler_cycles: int
     monitored: bool = False
+    deferral_cycles: int = 0
 
     def effective_top_cycles(self, costs: CostModel) -> int:
         if self.monitored:
@@ -70,12 +81,15 @@ def _analyse(own_bottom: int, own_top: int, model: EventModel,
              q_limit: int, horizon: int) -> IrqLatencyBound:
     effective = [(irq.model, irq.effective_top_cycles(costs))
                  for irq in interferers]
+    deferral = max((irq.deferral_cycles for irq in interferers), default=0)
 
     def interference(window: int) -> int:
         total = model.eta_plus(window) * own_top
         if tdma is not None:
             cycle, slot = tdma
             total += tdma_interference(window, cycle, slot)
+            # Each started cycle holds one start of the analysed slot.
+            total += math.ceil(window / cycle) * deferral
         for other_model, top_cycles in effective:
             total += other_model.eta_plus(window) * top_cycles
         return total
@@ -148,11 +162,3 @@ def violated_irq_latency(model: EventModel, c_th: int, c_bh: int,
     c_th_eff = costs.effective_top_handler_cycles(c_th)
     return _analyse(c_bh, c_th_eff, model, interferers, costs,
                     (tdma_cycle, slot_length), q_limit, horizon)
-
-
-def latency_improvement_factor(classic: IrqLatencyBound,
-                               interposed: IrqLatencyBound) -> float:
-    """How much the interposed bound improves on the classic one."""
-    if interposed.response_time_cycles == 0:
-        return float("inf")
-    return classic.response_time_cycles / interposed.response_time_cycles

@@ -28,21 +28,3 @@ def tdma_interference(dt: int, cycle_length: int, slot_length: int) -> int:
     if dt == 0:
         return 0
     return math.ceil(dt / cycle_length) * (cycle_length - slot_length)
-
-
-def tdma_service(dt: int, cycle_length: int, slot_length: int) -> int:
-    """Guaranteed service a slot provides in any window of size ``dt``.
-
-    The complement of :func:`tdma_interference`:
-    ``max(0, dt - tdma_interference(dt))``.
-    """
-    return max(0, dt - tdma_interference(dt, cycle_length, slot_length))
-
-
-def worst_case_slot_wait(cycle_length: int, slot_length: int) -> int:
-    """Longest time until the slot next begins (arrival just after it ended)."""
-    if not 0 < slot_length <= cycle_length:
-        raise ValueError(
-            f"slot length must be in (0, {cycle_length}], got {slot_length}"
-        )
-    return cycle_length - slot_length

@@ -8,11 +8,10 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "BoostPolicy",
-    "InterruptThrottle",
     "MinDistanceThrottle",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "boost": ("BoostPolicy",),
-    "throttling": ("InterruptThrottle", "MinDistanceThrottle"),
+    "throttling": ("MinDistanceThrottle",),
 })

@@ -21,19 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 
-class InterruptThrottle:
-    """Interface: admit or suppress an IRQ arrival at the source."""
-
-    def admit(self, time: int) -> bool:
-        """True to deliver the IRQ, False to suppress (merge) it."""
-        raise NotImplementedError
-
-    @property
-    def suppressed_count(self) -> int:
-        raise NotImplementedError
-
-
-class MinDistanceThrottle(InterruptThrottle):
+class MinDistanceThrottle:
     """Admit at most one IRQ per ``min_distance`` cycles.
 
     Unlike the δ⁻ monitor — which *defers* non-conformant bottom
@@ -50,6 +38,7 @@ class MinDistanceThrottle(InterruptThrottle):
         self._suppressed = 0
 
     def admit(self, time: int) -> bool:
+        """True to deliver the IRQ, False to suppress (merge) it."""
         if (self._last_admitted is not None
                 and time - self._last_admitted < self.min_distance):
             self._suppressed += 1
@@ -57,10 +46,6 @@ class MinDistanceThrottle(InterruptThrottle):
         self._last_admitted = time
         self._admitted += 1
         return True
-
-    @property
-    def admitted_count(self) -> int:
-        return self._admitted
 
     @property
     def suppressed_count(self) -> int:

@@ -16,12 +16,10 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "DminInterferenceBound",
-    "IndependenceClass",
     "IndependenceReport",
     "InterferenceInterval",
     "InterferenceKind",
     "InterferenceLedger",
-    "classify_independence",
     "verify_sufficient_independence",
     "UNLEARNED",
     "DeltaLearner",
@@ -40,11 +38,9 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "independence": ("DminInterferenceBound", "IndependenceClass",
-                     "IndependenceReport", "InterferenceInterval",
-                     "InterferenceKind", "InterferenceLedger",
-                     "classify_independence",
-                     "verify_sufficient_independence"),
+    "independence": ("DminInterferenceBound", "IndependenceReport",
+                     "InterferenceInterval", "InterferenceKind",
+                     "InterferenceLedger", "verify_sufficient_independence"),
     "learning": ("UNLEARNED", "DeltaLearner", "build_monitor",
                  "clamp_to_bound", "scale_table_to_load_fraction"),
     "monitor": ("DeltaMinusMonitor", "normalize_delta_table"),

@@ -11,8 +11,8 @@ by a budget).  This module provides:
   and foreign top handlers), as measured in simulation;
 * :class:`DminInterferenceBound` — the analytical bound of Eq. (14),
   ``I(dt) = ceil(dt / d_min) * C'_BH``;
-* :func:`classify_independence` — Eq. (1)/(2) classification of a
-  measured system against a budget.
+* :func:`verify_sufficient_independence` — the Eq. (2) check of a
+  victim's measured interference against such a bound.
 
 The headline correctness property of the paper — enforced interposing
 keeps every partition sufficiently temporally independent — is checked
@@ -122,25 +122,6 @@ class InterferenceLedger:
             if name == victim and (wanted is None or kind in wanted):
                 yield start, end, source, kind
 
-    def for_victim(self, victim: str,
-                   kinds: Optional[Iterable[InterferenceKind]] = None
-                   ) -> list[InterferenceInterval]:
-        """All intervals charged to ``victim`` (optionally filtered by kind)."""
-        return [InterferenceInterval(start, end, victim, source, kind)
-                for start, end, source, kind
-                in self._victim_rows(victim, kinds)]
-
-    def total(self, victim: str, window_start: int = 0,
-              window_end: Optional[int] = None,
-              kinds: Optional[Iterable[InterferenceKind]] = None) -> int:
-        """Total interference cycles for ``victim`` within a window."""
-        if window_end is None:
-            window_end = max(self._ends, default=0)
-        return sum(
-            max(0, min(end, window_end) - max(start, window_start))
-            for start, end, _, _ in self._victim_rows(victim, kinds)
-        )
-
     def max_window_interference(self, victim: str, width: int,
                                 kinds: Optional[Iterable[InterferenceKind]] = None
                                 ) -> int:
@@ -217,27 +198,6 @@ class DminInterferenceBound:
 
     def __repr__(self) -> str:
         return f"DminInterferenceBound(dmin={self.dmin}, c_bh'={self.c_bh_effective})"
-
-
-class IndependenceClass(enum.Enum):
-    """Eq. (1)/(2) classification of a partition's temporal behaviour."""
-
-    ISOLATED = "isolated"                      # Eq. 1: zero interference
-    SUFFICIENTLY_INDEPENDENT = "sufficient"    # Eq. 2: interference <= budget
-    VIOLATED = "violated"                      # interference exceeds budget
-
-
-def classify_independence(interference: int, budget: int) -> IndependenceClass:
-    """Classify measured interference against an allowed budget (Eq. 1/2)."""
-    if interference < 0:
-        raise ValueError(f"interference must be >= 0, got {interference}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if interference == 0:
-        return IndependenceClass.ISOLATED
-    if interference <= budget:
-        return IndependenceClass.SUFFICIENTLY_INDEPENDENT
-    return IndependenceClass.VIOLATED
 
 
 @dataclass(frozen=True)

@@ -85,16 +85,6 @@ class DeltaMinusMonitor:
         return list(self._table)
 
     @property
-    def depth(self) -> int:
-        """Table length ``l`` (amount of history considered)."""
-        return len(self._table)
-
-    @property
-    def dmin(self) -> int:
-        """Minimum distance between consecutive accepted events."""
-        return self._table[0]
-
-    @property
     def accepted_count(self) -> int:
         return self._accepted
 
@@ -112,11 +102,6 @@ class DeltaMinusMonitor:
             "dmin": self._table[0],
         }
 
-    @property
-    def history(self) -> list[int]:
-        """Timestamps of the most recent accepted events, newest first."""
-        return list(self._history)
-
     def permits(self, time: int) -> bool:
         """Would an event at ``time`` satisfy the monitoring condition?
 
@@ -129,20 +114,6 @@ class DeltaMinusMonitor:
             if time - previous < self._table[k]:
                 return False
         return True
-
-    def accept(self, time: int) -> None:
-        """Record an accepted event at ``time``.
-
-        Callers normally use :meth:`check_and_accept`; calling
-        ``accept`` for a non-conformant time raises, since that would
-        silently void the interference bound.
-        """
-        if not self.permits(time):
-            raise ValueError(
-                f"event at t={time} violates the δ⁻ condition; refusing to "
-                "record it as accepted"
-            )
-        self._record(time)
 
     def check_and_accept(self, time: int) -> bool:
         """Check conformance and record the event if it passes.
@@ -157,11 +128,6 @@ class DeltaMinusMonitor:
         self._denied += 1
         self._last_time = time
         return False
-
-    def deny_count_reset(self) -> None:
-        """Reset acceptance statistics (not the history)."""
-        self._accepted = 0
-        self._denied = 0
 
     def reset(self) -> None:
         """Clear history and statistics."""
@@ -212,6 +178,6 @@ class DeltaMinusMonitor:
 
     def __repr__(self) -> str:
         return (
-            f"DeltaMinusMonitor(l={self.depth}, dmin={self.dmin}, "
+            f"DeltaMinusMonitor(l={len(self._table)}, dmin={self._table[0]}, "
             f"accepted={self._accepted}, denied={self._denied})"
         )

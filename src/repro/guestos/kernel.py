@@ -36,12 +36,6 @@ class TaskStats:
     total_response: int = 0
     response_times: list = field(default_factory=list)
 
-    @property
-    def avg_response(self) -> float:
-        if self.completed == 0:
-            return 0.0
-        return self.total_response / self.completed
-
 
 class GuestKernel:
     """Per-partition fixed-priority scheduler and job bookkeeping."""
@@ -148,16 +142,8 @@ class GuestKernel:
         if job.missed_deadline:
             stats.deadline_misses += 1
 
-    @property
-    def ready_jobs(self) -> list[GuestJob]:
-        return list(self._ready)
-
     def stats(self, task_name: str) -> TaskStats:
         return self._stats[task_name]
-
-    @property
-    def all_stats(self) -> dict[str, TaskStats]:
-        return dict(self._stats)
 
     def total_deadline_misses(self) -> int:
         return sum(stats.deadline_misses for stats in self._stats.values())

@@ -344,7 +344,7 @@ class Hypervisor:
         hv.add_partition(Partition("P2"))
         hv.add_irq_source(IrqSource(..., subscriber="P2", policy=...))
         hv.start()
-        hv.run_until(hv.clock.ms_to_cycles(500))
+        hv.run_until(hv.clock.us_to_cycles(500_000))
     """
 
     def __init__(self, slots: Sequence[SlotConfig],
@@ -480,11 +480,6 @@ class Hypervisor:
         """Run the simulation up to an absolute time in cycles."""
         self._require_started()
         self.engine.run_until(time_cycles)
-
-    def run_for_us(self, microseconds: float) -> None:
-        """Run the simulation for a duration given in microseconds."""
-        self._require_started()
-        self.engine.run_until(self.engine.now + self.clock.us_to_cycles(microseconds))
 
     def run_until_irq_count(self, count: int, source: Optional[str] = None,
                             limit_cycles: Optional[int] = None) -> int:

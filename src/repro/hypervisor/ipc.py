@@ -93,9 +93,6 @@ class IpcRouter:
         self._channels[name] = channel
         return channel
 
-    def channel(self, name: str) -> IpcChannel:
-        return self._channels[name]
-
     def on_slot_entered(self, partition: Partition, now: int) -> None:
         """Deliver pending messages addressed to the entering partition."""
         for channel in self._channels.values():
@@ -106,10 +103,3 @@ class IpcRouter:
             if (channel.notify_line is not None
                     and self._hypervisor is not None):
                 self._hypervisor.intc.raise_line(channel.notify_line)
-
-    def delivered_latencies(self, channel_name: str) -> list[int]:
-        """Delivery latencies (cycles) of all delivered messages."""
-        return [
-            message.latency
-            for message in self._channels[channel_name].delivered
-        ]

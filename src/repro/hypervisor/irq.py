@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.policy import HandlingMode, InterposingPolicy, NeverInterpose
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.baselines.throttling import InterruptThrottle
+    from repro.baselines.throttling import MinDistanceThrottle
 
 
 @dataclass
@@ -71,7 +71,7 @@ class IrqSource:
     bottom_handler_actual: Optional[Callable[[int], int]] = None
     policy: InterposingPolicy = field(default_factory=NeverInterpose)
     on_top_handler: Optional[Callable[["IrqEvent"], None]] = None
-    throttle: Optional["InterruptThrottle"] = None
+    throttle: Optional["MinDistanceThrottle"] = None
     activates_task: Optional[str] = None
 
     def __post_init__(self):

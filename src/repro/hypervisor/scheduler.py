@@ -54,15 +54,6 @@ class TdmaScheduler:
         """``T_TDMA`` — the sum of all slot lengths."""
         return self._cycle_length
 
-    def slot_length(self, partition: str) -> int:
-        """``T_i`` — total slot time of a partition per TDMA cycle."""
-        total = sum(
-            slot.length_cycles for slot in self._slots if slot.partition == partition
-        )
-        if total == 0:
-            raise KeyError(f"partition {partition!r} has no slot in the table")
-        return total
-
     def partitions(self) -> list[str]:
         """Distinct partition names in table order."""
         seen: list[str] = []
@@ -87,15 +78,6 @@ class TdmaScheduler:
             if within < end:
                 return owner, base + start, base + end
         raise AssertionError("unreachable: offset exceeded cycle length")
-
-    def slot_start_offsets(self) -> list[int]:
-        """Nominal start offset of each table entry within the cycle."""
-        offsets = []
-        position = 0
-        for slot in self._slots:
-            offsets.append(position)
-            position += slot.length_cycles
-        return offsets
 
     # ------------------------------------------------------------------
     # Runtime state (driven by the hypervisor)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,9 @@ class LatencyHistogram:
         self._overflow = 0
         self._underflow = 0
         self._total = 0
-        self._sum = 0.0
-        self._max: Optional[float] = None
-        self._min: Optional[float] = None
 
     def add(self, value: float) -> None:
         self._total += 1
-        self._sum += value
-        self._max = value if self._max is None else max(self._max, value)
-        self._min = value if self._min is None else min(self._min, value)
         if value < self.low:
             self._underflow += 1
             return
@@ -63,30 +57,17 @@ class LatencyHistogram:
     def add_all(self, values: Iterable[float]) -> None:
         """:meth:`add` each value, in one loop over local accumulators.
 
-        Deliberately NOT bulk-summed: ``_sum`` accumulates in per-value
-        order so histogram totals stay bit-identical to the
-        one-at-a-time path.  A value :meth:`add` raises on (NaN) leaves
-        the same state behind as it would there.
+        A value :meth:`add` raises on (NaN) leaves the same state behind
+        as it would there.
         """
         low, high, width = self.low, self.high, self.bin_width
         last = self._num_bins - 1
         counts = self._counts
-        total, running, vmax, vmin = (self._total, self._sum, self._max,
-                                      self._min)
+        total = self._total
         underflow, overflow = self._underflow, self._overflow
         try:
             for value in values:
                 total += 1
-                running += value
-                if vmax is None:
-                    vmax = vmin = value
-                else:
-                    # max()/min() keep the current extreme unless the
-                    # value compares strictly beyond it (also for NaN).
-                    if value > vmax:
-                        vmax = value
-                    if value < vmin:
-                        vmin = value
                 if value < low:
                     underflow += 1
                 elif value >= high:
@@ -95,8 +76,7 @@ class LatencyHistogram:
                     index = int((value - low) / width)
                     counts[index if index < last else last] += 1
         finally:
-            self._total, self._sum, self._max, self._min = (total, running,
-                                                            vmax, vmin)
+            self._total = total
             self._underflow, self._overflow = underflow, overflow
 
     @property
@@ -111,24 +91,6 @@ class LatencyHistogram:
     def underflow(self) -> int:
         return self._underflow
 
-    @property
-    def mean(self) -> float:
-        if self._total == 0:
-            raise ValueError("histogram is empty")
-        return self._sum / self._total
-
-    @property
-    def max_value(self) -> float:
-        if self._max is None:
-            raise ValueError("histogram is empty")
-        return self._max
-
-    @property
-    def min_value(self) -> float:
-        if self._min is None:
-            raise ValueError("histogram is empty")
-        return self._min
-
     def bins(self) -> list[HistogramBin]:
         result = []
         for i, count in enumerate(self._counts):
@@ -138,21 +100,6 @@ class LatencyHistogram:
 
     def counts(self) -> list[int]:
         return list(self._counts)
-
-    def fraction_below(self, threshold: float) -> float:
-        """Fraction of all recorded values strictly below ``threshold``."""
-        if self._total == 0:
-            raise ValueError("histogram is empty")
-        covered = self._underflow
-        for bin_ in self.bins():
-            if bin_.high <= threshold:
-                covered += bin_.count
-            elif bin_.low < threshold:
-                # Partial bin: attribute proportionally (approximation).
-                covered += bin_.count * (threshold - bin_.low) / self.bin_width
-            else:
-                break
-        return covered / self._total
 
     def render(self, width: int = 60, unit: str = "us",
                log_scale: bool = False) -> str:

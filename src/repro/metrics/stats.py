@@ -3,10 +3,9 @@
 Latency series flow through here as columnar ``array('d')`` stores
 (see ``repro.hypervisor.hypervisor.LatencyColumns``): :func:`summarize`
 has a single-sort fast path for them that skips the per-element
-``float()`` boxing pass, and :func:`sample_array` converts arbitrary
-float sequences into the columnar form.  Both paths produce
-bit-identical results — pinned by ``tests/test_stats.py`` against
-golden values and ``statistics.quantiles``.
+``float()`` boxing pass.  Both paths produce bit-identical results —
+pinned by ``tests/test_stats.py`` against golden values and
+``statistics.quantiles``.
 """
 
 from __future__ import annotations
@@ -14,14 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-
-def sample_array(values: Iterable[float]) -> array:
-    """Pack a latency sample into the columnar ``array('d')`` form."""
-    if isinstance(values, array) and values.typecode == "d":
-        return values
-    return array("d", values)
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -117,10 +109,3 @@ def running_average(values: Sequence[float],
         else:
             result.append(total / (i + 1))
     return result
-
-
-def improvement_factor(baseline_mean: float, improved_mean: float) -> float:
-    """Ratio of average latencies (the paper's ~16x headline metric)."""
-    if improved_mean <= 0:
-        raise ValueError(f"improved mean must be positive, got {improved_mean}")
-    return baseline_mean / improved_mean

@@ -102,21 +102,3 @@ def render_gantt(segments: Iterable[CpuSegment],
     axis = left + "-" * max(1, width - len(left) - len(right)) + right
     lines.append(" " * label_width + "+" + axis)
     return "\n".join(lines)
-
-
-def segments_between(segments: Iterable[CpuSegment],
-                     start: int, end: int) -> list[CpuSegment]:
-    """Segments overlapping ``[start, end)``."""
-    return [s for s in segments if s.end > start and s.start < end]
-
-
-def occupancy_by_lane(segments: Iterable[CpuSegment],
-                      start: int, end: int) -> dict[str, int]:
-    """Cycles of CPU occupancy per lane within a window."""
-    totals: dict[str, int] = {}
-    for segment in segments:
-        overlap = min(segment.end, end) - max(segment.start, start)
-        if overlap > 0:
-            lane = lane_of(segment.category)
-            totals[lane] = totals.get(lane, 0) + overlap
-    return totals

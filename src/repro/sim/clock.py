@@ -2,8 +2,8 @@
 
 All simulation time in this library is kept as *integer CPU cycles* to
 avoid floating-point drift in long runs.  The :class:`Clock` converts
-between wall-clock units (microseconds, milliseconds, seconds) and
-cycles for a configurable CPU frequency.  The paper's evaluation
+between wall-clock units (microseconds, seconds) and cycles for a
+configurable CPU frequency.  The paper's evaluation
 platform is an ARM926ej-s at 200 MHz, i.e. 200 cycles per microsecond,
 which is the default here.
 """
@@ -40,18 +40,9 @@ class Clock:
         """CPU clock frequency in Hertz."""
         return self._frequency_hz
 
-    @property
-    def cycles_per_us(self) -> int:
-        """Number of CPU cycles per microsecond."""
-        return self._cycles_per_us
-
     def us_to_cycles(self, microseconds: float) -> int:
         """Convert microseconds to cycles (rounded to nearest cycle)."""
         return round(microseconds * self._cycles_per_us)
-
-    def ms_to_cycles(self, milliseconds: float) -> int:
-        """Convert milliseconds to cycles (rounded to nearest cycle)."""
-        return round(milliseconds * 1000.0 * self._cycles_per_us)
 
     def s_to_cycles(self, seconds: float) -> int:
         """Convert seconds to cycles (rounded to nearest cycle)."""
@@ -60,21 +51,6 @@ class Clock:
     def cycles_to_us(self, cycles: int) -> float:
         """Convert cycles to microseconds."""
         return cycles / self._cycles_per_us
-
-    def cycles_to_ms(self, cycles: int) -> float:
-        """Convert cycles to milliseconds."""
-        return cycles / (self._cycles_per_us * 1000.0)
-
-    def instructions_to_cycles(self, instructions: int, cpi: float = 1.0) -> int:
-        """Convert an instruction count to cycles.
-
-        The ARM926ej-s is a single-issue in-order core; the paper reports
-        runtime overheads as instruction counts, which we map to cycles
-        with a configurable cycles-per-instruction factor (default 1.0).
-        """
-        if instructions < 0:
-            raise ValueError(f"instruction count must be >= 0, got {instructions}")
-        return round(instructions * cpi)
 
     def __repr__(self) -> str:
         return f"Clock({self._frequency_hz // 1_000_000} MHz)"

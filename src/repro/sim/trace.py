@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
@@ -125,10 +124,6 @@ class TraceRecorder:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
-    def between(self, start: int, end: int) -> list[TraceEvent]:
-        """Events with ``start <= time < end``."""
-        return [ev for ev in self._events if start <= ev.time < end]
-
     def clear(self) -> None:
         """Discard all retained events."""
         self._events.clear()
@@ -157,21 +152,3 @@ class TraceRecorder:
              for time, kind, data in state["events"]),
             maxlen=self._capacity,
         )
-
-    def render_timeline(self, clock=None, limit: int = 50) -> str:
-        """Human-readable timeline of the first ``limit`` events.
-
-        If a :class:`~repro.sim.clock.Clock` is given, times are shown
-        in microseconds instead of cycles.
-        """
-        lines = []
-        for event in islice(self._events, limit):
-            if clock is not None:
-                stamp = f"{clock.cycles_to_us(event.time):12.2f} us"
-            else:
-                stamp = f"{event.time:>14d} cyc"
-            items = " ".join(f"{k}={v}" for k, v in event.data.items())
-            lines.append(f"{stamp}  {event.kind.value:<32s} {items}")
-        if len(self._events) > limit:
-            lines.append(f"... ({len(self._events) - limit} more events)")
-        return "\n".join(lines)

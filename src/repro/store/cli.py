@@ -32,7 +32,12 @@ def _parse_percentiles(text: str) -> "list[float]":
         piece = piece.strip()
         if not piece:
             continue
-        value = float(piece)
+        try:
+            value = float(piece)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"percentile must be a number, got {piece!r}"
+            ) from None
         if not 0.0 <= value <= 100.0:
             raise argparse.ArgumentTypeError(
                 f"percentile must be in [0, 100], got {piece!r}"

@@ -1,5 +1,6 @@
 """IRQ workload generation: exponential (Section 6.1) and automotive
-trace (Appendix A substitute) workloads, plus trace containers.
+trace (Appendix A substitute) workloads, plus the activation-trace
+container.
 
 The names resolve on first use (see :mod:`repro._lazy`), so importing
 the package imports none of its submodules.
@@ -19,12 +20,6 @@ __all__ = [
     "exponential_interarrivals",
     "lambda_for_load",
     "ActivationTrace",
-    "add_jitter",
-    "merge",
-    "offset",
-    "scale",
-    "thin",
-    "window",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -34,5 +29,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "synthetic": ("bursty_interarrivals", "clip_to_dmin",
                   "exponential_interarrivals", "lambda_for_load"),
     "traces": ("ActivationTrace",),
-    "transforms": ("add_jitter", "merge", "offset", "scale", "thin", "window"),
 })

@@ -4,15 +4,22 @@ Test oracle for :class:`repro.core.independence.InterferenceLedger`,
 which keeps its rows in columns and builds no per-interval object: the
 same queries, answered straight from
 :class:`~repro.core.independence.InterferenceInterval` objects, with the
-sliding-window maximum by brute force.
+sliding-window maximum by brute force.  It also answers the per-victim
+queries the simulator never asks (``for_victim``, ``total``) for tests
+that read a run's ledger through :meth:`ListLedger.of`.
 """
 
 from repro.core.independence import InterferenceInterval
 
 
 class ListLedger:
-    def __init__(self):
-        self.intervals = []
+    def __init__(self, intervals=()):
+        self.intervals = list(intervals)
+
+    @classmethod
+    def of(cls, ledger):
+        """The oracle fed from a simulated ledger's rows."""
+        return cls(ledger.intervals)
 
     def record(self, start, end, victim, source, kind):
         self.intervals.append(

@@ -10,10 +10,6 @@ class TestClockConstruction:
         assert Clock().frequency_hz == 200_000_000
         assert DEFAULT_FREQUENCY_HZ == 200_000_000
 
-    def test_cycles_per_us(self):
-        assert Clock().cycles_per_us == 200
-        assert Clock(1_000_000).cycles_per_us == 1
-
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
             Clock(0)
@@ -35,9 +31,6 @@ class TestConversions:
     def test_us_to_cycles_fractional(self):
         assert Clock().us_to_cycles(0.5) == 100
 
-    def test_ms_to_cycles(self):
-        assert Clock().ms_to_cycles(1) == 200_000
-
     def test_s_to_cycles(self):
         assert Clock().s_to_cycles(1) == 200_000_000
 
@@ -45,19 +38,6 @@ class TestConversions:
         clock = Clock()
         for value in (0, 1, 17, 6000, 123456):
             assert clock.cycles_to_us(clock.us_to_cycles(value)) == value
-
-    def test_cycles_to_ms(self):
-        assert Clock().cycles_to_ms(200_000) == 1.0
-
-    def test_instructions_to_cycles_unit_cpi(self):
-        assert Clock().instructions_to_cycles(877) == 877
-
-    def test_instructions_to_cycles_custom_cpi(self):
-        assert Clock().instructions_to_cycles(100, cpi=1.5) == 150
-
-    def test_instructions_to_cycles_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Clock().instructions_to_cycles(-1)
 
     def test_repr_mentions_mhz(self):
         assert "200 MHz" in repr(Clock())

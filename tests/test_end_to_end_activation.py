@@ -54,7 +54,6 @@ class TestSporadicActivation:
         hv, kernel = build_reactive_system(NeverInterpose(), [us(100)])
         hv.run_until(us(5_000))
         (record,) = hv.latency_records
-        job = [j for j in kernel.all_stats["reaction"].response_times]
         stats = kernel.stats("reaction")
         assert stats.released == 1
         assert stats.completed == 1

@@ -357,28 +357,43 @@ def test_fig6c_latency_is_exactly_direct_or_interposed(load_index):
     is handled directly, costing C_TH + C_BH, or in an interposed
     window, costing C_TH + C_Mon + C_sched + C_ctx + C_BH — exactly,
     per IRQ.  The shape gate's ``fig6c-band`` constants are these two
-    costs."""
+    costs.
+
+    The interposed cost is the Eq. 16 bound for the load's d_min-sporadic
+    stream, C'_TH + C'_BH = 29,405 cycles, minus one C_ctx: C'_BH
+    (Eq. 13) counts the exit switch, which runs after the bottom handler
+    has completed.  That is the slack ``validation`` prints as a
+    147.0 us bound against 97.0 us measured."""
+    from repro.analysis.event_models import PeriodicEventModel
+    from repro.analysis.latency import interposed_irq_latency
     from repro.core.policy import HandlingMode
     from repro.experiments.fig6 import run_fig6_load
     from repro.experiments.scale import SMOKE
     from repro.experiments.shape import FIG6C_DIRECT_US, FIG6C_INTERPOSED_US
+    from repro.workloads.synthetic import lambda_for_load
 
     config = Fig6Config(irqs_per_load=SMOKE.fig6_irqs_per_load)
     system = config.system
     clock, costs = system.clock(), system.costs
-    handlers = (clock.us_to_cycles(system.top_handler_us)
-                + clock.us_to_cycles(system.bottom_handler_us))
+    c_th = clock.us_to_cycles(system.top_handler_us)
+    c_bh = clock.us_to_cycles(system.bottom_handler_us)
     expected = {
-        HandlingMode.DIRECT: handlers,
-        HandlingMode.INTERPOSED: handlers + costs.monitor_cycles()
+        HandlingMode.DIRECT: c_th + c_bh,
+        HandlingMode.INTERPOSED: c_th + c_bh + costs.monitor_cycles()
         + costs.scheduler_cycles() + costs.context_switch_cycles(),
     }
     assert clock.cycles_to_us(expected[HandlingMode.DIRECT]) \
         == FIG6C_DIRECT_US
     assert clock.cycles_to_us(expected[HandlingMode.INTERPOSED]) \
         == FIG6C_INTERPOSED_US
+    dmin = lambda_for_load(c_bh, config.loads[load_index], costs)
+    eq16 = interposed_irq_latency(PeriodicEventModel(dmin), c_th, c_bh,
+                                  costs=costs).response_time_cycles
+    assert eq16 - costs.context_switch_cycles() \
+        == expected[HandlingMode.INTERPOSED] == 19_405
     records = run_fig6_load("c", config, load_index).records
     assert len(records) == SMOKE.fig6_irqs_per_load
     assert {record.mode for record in records} == set(expected)
     for record in records:
         assert record.latency == expected[record.mode], record
+

@@ -1,57 +1,10 @@
-"""Tests for measurement export/import.
-
-Alongside the example-based checks, the hypothesis classes pin the
-round-trip contracts downstream tooling relies on:
-``write_records_json``/``read_records_json`` must be lossless for any
-records (including an empty list and non-ASCII source names), and
-``write_latency_csv`` output must stay byte-identical to the golden
-rendering — the CSV is an exported interface, so even a formatting
-tweak is a breaking change.
-"""
+"""Tests for the CSV writers behind ``--export``: histogram bins and
+indexed series."""
 
 import csv
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-from repro.core.policy import HandlingMode
-from repro.hypervisor.hypervisor import LatencyRecord
-from repro.metrics.export import (
-    read_records_json,
-    write_histogram_csv,
-    write_latency_csv,
-    write_records_json,
-    write_series_csv,
-)
+from repro.metrics.export import write_histogram_csv, write_series_csv
 from repro.metrics.histogram import LatencyHistogram
-from repro.sim.clock import Clock
-
-
-def sample_records():
-    return [
-        LatencyRecord("irq", 0, 100, 8500, HandlingMode.DIRECT, False),
-        LatencyRecord("irq", 1, 9000, 180000, HandlingMode.DELAYED, False),
-        LatencyRecord("irq", 2, 200000, 220000, HandlingMode.INTERPOSED, True),
-    ]
-
-
-class TestLatencyCsv:
-    def test_roundtrip_rows(self, tmp_path):
-        path = tmp_path / "lat.csv"
-        assert write_latency_csv(path, sample_records()) == 3
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0][0] == "source"
-        assert len(rows) == 4
-        assert rows[1][5] == "direct"
-
-    def test_with_clock_adds_us_column(self, tmp_path):
-        path = tmp_path / "lat.csv"
-        write_latency_csv(path, sample_records(), clock=Clock())
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert "latency_us" in rows[0]
-        assert rows[1][rows[0].index("latency_us")] == "42.000"
 
 
 class TestHistogramCsv:
@@ -75,108 +28,3 @@ class TestSeriesCsv:
             rows = list(csv.reader(handle))
         assert rows[0] == ["index", "avg_us"]
         assert rows[2] == ["1", "2.5"]
-
-
-class TestRecordsJson:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "records.json"
-        records = sample_records()
-        assert write_records_json(path, records,
-                                  metadata={"seed": 1}) == 3
-        loaded = read_records_json(path)
-        assert loaded == records
-
-    def test_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
-            read_records_json(path)
-
-    def test_empty_record_list(self, tmp_path):
-        path = tmp_path / "empty.json"
-        assert write_records_json(path, []) == 0
-        assert read_records_json(path) == []
-
-    def test_non_ascii_source_names(self, tmp_path):
-        records = [
-            LatencyRecord("таймер", 0, 10, 20, HandlingMode.DIRECT, False),
-            LatencyRecord("中断№7", 1, 30, 45, HandlingMode.DELAYED, True),
-        ]
-        path = tmp_path / "unicode.json"
-        assert write_records_json(path, records) == 2
-        assert read_records_json(path) == records
-
-
-GOLDEN_CSV = (
-    "source,seq,arrival,completed_at,latency_cycles,mode,enforced_cut\r\n"
-    "irq,0,100,8500,8400,direct,0\r\n"
-    "irq,1,9000,180000,171000,delayed,0\r\n"
-    "irq,2,200000,220000,20000,interposed,1\r\n"
-)
-
-GOLDEN_CSV_WITH_CLOCK = (
-    "source,seq,arrival,completed_at,latency_cycles,latency_us,"
-    "mode,enforced_cut\r\n"
-    "irq,0,100,8500,8400,42.000,direct,0\r\n"
-    "irq,1,9000,180000,171000,855.000,delayed,0\r\n"
-    "irq,2,200000,220000,20000,100.000,interposed,1\r\n"
-)
-
-
-class TestLatencyCsvGolden:
-    """The CSV is an exported interface — pin the exact bytes."""
-
-    def test_golden_bytes(self, tmp_path):
-        path = tmp_path / "lat.csv"
-        write_latency_csv(path, sample_records())
-        assert path.read_bytes() == GOLDEN_CSV.encode()
-
-    def test_golden_bytes_with_clock(self, tmp_path):
-        path = tmp_path / "lat_us.csv"
-        write_latency_csv(path, sample_records(), clock=Clock())
-        assert path.read_bytes() == GOLDEN_CSV_WITH_CLOCK.encode()
-
-
-_sources = st.text(min_size=1, max_size=12).filter(str.strip)
-_cycles = st.integers(min_value=0, max_value=2**48)
-_records = st.builds(
-    lambda source, seq, arrival, span, mode, cut: LatencyRecord(
-        source, seq, arrival, arrival + span, mode, cut),
-    source=_sources,
-    seq=st.integers(min_value=0, max_value=2**31),
-    arrival=_cycles,
-    span=_cycles,
-    mode=st.sampled_from(list(HandlingMode)),
-    cut=st.booleans(),
-)
-
-
-class TestExportProperties:
-    # Each example overwrites the same file, so reusing one tmp_path
-    # across examples is safe — suppress the fixture health check.
-    @settings(deadline=None, max_examples=50,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(records=st.lists(_records, max_size=20),
-           metadata=st.dictionaries(st.text(max_size=8),
-                                    st.integers(), max_size=3))
-    def test_json_roundtrip_lossless(self, tmp_path, records, metadata):
-        path = tmp_path / "prop.json"
-        assert write_records_json(path, records, metadata=metadata) \
-            == len(records)
-        assert read_records_json(path) == records
-
-    @settings(deadline=None, max_examples=50,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(records=st.lists(_records, max_size=20))
-    def test_csv_row_count_and_fields(self, tmp_path, records):
-        path = tmp_path / "prop.csv"
-        assert write_latency_csv(path, records) == len(records)
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert len(rows) == len(records) + 1
-        for row, record in zip(rows[1:], records):
-            assert row[0] == record.source
-            assert int(row[1]) == record.seq
-            assert int(row[4]) == record.latency
-            assert row[5] == record.mode.value
-            assert int(row[6]) == int(record.enforced_cut)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import us
 from event_model_oracle import interposed_interference_table
+from ledger_oracle import ListLedger
 from repro.analysis.event_models import PeriodicEventModel
 from repro.analysis.latency import InterferingIrq, classic_irq_latency
 from repro.core.independence import InterferenceKind, verify_sufficient_independence
@@ -112,5 +113,6 @@ class TestMultiSourceTopHandlerInterference:
                        if rec.source == "a")
         assert measured <= bound.response_time_cycles
         # the interferer's top handlers show up in the ledger
-        th = hv.ledger.total("P2", kinds=(InterferenceKind.TOP_HANDLER,))
+        th = ListLedger.of(hv.ledger).total(
+            "P2", kinds=(InterferenceKind.TOP_HANDLER,))
         assert th > 0

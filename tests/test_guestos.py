@@ -87,7 +87,7 @@ class TestGuestKernel:
         kernel.attach(engine, lambda: None)
         engine.run_until(150)   # two jobs of "a" ready
         first = kernel.pick()
-        assert first.seq == min(j.seq for j in kernel.ready_jobs)
+        assert first.release_time == 0   # the older of the two jobs
 
     def test_background_job_always_ready(self):
         engine = SimulationEngine()
@@ -111,7 +111,7 @@ class TestGuestKernel:
         stats = kernel.stats("hi")
         assert stats.completed == 1
         assert stats.max_response == 30
-        assert stats.avg_response == 30
+        assert stats.total_response == 30
         assert stats.deadline_misses == 0
 
     def test_job_finished_with_work_remaining_rejected(self):

@@ -9,6 +9,7 @@ C_Mon = 128, C_sched = 877, C_ctx = 10000 cycles.
 import pytest
 
 from conftest import build_system, run_system, us
+from ledger_oracle import ListLedger
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import HandlingMode, MonitoredInterposing, NeverInterpose
 
@@ -147,7 +148,7 @@ class TestBudgetEnforcement:
             bottom_handler_actual=lambda seq: us(10_000),
         )
         run_system(hv, timer, 1, limit_us=100_000)
-        interference = hv.ledger.total(
+        interference = ListLedger.of(hv.ledger).total(
             "P1", kinds=(InterferenceKind.INTERPOSED_BH,)
         )
         c_bh_eff = hv.config.costs.effective_bottom_handler_cycles(C_BH)

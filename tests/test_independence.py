@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.independence import (
     DminInterferenceBound,
-    IndependenceClass,
     InterferenceInterval,
     InterferenceKind,
     InterferenceLedger,
-    classify_independence,
     verify_sufficient_independence,
 )
 from ledger_oracle import ListLedger
@@ -44,20 +42,6 @@ class TestLedger:
         ledger.record(50, 60, "P2", "irq", InterferenceKind.INTERPOSED_BH)
         ledger.record(20, 25, "P1", "irq", InterferenceKind.TOP_HANDLER)
         return ledger
-
-    def test_total_by_victim(self):
-        ledger = self.make_ledger()
-        assert ledger.total("P1", kinds=(InterferenceKind.INTERPOSED_BH,)) == 40
-        assert ledger.total("P2") == 10
-
-    def test_total_windowed(self):
-        ledger = self.make_ledger()
-        assert ledger.total("P1", 0, 105,
-                            kinds=(InterferenceKind.INTERPOSED_BH,)) == 15
-
-    def test_kind_filtering(self):
-        ledger = self.make_ledger()
-        assert ledger.total("P1", kinds=(InterferenceKind.TOP_HANDLER,)) == 5
 
     def test_max_window(self):
         ledger = self.make_ledger()
@@ -95,22 +79,6 @@ class TestDminBound:
             DminInterferenceBound(0, 100)
         with pytest.raises(ValueError):
             DminInterferenceBound(100, -1)
-
-
-class TestClassification:
-    def test_isolated(self):
-        assert classify_independence(0, 100) is IndependenceClass.ISOLATED
-
-    def test_sufficiently_independent(self):
-        assert (classify_independence(50, 100)
-                is IndependenceClass.SUFFICIENTLY_INDEPENDENT)
-
-    def test_violated(self):
-        assert classify_independence(150, 100) is IndependenceClass.VIOLATED
-
-    def test_boundary(self):
-        assert (classify_independence(100, 100)
-                is IndependenceClass.SUFFICIENTLY_INDEPENDENT)
 
 
 class TestVerification:
@@ -201,24 +169,16 @@ _KIND_SETS = st.one_of(
     ),
     victim=st.sampled_from(_VICTIMS),
     kinds=_KIND_SETS,
-    window=st.tuples(st.integers(0, 11_000), st.integers(0, 11_000)),
     width=st.integers(1, 5_000),
 )
 def test_columnar_ledger_matches_the_interval_list_oracle(
-        rows, victim, kinds, window, width):
+        rows, victim, kinds, width):
     """Every reader of the columnar ledger equals the object-list oracle."""
     ledger, oracle = InterferenceLedger(), ListLedger()
     for start, length, name, source, kind in rows:
         ledger.record(start, start + length, name, source, kind)
         oracle.record(start, start + length, name, source, kind)
     assert ledger.intervals == oracle.intervals
-    assert ledger.for_victim(victim) == oracle.for_victim(victim)
-    assert (ledger.for_victim(victim, kinds)
-            == oracle.for_victim(victim, kinds))
-    assert ledger.total(victim, kinds=kinds) == oracle.total(victim, kinds=kinds)
-    window_start, window_end = sorted(window)
-    assert (ledger.total(victim, window_start, window_end, kinds)
-            == oracle.total(victim, window_start, window_end, kinds))
     assert (ledger.max_window_interference(victim, width, kinds)
             == oracle.max_window_interference(victim, width, kinds))
     state = ledger.snapshot_state()

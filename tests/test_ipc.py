@@ -50,10 +50,10 @@ class TestRouter:
         """Messages sent during P1's slot reach P2's mailbox exactly
         when P2's slot begins (time-partitioned communication)."""
         hv, router, p1, p2 = make_system()
-        router.create_channel("c", "P1", "P2")
+        channel = router.create_channel("c", "P1", "P2")
         hv.start()
         hv.engine.schedule(us(100),
-                           lambda: router.channel("c").send("msg", hv.engine.now))
+                           lambda: channel.send("msg", hv.engine.now))
         hv.run_until(us(1200))
         assert len(p2.mailbox) == 1
         message = p2.mailbox[0]
@@ -63,35 +63,22 @@ class TestRouter:
 
     def test_no_delivery_to_wrong_partition(self):
         hv, router, p1, p2 = make_system()
-        router.create_channel("c", "P1", "P2")
+        channel = router.create_channel("c", "P1", "P2")
         hv.start()
         hv.engine.schedule(us(100),
-                           lambda: router.channel("c").send("msg", hv.engine.now))
+                           lambda: channel.send("msg", hv.engine.now))
         hv.run_until(us(900))
         assert p2.mailbox == []
         assert p1.mailbox == []
 
     def test_notify_line_raises_virtual_irq(self):
         hv, router, p1, p2 = make_system()
-        router.create_channel("c", "P1", "P2", notify_line=7)
+        channel = router.create_channel("c", "P1", "P2", notify_line=7)
         hv.start()
         hv.engine.schedule(us(100),
-                           lambda: router.channel("c").send("msg", hv.engine.now))
+                           lambda: channel.send("msg", hv.engine.now))
         hv.run_until(us(1500))
         assert hv.intc.raise_count(7) == 1
-
-    def test_delivered_latencies(self):
-        hv, router, p1, p2 = make_system()
-        router.create_channel("c", "P1", "P2")
-        hv.start()
-        hv.engine.schedule(us(100),
-                           lambda: router.channel("c").send("m1", hv.engine.now))
-        hv.engine.schedule(us(300),
-                           lambda: router.channel("c").send("m2", hv.engine.now))
-        hv.run_until(us(1500))
-        latencies = router.delivered_latencies("c")
-        assert len(latencies) == 2
-        assert latencies[0] > latencies[1]   # earlier send waits longer
 
     def test_duplicate_channel_rejected(self):
         _, router, _, _ = make_system()

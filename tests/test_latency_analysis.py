@@ -7,7 +7,6 @@ from repro.analysis.latency import (
     InterferingIrq,
     classic_irq_latency,
     interposed_irq_latency,
-    latency_improvement_factor,
     violated_irq_latency,
 )
 from repro.hypervisor.config import CostModel
@@ -89,8 +88,9 @@ class TestInterposedLatency:
         classic = classic_irq_latency(model, C_TH, C_BH, CYCLE, SLOT,
                                       costs=COSTS)
         interposed = interposed_irq_latency(model, C_TH, C_BH, costs=COSTS)
-        factor = latency_improvement_factor(classic, interposed)
-        assert factor > 10.0   # the paper reports ~16x on averages
+        # the paper reports ~16x on averages
+        assert (classic.response_time_cycles
+                > 10 * interposed.response_time_cycles)
 
 
 class TestViolatedLatency:

@@ -79,12 +79,6 @@ class TestDminMonitor:
         assert monitor.permits(2000)
         assert monitor.accepted_count == 1
 
-    def test_accept_nonconformant_raises(self):
-        monitor = DeltaMinusMonitor.from_dmin(1000)
-        monitor.accept(0)
-        with pytest.raises(ValueError):
-            monitor.accept(1)
-
     def test_non_monotone_time_rejected(self):
         monitor = DeltaMinusMonitor.from_dmin(1000)
         monitor.check_and_accept(5000)
@@ -96,7 +90,6 @@ class TestDminMonitor:
         monitor.check_and_accept(0)
         monitor.reset()
         assert monitor.accepted_count == 0
-        assert monitor.history == []
         assert monitor.check_and_accept(1)   # history cleared
 
 
@@ -111,19 +104,9 @@ class TestDeepTable:
         assert not monitor.check_and_accept(200)
         assert monitor.check_and_accept(500)
 
-    def test_history_bounded_by_depth(self):
-        monitor = DeltaMinusMonitor([10, 20, 30])
-        for t in (0, 100, 200, 300, 400):
-            monitor.check_and_accept(t)
-        assert len(monitor.history) == 3
-        assert monitor.history == [400, 300, 200]
-
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             DeltaMinusMonitor([])
-
-    def test_dmin_property(self):
-        assert DeltaMinusMonitor([100, 500]).dmin == 100
 
 
 class TestVerifyAcceptedStream:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_system, run_system, us
+from ledger_oracle import ListLedger
 from repro.analysis.event_models import TraceEventModel, sporadic
 from repro.core.independence import InterferenceKind
 from repro.core.monitor import DeltaMinusMonitor
@@ -37,7 +38,8 @@ def interposed_window_starts(hv, victim="P1", cluster_gap=None):
     if cluster_gap is None:
         cluster_gap = us(100)   # far below any d_min used here
     intervals = sorted(
-        hv.ledger.for_victim(victim, (InterferenceKind.INTERPOSED_BH,)),
+        ListLedger.of(hv.ledger).for_victim(
+            victim, (InterferenceKind.INTERPOSED_BH,)),
         key=lambda iv: iv.start,
     )
     starts = []

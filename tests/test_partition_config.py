@@ -49,7 +49,7 @@ class TestHypervisorConfig:
     def test_make_clock(self):
         clock = HypervisorConfig(frequency_hz=100_000_000).make_clock()
         assert isinstance(clock, Clock)
-        assert clock.cycles_per_us == 100
+        assert clock.us_to_cycles(1) == 100
 
 
 class TestSlotConfig:

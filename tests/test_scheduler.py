@@ -17,20 +17,6 @@ class TestStaticQueries:
     def test_cycle_length(self):
         assert TdmaScheduler(paper_table()).cycle_length == 14_000
 
-    def test_slot_length(self):
-        scheduler = TdmaScheduler(paper_table())
-        assert scheduler.slot_length("P1") == 6_000
-        assert scheduler.slot_length("HK") == 2_000
-
-    def test_slot_length_multiple_slots(self):
-        scheduler = TdmaScheduler([SlotConfig("A", 100), SlotConfig("B", 50),
-                                   SlotConfig("A", 30)])
-        assert scheduler.slot_length("A") == 130
-
-    def test_slot_length_unknown(self):
-        with pytest.raises(KeyError):
-            TdmaScheduler(paper_table()).slot_length("X")
-
     def test_partitions(self):
         assert TdmaScheduler(paper_table()).partitions() == ["P1", "P2", "HK"]
 
@@ -59,9 +45,6 @@ class TestStaticQueries:
         assert scheduler.nominal_slot_at(13_999) == ("HK", 12_000, 14_000)
         assert scheduler.nominal_slot_at(20_000) == ("P2", 20_000, 26_000)
         assert scheduler.nominal_slot_at(6_000) == ("P2", 6_000, 12_000)
-
-    def test_slot_start_offsets(self):
-        assert TdmaScheduler(paper_table()).slot_start_offsets() == [0, 6_000, 12_000]
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

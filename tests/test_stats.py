@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from repro.metrics.stats import (
     LatencySummary,
     percentile,
-    sample_array,
     summarize,
 )
 
@@ -76,18 +75,6 @@ class TestSummarizeGolden:
             summarize([])
         with pytest.raises(ValueError):
             summarize(array("d"))
-
-
-def test_sample_array_passthrough_and_conversion():
-    columnar = array("d", [1.0, 2.0])
-    assert sample_array(columnar) is columnar          # no copy
-    converted = sample_array([1, 2, 3])
-    assert isinstance(converted, array)
-    assert converted.typecode == "d"
-    assert list(converted) == [1.0, 2.0, 3.0]
-    # Non-double arrays are converted, not passed through.
-    floats = array("f", [1.0])
-    assert sample_array(floats) is not floats
 
 
 # ------------------------------------------------------------- properties

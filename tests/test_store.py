@@ -582,6 +582,22 @@ class TestQueryCli:
         assert main(["aggregate", str(tmp_path / "a"),
                      "--experiment", "nope"]) == 1
 
+    @pytest.mark.parametrize("text, bad", [("abc", "'abc'"),
+                                           ("101", "'101'"),
+                                           ("50,abc", "'abc'"),
+                                           ("50, 101", "'101'")])
+    def test_bad_percentile_exits_2_naming_the_piece(self, tmp_path, capsys,
+                                                     text, bad):
+        from repro.store.cli import main
+        build_store(tmp_path / "a", SPEC_A)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["aggregate", str(tmp_path / "a"), "--percentiles", text])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --percentiles: percentile must be" in err
+        assert bad in err
+        assert "_parse_percentiles" not in err
+
     def test_diff_json(self, tmp_path, capsys):
         from repro.store.cli import main
         build_store(tmp_path / "a", SPEC_A)

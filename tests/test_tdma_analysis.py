@@ -1,14 +1,8 @@
 """Tests for the TDMA interference term (Eq. 8)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.analysis.tdma import (
-    tdma_interference,
-    tdma_service,
-    worst_case_slot_wait,
-)
+from repro.analysis.tdma import tdma_interference
 
 
 class TestEq8:
@@ -33,35 +27,3 @@ class TestEq8:
             tdma_interference(10, 100, 200)
         with pytest.raises(ValueError):
             tdma_interference(-1, 100, 50)
-
-
-class TestService:
-    def test_service_complement(self):
-        assert tdma_service(14_000, 14_000, 6_000) == 6_000
-
-    def test_service_never_negative(self):
-        assert tdma_service(1, 14_000, 6_000) == 0
-
-
-class TestWorstCaseWait:
-    def test_paper_value(self):
-        """IRQ just after the slot ended waits T_TDMA - T_i = 8000 us."""
-        assert worst_case_slot_wait(14_000, 6_000) == 8_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            worst_case_slot_wait(100, 0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    dt=st.integers(min_value=0, max_value=100_000),
-    slot=st.integers(min_value=1, max_value=1_000),
-    rest=st.integers(min_value=0, max_value=1_000),
-)
-def test_property_interference_plus_service_covers_window(dt, slot, rest):
-    cycle = slot + rest
-    interference = tdma_interference(dt, cycle, slot)
-    service = tdma_service(dt, cycle, slot)
-    assert interference + service >= dt
-    assert 0 <= service <= dt

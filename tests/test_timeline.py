@@ -9,13 +9,7 @@ from repro.hypervisor.config import HypervisorConfig, SlotConfig
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.irq import IrqSource
 from repro.hypervisor.partition import Partition
-from repro.metrics.timeline import (
-    TimelineMark,
-    lane_of,
-    occupancy_by_lane,
-    render_gantt,
-    segments_between,
-)
+from repro.metrics.timeline import TimelineMark, lane_of, render_gantt
 from repro.sim.cpu import Cpu, CpuSegment, Execution
 from repro.sim.engine import SimulationEngine
 from repro.sim.timers import IntervalSequenceTimer
@@ -125,16 +119,3 @@ class TestRenderGantt:
             render_gantt([], 10, 10)
         with pytest.raises(ValueError):
             render_gantt([], 0, 10, width=0)
-
-
-class TestSegmentQueries:
-    def test_segments_between(self):
-        segments = [CpuSegment(0, 10, "a", "a"), CpuSegment(20, 30, "b", "b")]
-        assert len(segments_between(segments, 5, 25)) == 2
-        assert len(segments_between(segments, 10, 20)) == 0
-
-    def test_occupancy_by_lane(self):
-        segments = [CpuSegment(0, 10, "task:P1", "x"),
-                    CpuSegment(10, 30, "bh:P1", "y")]
-        occupancy = occupancy_by_lane(segments, 5, 20)
-        assert occupancy == {"P1": 5, "P1 BH": 10}

@@ -1,7 +1,6 @@
 """Tests for the trace recorder."""
 
 from conftest import of_kind
-from repro.sim.clock import Clock
 from repro.sim.trace import TraceKind, TraceRecorder
 
 
@@ -33,31 +32,11 @@ class TestRecording:
         raised = of_kind(trace, TraceKind.IRQ_RAISED)
         assert [event.time for event in raised] == [1, 3]
 
-    def test_between(self):
-        trace = TraceRecorder()
-        for t in (5, 10, 15, 20):
-            trace.emit(t, TraceKind.CUSTOM)
-        assert [e.time for e in trace.between(10, 20)] == [10, 15]
-
     def test_clear(self):
         trace = TraceRecorder()
         trace.emit(1, TraceKind.CUSTOM)
         trace.clear()
         assert len(trace) == 0
-
-    def test_render_timeline(self):
-        trace = TraceRecorder()
-        trace.emit(200, TraceKind.IRQ_RAISED, line=5)
-        text = trace.render_timeline(clock=Clock())
-        assert "irq_raised" in text
-        assert "1.00 us" in text
-
-    def test_render_timeline_limit(self):
-        trace = TraceRecorder()
-        for t in range(10):
-            trace.emit(t, TraceKind.CUSTOM)
-        text = trace.render_timeline(limit=3)
-        assert "7 more events" in text
 
     def test_empty_recorder_is_falsy_but_usable(self):
         """A recorder with no events must still record (len-based
