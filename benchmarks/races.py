@@ -1,4 +1,4 @@
-"""Microbenchmark races behind the benchmark suite's absolute floors.
+"""Microbenchmark races behind the floors in ``test_bench_engine.py``.
 
 Two measurements that the end-to-end harness (``benchmarks/e2e``)
 does not isolate, each guarding one design choice:

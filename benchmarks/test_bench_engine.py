@@ -1,8 +1,8 @@
-"""Benchmark engine — discrete-event hot-path throughput.
+"""Engine floors — discrete-event hot-path throughput and idle-skip.
 
-Not a paper artifact — this is the perf-regression floor for the
-simulation core that every experiment runs on.  It tracks the
-two-regime events/sec of :func:`races.measure_engine_throughput`:
+Not a paper artifact — these are the perf-regression floors for the
+simulation core that every experiment runs on.  The throughput floor
+covers the two regimes of :func:`races.measure_engine_throughput`:
 
 * **chain** — a single self-rescheduling timer over a near-empty heap,
   the profile of replaying one interarrival trace (Fig. 6/7);
@@ -19,29 +19,16 @@ idle-dominated scenario — sparse IRQ arrivals separated by tens of
 quiescent TDMA cycles, the regime the skip layer exists for.  Both
 legs must execute the identical event count (the byte-identity
 contract).
-"""
 
-import pytest
+Run with ``PYTHONPATH=src python -m pytest benchmarks
+--ignore=benchmarks/e2e -q``.
+"""
 
 from races import measure_engine_throughput, measure_idle_ab
 
 
-def test_engine_throughput(benchmark):
-    result = benchmark.pedantic(
-        measure_engine_throughput,
-        kwargs={"events": 100_000, "repeats": 3},
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["events_per_second"] = round(result.events_per_second)
-    benchmark.extra_info["chain_events_per_second"] = round(
-        result.chain_events_per_second
-    )
-    benchmark.extra_info["pool_events_per_second"] = round(
-        result.pool_events_per_second
-    )
-    benchmark.extra_info["events_executed"] = result.events_executed
-    benchmark.extra_info["cancelled_events"] = result.cancelled_events
-
+def test_engine_throughput():
+    result = measure_engine_throughput(events=100_000, repeats=3)
     assert result.events_executed >= 100_000
     assert result.cancelled_events > 0            # lazy cancellation exercised
     # Deliberately conservative floor (the tuned engine measures around
@@ -52,7 +39,7 @@ def test_engine_throughput(benchmark):
     assert result.pool_events_per_second > 150_000
 
 
-def test_idle_skip_ab(benchmark):
+def test_idle_skip_ab():
     """Idle-dominated A/B: skip-on must be >= 5x skip-off (tick).
 
     The 5x floor is the acceptance threshold; the measured speedup on
@@ -60,39 +47,10 @@ def test_idle_skip_ab(benchmark):
     the two legs disagree on executed-event counts, so a green run
     also re-pins the byte-identity contract at benchmark scale.
     """
-    result = benchmark.pedantic(
-        measure_idle_ab,
-        kwargs={"arrivals": 30, "gap_tdma_cycles": 40, "repeats": 2},
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["speedup"] = round(result.speedup, 2)
-    benchmark.extra_info["skip_spans"] = result.skip_spans
-    benchmark.extra_info["skipped_events"] = result.skipped_events
-    benchmark.extra_info["skipped_cycles"] = result.skipped_cycles
-    for name, leg in result.results.items():
-        benchmark.extra_info[f"{name}_events_per_second"] = round(
-            leg.events_per_second)
+    result = measure_idle_ab(arrivals=30, gap_tdma_cycles=40, repeats=2)
     assert set(result.results) == {"skip", "tick"}
     assert result.skip_spans > 0
     assert result.skipped_events > 0
     assert (result.results["skip"].events_executed
             == result.results["tick"].events_executed)
     assert result.speedup >= 5.0
-
-
-@pytest.mark.slow
-def test_engine_throughput_paper_scale(benchmark):
-    """Longer measurement for stable numbers; run via ``-m slow``."""
-    result = benchmark.pedantic(
-        measure_engine_throughput,
-        kwargs={"events": 400_000, "repeats": 5},
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["events_per_second"] = round(result.events_per_second)
-    benchmark.extra_info["chain_events_per_second"] = round(
-        result.chain_events_per_second
-    )
-    benchmark.extra_info["pool_events_per_second"] = round(
-        result.pool_events_per_second
-    )
-    assert result.events_per_second > 150_000

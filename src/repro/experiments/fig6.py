@@ -16,7 +16,7 @@ For each of the interrupt loads U_IRQ ∈ {1 %, 5 %, 10 %}, the mean
 interarrival λ = C'_BH / U_IRQ (Eq. 17); results are cumulative over
 all loads, 15000 IRQs total in the paper (5000 per load).
 
-:func:`run_fig6_load` imports the simulator when it runs; the config,
+:func:`run_fig6_cell` imports the simulator when it runs; the config,
 the result, the merge and the renderer do not need it.
 """
 
@@ -26,7 +26,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.experiments.common import PaperSystemConfig, ScenarioSummary
+from repro.experiments.common import (
+    PaperSystemConfig,
+    ScenarioResult,
+    ScenarioSummary,
+)
 from repro.experiments.scale import PAPER as PAPER_SCALE
 from repro.metrics.histogram import LatencyHistogram, fig6_histogram
 from repro.metrics.report import render_mode_breakdown
@@ -71,14 +75,16 @@ class Fig6Result:
         return {mode: count / total for mode, count in self.mode_counts.items()}
 
 
-def run_fig6_load(scenario: str, config: Fig6Config,
-                  load_index: int) -> ScenarioSummary:
+def run_fig6_cell(scenario: str, config: Fig6Config,
+                  load_index: int) -> ScenarioResult:
     """Run one (scenario, interrupt load) cell of the Fig. 6 campaign.
 
-    This is the campaign runner's unit of parallel work: the per-load
-    seed is derived deterministically (``config.seed + load_index``,
-    exactly as the serial loop always has), so any scheduling of these
-    tasks reproduces the serial result bit for bit.
+    The per-load seed is derived deterministically (``config.seed +
+    load_index``), so any scheduling of the cells reproduces the serial
+    result bit for bit.  Returns the full result with its live
+    hypervisor; the traced replay
+    (:func:`repro.telemetry.run.run_traced_fig6`) runs a cell on a
+    traced system through here.
     """
     from repro.core.monitor import DeltaMinusMonitor
     from repro.core.policy import MonitoredInterposing, NeverInterpose
@@ -106,7 +112,14 @@ def run_fig6_load(scenario: str, config: Fig6Config,
     else:
         # "For the monitored scenarios we have used λ = d_min."
         policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(lam))
-    return run_irq_scenario(system, policy, intervals).lightweight()
+    return run_irq_scenario(system, policy, intervals)
+
+
+def run_fig6_load(scenario: str, config: Fig6Config,
+                  load_index: int) -> ScenarioSummary:
+    """One Fig. 6 cell, summarised: the campaign runner's unit of
+    parallel work (see :func:`run_fig6_cell`)."""
+    return run_fig6_cell(scenario, config, load_index).lightweight()
 
 
 def merge_fig6_loads(scenario: str, config: Fig6Config,

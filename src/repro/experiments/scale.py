@@ -3,10 +3,9 @@
 EXPERIMENTS.md describes the paper-scale fig6 runs as 15000 IRQs per
 scenario; that is 3 interrupt loads x 5000 IRQs per load (Section 6.1
 runs U_IRQ in {1 %, 5 %, 10 %} cumulatively), so ``fig6_irqs_per_load``
-is 5000 at paper scale.  Every entry point — the
-``python -m repro.experiments`` CLI (full / ``--quick`` / ``--smoke``)
-and the pytest benchmarks (``--paper-scale``) — resolves its IRQ
-counts from this module so the tiers can never drift apart again.
+is 5000 at paper scale.  The ``python -m repro.experiments`` CLI
+(full / ``--quick`` / ``--smoke``) resolves its IRQ counts from this
+module, and tests that need a tier's size import it from here.
 """
 
 from __future__ import annotations

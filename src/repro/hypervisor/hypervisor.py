@@ -270,13 +270,18 @@ class LatencyColumns:
 class HypervisorStats:
     """Aggregate counters maintained during a run.
 
-    The ``*_starts``/``*_ends``/``monitor_*``/``slot_switches`` fields
-    are incremented at exactly the sites that emit the corresponding
-    :class:`~repro.sim.trace.TraceKind` events, so they reconcile 1:1
-    with the trace's per-kind event counts whenever tracing is enabled —
-    and keep counting (a plain integer bump) when it is not.  The
-    telemetry collectors (:mod:`repro.telemetry.collectors`) sample
-    them into a :class:`~repro.telemetry.registry.MetricsRegistry`.
+    The fields marked ``==`` below are incremented at exactly the sites
+    that emit the corresponding :class:`~repro.sim.trace.TraceKind`
+    events, so they reconcile 1:1 with the trace's per-kind event
+    counts whenever tracing is enabled — and keep counting (a plain
+    integer bump) when it is not.  Each count is stored once: a top
+    handler start is a delivered IRQ (``irqs_delivered``), a monitor
+    accept opens a window (``windows_opened``), a bottom handler end
+    appends a latency row (:attr:`Hypervisor.latency_columns`), and a
+    slot switch is a ``SLOT`` context switch
+    (:attr:`Hypervisor.context_switches`).  The telemetry collectors
+    (:mod:`repro.telemetry.collectors`) sample them into a
+    :class:`~repro.telemetry.registry.MetricsRegistry`.
 
     A window ends only by its budget or by draining its queue, never
     at a slot boundary (the boundary is deferred instead), so
@@ -284,22 +289,18 @@ class HypervisorStats:
     open.
     """
 
-    irqs_delivered: int = 0
-    windows_opened: int = 0           # == INTERPOSE_START emissions
+    irqs_delivered: int = 0           # == TOP_HANDLER_START emissions
+    windows_opened: int = 0           # == INTERPOSE_START, MONITOR_ACCEPT
     slot_switches_deferred: int = 0   # boundaries deferred until a window closed
     budget_exhausted: int = 0         # enforcement fired (C_BH cap reached)
     structural_denials: int = 0       # interpose impossible (window open / queue busy)
     monitor_consultations: int = 0
     spurious_irqs: int = 0
     irqs_throttled: int = 0           # suppressed by a source-level throttle
-    top_handler_starts: int = 0       # == TOP_HANDLER_START emissions
     top_handler_ends: int = 0         # == TOP_HANDLER_END emissions
     bottom_handler_starts: int = 0    # == BOTTOM_HANDLER_START emissions
-    bottom_handler_ends: int = 0      # == BOTTOM_HANDLER_END emissions
-    monitor_accepts: int = 0          # == MONITOR_ACCEPT emissions
     monitor_denies: int = 0           # == MONITOR_DENY emissions
     interpose_ends: int = 0           # == INTERPOSE_END emissions
-    slot_switches: int = 0            # == SLOT_SWITCH emissions
 
 
 class _InterposeWindow:
@@ -625,7 +626,6 @@ class Hypervisor:
         t0 = self.engine.now
         seq = self._irq_seq[source.name]
         self._irq_seq[source.name] = seq + 1
-        self.stats.top_handler_starts += 1
         if self.trace.enabled:
             self.trace.emit(t0, TraceKind.TOP_HANDLER_START,
                             source=source.name, seq=seq)
@@ -708,7 +708,6 @@ class Hypervisor:
         trace = self.trace
         if allowed:
             event.mode = HandlingMode.INTERPOSED
-            self.stats.monitor_accepts += 1
             self.stats.top_handler_ends += 1
             if trace.enabled:
                 now = self.engine.now
@@ -882,7 +881,6 @@ class Hypervisor:
         tracing = trace.enabled
         previous = self.scheduler.current_owner
         slot = self.scheduler.advance(now)
-        self.stats.slot_switches += 1
         c_ctx = self.context_switches.switch(SwitchReason.SLOT)
         if tracing:
             trace.emit(now, TraceKind.SLOT_SWITCH,
@@ -1011,7 +1009,6 @@ class Hypervisor:
 
         intc = self.intc
         line = SLOT_TIMER_LINE
-        stats = self.stats
         switches = self.context_switches
         partitions = self._partitions
         tracing = trace.enabled
@@ -1040,7 +1037,6 @@ class Hypervisor:
                     for name, count in entered.items():
                         partitions[name].slots_entered += m * count
                     switches.record_batch(SwitchReason.SLOT, m * n_slots)
-                    stats.slot_switches += m * n_slots
                     intc.account_slot_deliveries(line, count=m * n_slots)
                     scheduler.jump_cycles(m)
                     boundaries += m * n_slots
@@ -1050,7 +1046,6 @@ class Hypervisor:
             previous = scheduler.current_owner
             intc.account_slot_deliveries(line, time=t_b)
             slot = scheduler.advance()
-            stats.slot_switches += 1
             switches.switch(SwitchReason.SLOT)
             if tracing:
                 trace.emit(t_b, TraceKind.SLOT_SWITCH,
@@ -1330,7 +1325,6 @@ class Hypervisor:
             code = _DELAYED
         mode = _MODES[code]
         event.mode = mode
-        self.stats.bottom_handler_ends += 1
         source = event.source
         source_name = source.name
         if self.trace.enabled:

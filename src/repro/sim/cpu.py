@@ -140,9 +140,8 @@ class Cpu:
         engine = self._engine
         self._started_at = engine.now
         if execution.remaining is not None:
-            self._completion = engine.schedule(
-                execution.remaining, self._complete, label=f"complete-{execution.label}"
-            )
+            self._completion = engine.schedule(execution.remaining,
+                                               self._complete)
         else:
             self._completion = None
 
@@ -308,9 +307,7 @@ class Cpu:
             if current["completion"] is not None:
                 time, seq = current["completion"]
                 self._completion = self._engine.restore_event(
-                    time, seq, self._complete,
-                    label=f"complete-{execution.label}",
-                )
+                    time, seq, self._complete)
 
     # ------------------------------------------------------------------
     # Internals

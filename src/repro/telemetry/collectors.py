@@ -148,6 +148,8 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
     ``IRQ_RAISED`` trace stream (a raise of an already-pending line is
     coalesced, not raised).
     """
+    from repro.hypervisor.context import SwitchReason
+
     labels = {"run": run}
     stats = hv.stats
 
@@ -177,7 +179,7 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
 
     counter("hv_top_handler_runs_total",
             "Top handler activations (TOP_HANDLER_START)",
-            stats.top_handler_starts)
+            stats.irqs_delivered)
     counter("hv_top_handler_completions_total",
             "Top handler completions (TOP_HANDLER_END)",
             stats.top_handler_ends)
@@ -186,7 +188,7 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
             stats.bottom_handler_starts)
     counter("hv_bottom_handler_completions_total",
             "Bottom handler completions (BOTTOM_HANDLER_END)",
-            stats.bottom_handler_ends)
+            hv.latency_columns.count())
     counter("hv_budget_exhaustions_total",
             "Enforcement events (C_BH cap reached)",
             stats.budget_exhausted)
@@ -195,7 +197,7 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
             "Foreign-slot IRQs that paid C_Mon", stats.monitor_consultations)
     counter("hv_monitor_accepts_total",
             "Interpose activations granted (MONITOR_ACCEPT)",
-            stats.monitor_accepts)
+            stats.windows_opened)
     counter("hv_monitor_denies_total",
             "Interpose activations denied by policy (MONITOR_DENY)",
             stats.monitor_denies)
@@ -211,7 +213,7 @@ def collect_hypervisor(registry: MetricsRegistry, hv: Any,
             stats.interpose_ends)
     counter("hv_slot_switches_total",
             "TDMA slot switches performed (SLOT_SWITCH)",
-            stats.slot_switches)
+            hv.context_switches.count(SwitchReason.SLOT))
     counter("hv_slot_switches_deferred_total",
             "Boundaries deferred until a window closed",
             stats.slot_switches_deferred)

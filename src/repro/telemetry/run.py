@@ -84,49 +84,22 @@ def run_traced_fig6(irqs: int, seed: int,
                     system: Optional[PaperSystemConfig] = None) -> TracedRun:
     """Replay one fig6 (scenario, load) cell with full observability.
 
-    Mirrors :func:`repro.experiments.fig6.run_fig6_load` — same
-    interarrival generation, same per-load seed derivation
-    (``seed + load_index``), same policy selection — but on a system
-    built with ``trace_enabled=True`` and ``record_cpu_segments=True``,
-    and returning the *full* :class:`ScenarioResult` so the caller can
-    reach the live hypervisor.
+    Runs :func:`repro.experiments.fig6.run_fig6_cell`, the campaign's
+    own cell builder, on a system built with ``trace_enabled=True`` and
+    ``record_cpu_segments=True``, and keeps the *full*
+    :class:`ScenarioResult` so the caller can reach the live hypervisor.
     """
     import dataclasses
 
-    from repro.experiments.fig6 import SCENARIOS, Fig6Config
-    from repro.core.monitor import DeltaMinusMonitor
-    from repro.core.policy import MonitoredInterposing, NeverInterpose
-    from repro.experiments.common import run_irq_scenario
-    from repro.workloads.synthetic import (
-        clip_to_dmin,
-        exponential_interarrivals,
-        lambda_for_load,
-    )
+    from repro.experiments.fig6 import Fig6Config, run_fig6_cell
 
-    if scenario not in SCENARIOS:
-        raise ValueError(
-            f"scenario must be one of {SCENARIOS}, got {scenario!r}"
-        )
     base = system if system is not None else PaperSystemConfig()
     traced_system = dataclasses.replace(
         base, trace_enabled=True, record_cpu_segments=True
     )
     config = Fig6Config(system=traced_system, irqs_per_load=irqs, seed=seed)
-    clock = traced_system.clock()
-    c_bh = clock.us_to_cycles(traced_system.bottom_handler_us)
-    load = config.loads[load_index]
-    lam = lambda_for_load(c_bh, load, traced_system.costs)
-    intervals = exponential_interarrivals(
-        config.irqs_per_load, lam, seed=config.seed + load_index
-    )
-    if scenario == "c":
-        intervals = clip_to_dmin(intervals, lam)
-    if scenario == "a":
-        policy = NeverInterpose()
-    else:
-        policy = MonitoredInterposing(DeltaMinusMonitor.from_dmin(lam))
-    result = run_irq_scenario(traced_system, policy, intervals)
-    return TracedRun(scenario=scenario, load=load,
+    result = run_fig6_cell(scenario, config, load_index)
+    return TracedRun(scenario=scenario, load=config.loads[load_index],
                      seed=config.seed + load_index, result=result)
 
 

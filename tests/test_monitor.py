@@ -143,6 +143,8 @@ def test_property_accepted_stream_always_conformant(gaps, table):
         if monitor.check_and_accept(time):
             accepted.append(time)
     assert verify_accepted_stream(accepted, table)
+    assert monitor.accepted_count == len(accepted)
+    assert monitor.denied_count == len(gaps) - len(accepted)
 
 
 @settings(max_examples=100, deadline=None)
